@@ -136,6 +136,12 @@ def cmd_rank(args):
     return EXIT_OK
 
 
+def _warn_unconverged(region, result):
+    if not result.converged:
+        print(f"warning: STAPLE for {region.value} stopped after {result.iterations_run} "
+              "iterations without converging", file=sys.stderr)
+
+
 def cmd_fuse(args):
     if args.method == "mean":
         maps = [read_volume(p, "region_prob") for p in args.inputs]
@@ -145,7 +151,8 @@ def cmd_fuse(args):
             write_volume(fused, args.prob_out)
     else:
         labels_in = [read_volume(p, "label") for p in args.inputs]
-        fused_labels = staple_fusion(labels_in, StapleParams(max_iters=args.max_iters))
+        fused_labels = staple_fusion(labels_in, StapleParams(max_iters=args.max_iters),
+                                     on_region=_warn_unconverged)
         write_volume(fused_labels, args.out)
     return EXIT_OK
 

@@ -4,15 +4,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .regions import REGIONS, extract_region, reconstruct_labels
+from .regions import REGIONS, Region, extract_region, reconstruct_labels
 from .volume import BinaryMask, LabelVolume, RegionProbVolume
 
 _EPS = 1e-7
+# staple_binary counts decision patterns in a histogram of 2**R bins.
+MAX_RATERS = 16
 
 
 class PriorKind(Enum):
@@ -30,6 +32,8 @@ class StapleParams:
     fixed_prior: Optional[float] = None
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValidationError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValidationError("tol must be > 0")
         for p in (self.init_sensitivity, self.init_specificity):
@@ -57,7 +61,12 @@ def average_fusion(maps: Sequence[RegionProbVolume]):
     geometry = maps[0].geometry
     for m in maps[1:]:
         geometry.require_compatible(m.geometry)
-    mean = np.mean([m.channels.astype(np.float64) for m in maps], axis=0)
+    # One float64 accumulator, summed map by map: the same order as np.mean
+    # over the stacked maps, without a float64 copy of each map.
+    mean = maps[0].channels.astype(np.float64)
+    for m in maps[1:]:
+        mean += m.channels
+    mean /= len(maps)
     fused = RegionProbVolume(geometry, mean.astype(np.float32))
     masks = [BinaryMask(geometry, fused.channels[c] >= 0.5) for c in range(3)]
     labels = reconstruct_labels(*masks)
@@ -68,17 +77,30 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
     """EM estimation of per-rater sensitivity/specificity and the per-voxel
     posterior of the latent true mask.
 
-    E-step accumulates in the log domain so products over many raters stay
-    stable on full-size volumes.
+    With the mean-of-masks or a fixed prior, a voxel's posterior depends only
+    on its pattern of rater decisions. EM therefore runs on the counts of the
+    patterns that occur (at most 2**R), and the posterior is mapped back to
+    the voxels once at the end. The E-step works in the log domain so
+    products over many raters stay stable.
     """
     if len(masks) < 2:
         raise ValidationError("staple_binary needs at least 2 masks")
+    if len(masks) > MAX_RATERS:
+        raise ValidationError(
+            f"staple_binary accepts at most {MAX_RATERS} masks, got {len(masks)}")
     geometry = masks[0].geometry
     for m in masks[1:]:
         geometry.require_compatible(m.geometry)
+    n_raters = len(masks)
 
-    d = np.stack([m.bits.ravel() for m in masks])  # (raters, voxels)
-    n_raters = d.shape[0]
+    # Bit j of a voxel's code is rater j's decision.
+    code = np.zeros(geometry.dims, dtype=np.uint16)
+    for j, m in enumerate(masks):
+        code |= m.bits.astype(np.uint16) << j
+    counts = np.bincount(code.ravel())
+    patterns = np.flatnonzero(counts)
+    counts = counts[patterns]
+    d = ((patterns[:, None] >> np.arange(n_raters)) & 1).astype(bool)  # (patterns, raters)
 
     if not d.any():
         empty = BinaryMask(geometry, np.zeros(geometry.dims, dtype=bool))
@@ -86,9 +108,9 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
         return StapleResult(empty, np.zeros(geometry.dims), perf, 0, True)
 
     if params.prior is PriorKind.MeanOfMasks:
-        prior = d.mean(axis=0)
+        prior = d.mean(axis=1)
     else:
-        prior = np.full(d.shape[1], params.fixed_prior)
+        prior = np.full(len(patterns), params.fixed_prior)
     prior = np.clip(prior, _EPS, 1.0 - _EPS)
     log_prior_t = np.log(prior)
     log_prior_f = np.log1p(-prior)
@@ -96,28 +118,20 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
     p = np.full(n_raters, params.init_sensitivity)  # sensitivity
     q = np.full(n_raters, params.init_specificity)  # specificity
 
-    w = None
     converged = False
-    iterations = 0
     for iterations in range(1, params.max_iters + 1):
-        # E-step: accumulate log P(decisions | T) rater by rater, which keeps
-        # memory at one float array per volume even for large rater counts.
-        log_a = log_prior_t.copy()
-        log_b = log_prior_f.copy()
-        for j in range(n_raters):
-            log_a += np.where(d[j], np.log(p[j]), np.log1p(-p[j]))
-            log_b += np.where(d[j], np.log1p(-q[j]), np.log(q[j]))
+        # E-step: log P(T, decisions) per pattern, summed over the raters.
+        log_a = log_prior_t + np.where(d, np.log(p), np.log1p(-p)).sum(axis=1)
+        log_b = log_prior_f + np.where(d, np.log1p(-q), np.log(q)).sum(axis=1)
         m = np.maximum(log_a, log_b)
         ea = np.exp(log_a - m)
         w = ea / (ea + np.exp(log_b - m))
 
-        # M-step
-        sum_w = w.sum()
-        sum_not_w = (1.0 - w).sum()
-        new_p = np.array([w[d[j]].sum() / sum_w for j in range(n_raters)])
-        new_q = np.array([(1.0 - w[~d[j]]).sum() / sum_not_w for j in range(n_raters)])
-        new_p = np.clip(new_p, _EPS, 1.0 - _EPS)
-        new_q = np.clip(new_q, _EPS, 1.0 - _EPS)
+        # M-step: voxel sums are pattern sums weighted by the pattern counts.
+        cw = counts * w
+        cnw = counts * (1.0 - w)
+        new_p = np.clip(cw @ d / cw.sum(), _EPS, 1.0 - _EPS)
+        new_q = np.clip(cnw @ ~d / cnw.sum(), _EPS, 1.0 - _EPS)
 
         delta = max(np.abs(new_p - p).max(), np.abs(new_q - q).max())
         p, q = new_p, new_q
@@ -125,14 +139,20 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
             converged = True
             break
 
-    weights = w.reshape(geometry.dims)
+    lut = np.zeros(1 << n_raters)
+    lut[patterns] = w
+    weights = lut[code]
     consensus = BinaryMask(geometry, weights >= 0.5)
     perf = [(float(pi), float(qi)) for pi, qi in zip(p, q)]
     return StapleResult(consensus, weights, perf, iterations, converged)
 
 
-def staple_fusion(labels: Sequence[LabelVolume], params: StapleParams = StapleParams()) -> LabelVolume:
-    """Run binary STAPLE independently per region and reconstruct labels."""
+def staple_fusion(labels: Sequence[LabelVolume], params: StapleParams = StapleParams(),
+                  on_region: Optional[Callable[[Region, StapleResult], None]] = None) -> LabelVolume:
+    """Run binary STAPLE independently per region and reconstruct labels.
+
+    `on_region`, when given, is called with each region and its STAPLE result.
+    """
     if len(labels) < 2:
         raise ValidationError("staple_fusion needs at least 2 label volumes")
     geometry = labels[0].geometry
@@ -141,5 +161,8 @@ def staple_fusion(labels: Sequence[LabelVolume], params: StapleParams = StaplePa
     consensus = {}
     for region in REGIONS:
         masks = [extract_region(lv, region) for lv in labels]
-        consensus[region] = staple_binary(masks, params).consensus
+        result = staple_binary(masks, params)
+        if on_region is not None:
+            on_region(region, result)
+        consensus[region] = result.consensus
     return reconstruct_labels(consensus[REGIONS[0]], consensus[REGIONS[1]], consensus[REGIONS[2]])

@@ -42,14 +42,6 @@ class ThresholdSpec:
 _SUPPRESSED_LABEL = {Region.WT: 0, Region.TC: LABEL_ED, Region.ET: LABEL_NCR}
 
 
-def _suppress(voxels, region_bits, replacement, region):
-    if region is Region.WT:
-        voxels[region_bits] = 0
-    else:
-        # Only voxels actually carrying the region's labels are relabeled.
-        voxels[region_bits] = replacement
-
-
 def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
                      conn: Connectivity = Connectivity.Full26) -> LabelVolume:
     """Remove sub-threshold lesions per region (strict `< threshold`)."""
@@ -63,14 +55,14 @@ def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
         mask = BinaryMask(pred.geometry, bits.copy())
         if spec.scope is ThresholdScope.WholeRegion:
             if mask.count() < thr:
-                _suppress(voxels, mask.bits, _SUPPRESSED_LABEL[region], region)
+                voxels[mask.bits] = _SUPPRESSED_LABEL[region]
         else:
             comps = connected_components(mask, conn)
             small = [cid for cid, size in comps.sizes.items() if size < thr]
             if not small:
                 continue
             suppress_bits = np.isin(comps.ids, small)
-            _suppress(voxels, suppress_bits, _SUPPRESSED_LABEL[region], region)
+            voxels[suppress_bits] = _SUPPRESSED_LABEL[region]
     return LabelVolume(pred.geometry, voxels)
 
 

@@ -117,7 +117,8 @@ class RegionProbVolume:
             raise ValidationError(
                 f"channels shape {ch.shape} does not match (3, *dims) for {self.geometry.dims}"
             )
-        if ch.size and (ch.min() < 0.0 or ch.max() > 1.0):
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if ch.size and not (ch.min() >= 0.0 and ch.max() <= 1.0):
             raise ValidationError("region probabilities must lie in [0, 1]")
         ch.setflags(write=False)
         object.__setattr__(self, "channels", ch)

@@ -1,10 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bratskit.cli import main
+from bratskit.fusion import StapleParams, staple_fusion
 from bratskit.nifti import read_volume, write_volume
 from bratskit.phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
 from bratskit.volume import Geometry, LabelVolume, RegionProbVolume, ScalarVolume
@@ -106,6 +108,15 @@ class TestRank:
 
 
 class TestFuse:
+    @staticmethod
+    def write_labels(tmp_path, volumes):
+        paths = []
+        for i, vol in enumerate(volumes):
+            p = tmp_path / f"l{i}.nii"
+            write_volume(vol, p)
+            paths.append(str(p))
+        return paths
+
     def test_mean(self, tmp_path):
         g = Geometry((6, 6, 6))
         rng = np.random.default_rng(3)
@@ -129,15 +140,72 @@ class TestFuse:
         vox = rng.integers(0, 4, (6, 6, 6)).astype(np.uint8)
         a = labels_from_array(vox)
         b = labels_from_array(np.zeros((6, 6, 6), np.uint8))
-        paths = []
-        for i, vol in enumerate([a, a, b]):
-            p = tmp_path / f"l{i}.nii"
-            write_volume(vol, p)
-            paths.append(str(p))
+        paths = self.write_labels(tmp_path, [a, a, b])
         out = tmp_path / "staple.nii"
         assert main(["fuse", "--method", "staple", "--inputs", *paths,
                      "--out", str(out)]) == 0
         assert read_volume(out, "label") == a
+
+    def test_staple_rejects_more_than_16_inputs(self, tmp_path, capsys):
+        rng = np.random.default_rng(6)
+        paths = self.write_labels(tmp_path, [
+            labels_from_array(rng.integers(0, 4, (4, 4, 4)).astype(np.uint8))
+            for _ in range(17)])
+        code = main(["fuse", "--method", "staple", "--inputs", *paths,
+                     "--out", str(tmp_path / "staple.nii")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "16" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "staple.nii").exists()
+
+    def test_staple_warns_when_not_converged(self, tmp_path, capsys):
+        rng = np.random.default_rng(7)
+        vox = rng.integers(0, 4, (6, 6, 6)).astype(np.uint8)
+        inputs = [labels_from_array(vox), labels_from_array(vox),
+                  labels_from_array(np.roll(vox, 1, axis=0))]
+        paths = self.write_labels(tmp_path, inputs)
+        out = tmp_path / "staple.nii"
+        assert main(["fuse", "--method", "staple", "--inputs", *paths,
+                     "--out", str(out), "--max-iters", "1"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"warning: STAPLE for {r} stopped after 1 iterations without converging"
+                         for r in ("WT", "TC", "ET")]
+        expected = tmp_path / "expected.nii"
+        write_volume(staple_fusion(inputs, StapleParams(max_iters=1)), expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+        assert main(["fuse", "--method", "staple", "--inputs", *paths,
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_staple_rejects_zero_max_iters(self, tmp_path, capsys):
+        vox = np.zeros((4, 4, 4), np.uint8)
+        vox[1:3, 1:3, 1:3] = 2
+        paths = self.write_labels(tmp_path, [labels_from_array(vox)] * 2)
+        code = main(["fuse", "--method", "staple", "--inputs", *paths,
+                     "--out", str(tmp_path / "staple.nii"), "--max-iters", "0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_mean_rejects_nan_map(self, tmp_path, capsys):
+        g = Geometry((4, 4, 4))
+        rng = np.random.default_rng(8)
+        paths = []
+        for i in range(2):
+            p = tmp_path / f"prob{i}.nii"
+            write_volume(RegionProbVolume(g, rng.random((3, 4, 4, 4)).astype(np.float32)), p)
+            paths.append(str(p))
+        raw = bytearray(Path(paths[1]).read_bytes())
+        raw[352:356] = np.float32(np.nan).tobytes()
+        Path(paths[1]).write_bytes(bytes(raw))
+        out = tmp_path / "fused.nii"
+        code = main(["fuse", "--method", "mean", "--inputs", *paths, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestPostprocessCommand:

@@ -3,6 +3,7 @@ import pytest
 
 from bratskit.errors import ValidationError
 from bratskit.fusion import (
+    MAX_RATERS,
     PriorKind,
     StapleParams,
     average_fusion,
@@ -59,6 +60,14 @@ class TestAverageFusion:
         with pytest.raises(ValidationError):
             average_fusion([])
 
+    @pytest.mark.parametrize("n_maps", [2, 3, 5])
+    def test_bytes_match_mean_of_stacked_float64_copies(self, rng, n_maps):
+        g = Geometry((9, 7, 5))
+        maps = [prob_volume(rng, g) for _ in range(n_maps)]
+        fused, _ = average_fusion(maps)
+        expected = np.mean([m.channels.astype(np.float64) for m in maps], axis=0)
+        assert fused.channels.tobytes() == expected.astype(np.float32).tobytes()
+
 
 def block_mask(g, lo, hi):
     bits = np.zeros(g.dims, bool)
@@ -66,11 +75,32 @@ def block_mask(g, lo, hi):
     return BinaryMask(g, bits)
 
 
+def staple_and_oracle(masks, prior, fixed_prior=0.3):
+    """staple_binary's result and the per-voxel oracle's, under the same prior."""
+    params = StapleParams(prior=prior, fixed_prior=fixed_prior if prior is PriorKind.Fixed else None)
+    d = np.stack([m.bits.ravel() for m in masks]).astype(float)
+    oracle_prior = d.mean(axis=0) if prior is PriorKind.MeanOfMasks else np.full(d.shape[1], fixed_prior)
+    return staple_binary(masks, params), staple_em_oracle(d, oracle_prior)
+
+
 class TestStapleBinary:
     def test_needs_two_masks(self):
         g = Geometry((3, 3, 3))
         with pytest.raises(ValidationError):
             staple_binary([block_mask(g, (0, 0, 0), (1, 1, 1))])
+
+    def test_rater_bound(self, rng):
+        g = Geometry((4, 4, 3))
+        masks = [BinaryMask(g, rng.random(g.dims) < 0.5) for _ in range(MAX_RATERS + 1)]
+        with pytest.raises(ValidationError, match=str(MAX_RATERS)):
+            staple_binary(masks)
+        res = staple_binary(masks[:MAX_RATERS])
+        assert res.weights.shape == g.dims
+        assert np.isfinite(res.weights).all()
+
+    def test_max_iters_must_be_positive(self):
+        with pytest.raises(ValidationError):
+            StapleParams(max_iters=0)
 
     def test_unanimous_raters(self):
         g = Geometry((6, 6, 6))
@@ -123,6 +153,31 @@ class TestStapleBinary:
         d = np.stack([m.bits.ravel() for m in masks]).astype(float)
         w, _, _, _ = staple_em_oracle(d, d.mean(axis=0))
         assert np.allclose(res.weights.ravel(), w, atol=1e-6)
+
+    @pytest.mark.parametrize("n_raters", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("prior", [PriorKind.MeanOfMasks, PriorKind.Fixed])
+    def test_pattern_histogram_matches_per_voxel_oracle(self, rng, n_raters, prior):
+        g = Geometry((9, 8, 7))
+        for _ in range(4):
+            truth = rng.random(g.dims) < rng.uniform(0.1, 0.6)
+            masks = [BinaryMask(g, truth ^ (rng.random(g.dims) < rng.uniform(0.0, 0.2)))
+                     for _ in range(n_raters)]
+            res, (w, p, q, iterations) = staple_and_oracle(masks, prior)
+            assert res.iterations_run == iterations
+            assert np.allclose(res.weights.ravel(), w, rtol=0, atol=1e-6)
+            assert np.allclose(np.array(res.rater_performance), np.stack([p, q], axis=1),
+                               rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("decisions", [(1, 1), (1, 1, 1), (1, 0), (0, 1, 1)])
+    @pytest.mark.parametrize("prior", [PriorKind.MeanOfMasks, PriorKind.Fixed])
+    def test_single_pattern_matches_oracle(self, decisions, prior):
+        # every voxel carries the same decision pattern
+        g = Geometry((4, 3, 2))
+        masks = [BinaryMask(g, np.full(g.dims, bool(v))) for v in decisions]
+        res, (w, _, _, iterations) = staple_and_oracle(masks, prior)
+        assert res.iterations_run == iterations
+        assert np.allclose(res.weights.ravel(), w, rtol=0, atol=1e-6)
+        assert np.ptp(res.weights) == 0.0
 
     def test_rater_order_invariance(self, rng):
         g = Geometry((5, 5, 5))

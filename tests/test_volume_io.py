@@ -50,6 +50,24 @@ class TestGeometry:
             Geometry((4, 4, 4), (0.0, 1.0, 1.0))
 
 
+class TestRegionProbValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+    def test_rejects_values_outside_unit_interval(self, bad):
+        ch = np.full((3, 2, 2, 2), 0.5, np.float32)
+        ch[1, 0, 1, 0] = bad
+        with pytest.raises(ValidationError):
+            RegionProbVolume(Geometry((2, 2, 2)), ch)
+
+    def test_read_rejects_nan_payload(self, rng, tmp_path):
+        path = tmp_path / "p.nii"
+        write_volume(random_prob(rng, (3, 3, 3)), path)
+        raw = bytearray(path.read_bytes())
+        raw[352 + 4 * 5:352 + 4 * 6] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError):
+            read_volume(path, "region_prob")
+
+
 class TestRoundTrip:
     def test_scalar_round_trip_bit_exact(self, rng, tmp_path):
         vol = random_scalar(rng, (7, 5, 3))
