@@ -33,7 +33,7 @@ from .metrics import (
     lesion_match,
 )
 from .ranking import MetricTable, RankingResult, rank_solutions
-from .postprocess import ThresholdScope, ThresholdSpec, apply_thresholds, legacy_et_to_ncr
+from .postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
 from .fusion import StapleParams, StapleResult, average_fusion, staple_binary, staple_fusion
 from .synthprep import (
     CorruptionField,

@@ -19,18 +19,18 @@ from pathlib import Path
 from .errors import BratskitError
 from .fusion import StapleParams, average_fusion, staple_fusion
 from .metrics import (
-    CSV_COLUMNS,
     MatchParams,
     case_metrics_legacy,
     case_metrics_lesionwise,
+    mean_rows,
     metrics_rows,
+    write_metrics_csv,
 )
 from .morphology import Connectivity
 from .nifti import read_volume, write_volume
 from .phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
-from .postprocess import ThresholdScope, ThresholdSpec, apply_thresholds, legacy_et_to_ncr
+from .postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
 from .ranking import build_table, rank_solutions, write_ranking_csv
-from .regions import REGIONS
 from .synthprep import build_corruption_field, corrupt_crop, place_label, tumour_geometry
 from .volume import BinaryMask
 
@@ -60,7 +60,7 @@ def _evaluate_case(pair, mode, params):
             case, reports = case_metrics_lesionwise(gt, pred, params, case_id)
             rows = metrics_rows(case, reports)
         return case_id, rows, None
-    except BratskitError as exc:
+    except (BratskitError, OSError) as exc:
         return case_id, [], str(exc)
 
 
@@ -86,25 +86,7 @@ def cmd_evaluate(args):
 
     failed = {cid: err for cid, _, err in results if err}
     rows = [row for _, case_rows, err in results if not err for row in case_rows]
-
-    # Per-region mean over the successfully evaluated cases.
-    region_order = sorted(r.value for r in REGIONS)
-    sums = {r: [0.0, 0.0, 0] for r in region_order}
-    for row in rows:
-        acc = sums[row[2]]
-        acc[0] += float(row[3])
-        acc[1] += float(row[4])
-        acc[2] += 1
-    for region in region_order:
-        dsc_sum, hd_sum, n = sums[region]
-        if n:
-            rows.append(["__mean__", args.mode, region,
-                         f"{dsc_sum / n:.6f}", f"{hd_sum / n:.6f}", "", "", ""])
-
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+    write_metrics_csv(args.out, rows + mean_rows(rows, args.mode))
 
     if unpaired or failed:
         report = Path(args.out).with_suffix(".skipped.txt")
@@ -163,7 +145,8 @@ def cmd_postprocess(args):
                          ThresholdScope(args.scope))
     out = apply_thresholds(pred, spec, _connectivity(args.connectivity))
     if args.legacy_et_threshold is not None:
-        out = legacy_et_to_ncr(out, args.legacy_et_threshold)
+        legacy = ThresholdSpec(et=args.legacy_et_threshold, scope=ThresholdScope.WholeRegion)
+        out = apply_thresholds(out, legacy)
     write_volume(out, args.out)
     return EXIT_OK
 
@@ -235,7 +218,6 @@ def build_parser():
     p.add_argument("--dilation-iterations", type=int, default=3)
     p.add_argument("--connectivity", choices=["6", "26"], default="26")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("rank", help="rank-then-aggregate over solution metric CSVs")

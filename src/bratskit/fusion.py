@@ -128,10 +128,11 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
         w = ea / (ea + np.exp(log_b - m))
 
         # M-step: voxel sums are pattern sums weighted by the pattern counts.
+        # A zero weight sum is no evidence, so that estimate stays as it was.
         cw = counts * w
         cnw = counts * (1.0 - w)
-        new_p = np.clip(cw @ d / cw.sum(), _EPS, 1.0 - _EPS)
-        new_q = np.clip(cnw @ ~d / cnw.sum(), _EPS, 1.0 - _EPS)
+        new_p = np.clip(cw @ d / cw.sum(), _EPS, 1.0 - _EPS) if cw.sum() > 0 else p
+        new_q = np.clip(cnw @ ~d / cnw.sum(), _EPS, 1.0 - _EPS) if cnw.sum() > 0 else q
 
         delta = max(np.abs(new_p - p).max(), np.abs(new_q - q).max())
         p, q = new_p, new_q

@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 from scipy import ndimage
 
+from .errors import ValidationError
 from .morphology import Connectivity, connected_components, dilate, surface_voxels
 from .regions import REGIONS, Region, extract_region
 from .volume import BinaryMask, LabelVolume
@@ -45,6 +46,10 @@ class MatchParams:
     connectivity: Connectivity = Connectivity.Full26
     # Optional floor on ground-truth lesion size; 0 disables the filter.
     min_gt_lesion_size: int = 0
+
+    def __post_init__(self):
+        if min(self.dilation_iterations, self.min_gt_lesion_size) < 0:
+            raise ValidationError("dilation_iterations and min_gt_lesion_size must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -228,6 +233,19 @@ def metrics_rows(case: CaseMetrics, reports=None):
         rows.append([case.case_id, case.mode.value, region.value,
                      f"{pair.dsc:.6f}", f"{pair.hd95:.6f}", *counts])
     return rows
+
+
+def mean_rows(rows, mode: str):
+    """`__mean__` rows: per region with rows, the mean DSC and HD95 of the
+    6-decimal strings as written, summed in row order."""
+    means = []
+    for region in sorted(r.value for r in REGIONS):
+        picked = [(float(row[3]), float(row[4])) for row in rows if row[2] == region]
+        if picked:
+            # cumsum adds the rows in order, as a running float sum does.
+            dsc, hd = np.cumsum(picked, axis=0)[-1] / len(picked)
+            means.append(["__mean__", mode, region, f"{dsc:.6f}", f"{hd:.6f}", "", "", ""])
+    return means
 
 
 def write_metrics_csv(path, rows):

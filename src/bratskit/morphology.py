@@ -8,6 +8,7 @@ from enum import Enum
 import numpy as np
 from scipy import ndimage
 
+from .errors import ValidationError
 from .volume import BinaryMask, Geometry, ScalarVolume
 
 
@@ -76,7 +77,7 @@ def euclidean_dt(mask: BinaryMask, spacing=None) -> ScalarVolume:
 def dilate(mask: BinaryMask, iterations: int, conn: Connectivity = Connectivity.Full26) -> BinaryMask:
     """Union of the mask with all voxels within `iterations` adjacency steps."""
     if iterations < 0:
-        raise ValueError("iterations must be >= 0")
+        raise ValidationError("iterations must be >= 0")
     if iterations == 0 or not mask.bits.any():
         return mask
     grown = ndimage.binary_dilation(mask.bits, structure=conn.structure, iterations=iterations)

@@ -1,13 +1,15 @@
 """Minimal NIfTI-1 reader/writer.
 
 Supports exactly the subset this toolkit needs: uncompressed, little-endian,
-sizeof_hdr 348, magic "n+1", datatype 2 (uint8) or 16 (float32), vox_offset 352.
+sizeof_hdr 348, magic "n+1", datatype 2 (uint8) or 16 (float32), vox_offset 352
+(any finite value >= 352 on read).
 Label volumes are 3D uint8; scalar volumes 3D float32; region-probability
 volumes 4D float32 with the 4th dimension of size 3 (channel order WT, TC, ET).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -51,6 +53,12 @@ def _build_header(dims, spacing, datatype, bitpix, ndim, dim4=1):
     return bytes(hdr)
 
 
+def _require_finite(volume):
+    if not np.isfinite(volume.voxels).all():
+        raise ValidationError("scalar payload contains NaN/Inf")
+    return volume
+
+
 def write_volume(volume, path):
     """Serialize a LabelVolume, ScalarVolume or RegionProbVolume to disk.
 
@@ -64,8 +72,7 @@ def write_volume(volume, path):
         header = _build_header(dims, spacing, DT_UINT8, 8, 3)
         payload = volume.voxels.astype("<u1").tobytes(order="F")
     elif isinstance(volume, ScalarVolume):
-        if not np.isfinite(volume.voxels).all():
-            raise ValidationError("scalar payload contains NaN/Inf")
+        _require_finite(volume)
         header = _build_header(dims, spacing, DT_FLOAT32, 32, 3)
         payload = volume.voxels.astype("<f4").tobytes(order="F")
     elif isinstance(volume, RegionProbVolume):
@@ -105,8 +112,12 @@ def _parse_header(raw):
         raise FormatError(f"non-positive spatial dim in {dims}", offset=_OFF_DIM)
     dim4 = int(dim[4]) if ndim == 4 else 1
     spacing = tuple(float(p) for p in pixdim[1:4])
-    if any(s <= 0 for s in spacing):
-        raise FormatError(f"non-positive pixdim in {spacing}", offset=_OFF_PIXDIM)
+    # Both checks are written so that NaN, which fails every comparison, fails.
+    if not all(0.0 < s < math.inf for s in spacing):
+        raise FormatError(f"pixdim {spacing} must be positive and finite", offset=_OFF_PIXDIM)
+    if not VOX_OFFSET <= vox_offset < math.inf:
+        raise FormatError(f"vox_offset {vox_offset} must be finite and >= {VOX_OFFSET}",
+                          offset=_OFF_VOX_OFFSET)
     return dims, dim4, spacing, datatype, int(vox_offset)
 
 
@@ -160,6 +171,6 @@ def read_volume(path, kind):
             vox[vox == 4] = 3
         return LabelVolume(geometry, vox, legacy_remapped=remapped)
     if kind == "scalar":
-        return ScalarVolume(geometry, flat.reshape(dims, order="F"))
+        return _require_finite(ScalarVolume(geometry, flat.reshape(dims, order="F")))
     channels = flat.reshape(dims + (3,), order="F")
     return RegionProbVolume(geometry, np.moveaxis(channels, 3, 0))

@@ -3,7 +3,9 @@
 Suppression relabels downward through the region hierarchy rather than
 deleting evidence outright: WT voxels go to background, TC voxels (labels 1, 3)
 become ED, ET voxels (label 3) become NCR. Regions are processed WT, TC, ET on
-the evolving volume, so nesting is preserved.
+the evolving volume, so nesting is preserved. The BraTS 2021 rule that turns
+all ET into NCR when the case has fewer than t ET voxels is
+`ThresholdSpec(et=t, scope=ThresholdScope.WholeRegion)`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import ValidationError
 from .morphology import Connectivity, connected_components
 from .regions import LABEL_ED, LABEL_NCR, Region
 from .volume import BinaryMask, LabelVolume
@@ -32,7 +35,7 @@ class ThresholdSpec:
 
     def __post_init__(self):
         if min(self.wt, self.tc, self.et) < 0:
-            raise ValueError("thresholds must be >= 0")
+            raise ValidationError("thresholds must be >= 0")
 
     def threshold(self, region: Region) -> int:
         return {Region.WT: self.wt, Region.TC: self.tc, Region.ET: self.et}[region]
@@ -63,17 +66,4 @@ def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
                 continue
             suppress_bits = np.isin(comps.ids, small)
             voxels[suppress_bits] = _SUPPRESSED_LABEL[region]
-    return LabelVolume(pred.geometry, voxels)
-
-
-def legacy_et_to_ncr(pred: LabelVolume, threshold: int) -> LabelVolume:
-    """Historical whole-region rule: if the total ET voxel count is strictly
-    below the threshold, every ET voxel becomes NCR."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    et_count = int((pred.voxels == 3).sum())
-    if et_count == 0 or et_count >= threshold:
-        return pred
-    voxels = pred.voxels.copy()
-    voxels[voxels == 3] = LABEL_NCR
     return LabelVolume(pred.geometry, voxels)

@@ -8,9 +8,9 @@ mean normalized rank over all keys, 0 best and 1 worst.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.stats import rankdata
 
 from .errors import ValidationError
@@ -31,24 +31,37 @@ class MetricTable:
                 for metric in METRICS:
                     yield case, region.value, metric
 
-    def validate(self):
-        missing = []
-        for case, region, metric in self.keys():
-            for sol in self.solutions:
-                key = (sol, case, region, metric)
-                if key not in self.entries:
-                    missing.append(key)
-                elif math.isnan(self.entries[key]):
-                    raise ValidationError(f"NaN entry at {key}")
-        if missing:
-            raise ValidationError(f"incomplete table, missing entries: {missing[:10]}"
-                                  + ("..." if len(missing) > 10 else ""))
+    def to_array(self) -> np.ndarray:
+        """The entries as a (keys x solutions) array, rows in `keys()` order.
+        A NaN entry, else a missing one, raises ValidationError."""
+        keys = list(self.keys())
+        values = np.array([[self.entries.get((sol, *key), np.nan) for sol in self.solutions]
+                           for key in keys], dtype=float).reshape(len(keys), len(self.solutions))
+        # Missing entries read as NaN too; np.nonzero lists keys, then solutions.
+        bad = [(self.solutions[j], *keys[i]) for i, j in zip(*np.nonzero(np.isnan(values)))]
+        nan = [k for k in bad if k in self.entries]
+        if nan:
+            raise ValidationError(f"NaN entry at {nan[0]}")
+        if bad:
+            raise ValidationError(f"incomplete table, missing entries: {bad[:10]}"
+                                  + ("..." if len(bad) > 10 else ""))
+        return values
 
 
 @dataclass(frozen=True)
 class RankingResult:
     normalized_rank: dict  # solution -> [0, 1]
     per_key_ranks: dict  # (solution, case, region, metric) -> fractional rank
+
+
+def _is_dsc(table: MetricTable) -> np.ndarray:
+    return np.array([metric == "DSC" for _, _, metric in table.keys()])
+
+
+def _key_means(values: np.ndarray) -> np.ndarray:
+    # cumsum adds the key rows in order for any shape; .sum(axis=0) turns
+    # pairwise when there is a single solution, and that changes the last bits.
+    return values.cumsum(axis=0)[-1] / len(values)
 
 
 def rank_solutions(table: MetricTable, normalization: str = "minus_one") -> RankingResult:
@@ -61,24 +74,20 @@ def rank_solutions(table: MetricTable, normalization: str = "minus_one") -> Rank
         raise ValueError(f"unknown normalization {normalization!r}")
     if not table.solutions:
         raise ValidationError("need at least one solution")
-    table.validate()
+    if not table.cases:
+        raise ValidationError("need at least one case")
+    values = table.to_array()
     p = len(table.solutions)
-    per_key_ranks = {}
-    totals = {sol: 0.0 for sol in table.solutions}
-    n_keys = 0
-    for case, region, metric in table.keys():
-        values = [table.entries[(sol, case, region, metric)] for sol in table.solutions]
-        # lower rank is better: negate DSC so higher DSC ranks first
-        keyed = [-v for v in values] if metric == "DSC" else values
-        ranks = rankdata(keyed, method="average")
-        n_keys += 1
-        for sol, rank in zip(table.solutions, ranks):
-            per_key_ranks[(sol, case, region, metric)] = float(rank)
-            if normalization == "minus_one":
-                totals[sol] += 0.0 if p == 1 else (rank - 1.0) / (p - 1.0)
-            else:
-                totals[sol] += rank / p
-    normalized = {sol: totals[sol] / n_keys for sol in table.solutions}
+    # lower rank is better: negate DSC so higher DSC ranks first
+    keyed = np.where(_is_dsc(table)[:, None], -values, values)
+    ranks = rankdata(keyed, method="average", axis=1)
+    per_key_ranks = {(sol, *key): rank for key, row in zip(table.keys(), ranks.tolist())
+                     for sol, rank in zip(table.solutions, row)}
+    if normalization == "minus_one":
+        scores = np.zeros_like(ranks) if p == 1 else (ranks - 1.0) / (p - 1.0)
+    else:
+        scores = ranks / p
+    normalized = dict(zip(table.solutions, _key_means(scores).tolist()))
     return RankingResult(normalized, per_key_ranks)
 
 
@@ -113,13 +122,10 @@ def build_table(csv_paths_by_solution: dict) -> MetricTable:
 
 def write_ranking_csv(path, table: MetricTable, result: RankingResult):
     """Leaderboard CSV: solution_id, normalized_rank, mean_dsc, mean_hd95."""
-    rows = []
-    for sol in table.solutions:
-        dscs = [table.entries[(sol, c, r, "DSC")] for c, r, m in table.keys() if m == "DSC"]
-        hds = [table.entries[(sol, c, r, "HD95")] for c, r, m in table.keys() if m == "HD95"]
-        rows.append((sol, result.normalized_rank[sol],
-                     sum(dscs) / len(dscs), sum(hds) / len(hds)))
-    rows.sort(key=lambda r: (r[1], r[0]))
+    values, is_dsc = table.to_array(), _is_dsc(table)
+    rows = sorted(zip(table.solutions, map(result.normalized_rank.get, table.solutions),
+                      _key_means(values[is_dsc]).tolist(), _key_means(values[~is_dsc]).tolist()),
+                  key=lambda r: (r[1], r[0]))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["solution_id", "normalized_rank", "mean_dsc", "mean_hd95"])

@@ -7,7 +7,7 @@ The linear order contract is x-fastest: voxel (x, y, z) lives at flat index
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,98 +54,82 @@ class Geometry:
             )
 
 
-def _check_shape(geometry: Geometry, array: np.ndarray, name: str):
-    if array.shape != geometry.dims:
-        raise ValidationError(
-            f"{name} shape {array.shape} does not match dims {geometry.dims}"
-        )
+class _Volume:
+    """Freeze and equality shared by the volume types; `_payload` names the
+    array field. Equality ignores flags such as `legacy_remapped`, and defining
+    `__eq__` here leaves the volumes unhashable."""
+
+    _payload = "voxels"
+
+    def _freeze(self, dtype, shape, what):
+        """Store the payload read-only and C-contiguous; return it."""
+        array = np.ascontiguousarray(getattr(self, self._payload), dtype=dtype)
+        if array.shape != shape:
+            raise ValidationError(f"{what} shape {array.shape} does not match {shape}")
+        array.setflags(write=False)
+        object.__setattr__(self, self._payload, array)
+        return array
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.geometry == other.geometry and np.array_equal(
+            getattr(self, self._payload), getattr(other, other._payload))
 
 
-@dataclass(frozen=True)
-class LabelVolume:
+@dataclass(frozen=True, eq=False)
+class LabelVolume(_Volume):
     """Discrete tumour labels: 0 background, 1 NCR, 2 ED, 3 ET."""
 
     geometry: Geometry
     voxels: np.ndarray
     # True when the file carried legacy label 4 that was remapped to 3 on read.
-    legacy_remapped: bool = field(default=False, compare=False)
+    legacy_remapped: bool = False
 
     def __post_init__(self):
-        vox = np.ascontiguousarray(self.voxels, dtype=np.uint8)
-        _check_shape(self.geometry, vox, "label")
+        vox = self._freeze(np.uint8, self.geometry.dims, "label")
         if vox.size and vox.max() > 3:
-            bad = int(vox.max())
-            raise ValidationError(f"label value {bad} outside {{0,1,2,3}}")
-        vox.setflags(write=False)
-        object.__setattr__(self, "voxels", vox)
-
-    def __eq__(self, other):
-        if not isinstance(other, LabelVolume):
-            return NotImplemented
-        return self.geometry == other.geometry and np.array_equal(self.voxels, other.voxels)
+            raise ValidationError(f"label value {int(vox.max())} outside {{0,1,2,3}}")
 
 
-@dataclass(frozen=True)
-class ScalarVolume:
+@dataclass(frozen=True, eq=False)
+class ScalarVolume(_Volume):
     """Dense float32 intensity volume."""
 
     geometry: Geometry
     voxels: np.ndarray
 
     def __post_init__(self):
-        vox = np.ascontiguousarray(self.voxels, dtype=np.float32)
-        _check_shape(self.geometry, vox, "scalar")
-        vox.setflags(write=False)
-        object.__setattr__(self, "voxels", vox)
-
-    def __eq__(self, other):
-        if not isinstance(other, ScalarVolume):
-            return NotImplemented
-        return self.geometry == other.geometry and np.array_equal(self.voxels, other.voxels)
+        self._freeze(np.float32, self.geometry.dims, "scalar")
 
 
-@dataclass(frozen=True)
-class RegionProbVolume:
+@dataclass(frozen=True, eq=False)
+class RegionProbVolume(_Volume):
     """Per-voxel region probabilities, channel order WT, TC, ET."""
 
     geometry: Geometry
     channels: np.ndarray  # shape (3, nx, ny, nz)
 
+    _payload = "channels"
+
     def __post_init__(self):
-        ch = np.ascontiguousarray(self.channels, dtype=np.float32)
-        if ch.shape != (3,) + self.geometry.dims:
-            raise ValidationError(
-                f"channels shape {ch.shape} does not match (3, *dims) for {self.geometry.dims}"
-            )
+        ch = self._freeze(np.float32, (3,) + self.geometry.dims, "channels")
         # Written so that NaN, which fails every comparison, is rejected too.
         if ch.size and not (ch.min() >= 0.0 and ch.max() <= 1.0):
             raise ValidationError("region probabilities must lie in [0, 1]")
-        ch.setflags(write=False)
-        object.__setattr__(self, "channels", ch)
-
-    def __eq__(self, other):
-        if not isinstance(other, RegionProbVolume):
-            return NotImplemented
-        return self.geometry == other.geometry and np.array_equal(self.channels, other.channels)
 
 
-@dataclass(frozen=True)
-class BinaryMask:
+@dataclass(frozen=True, eq=False)
+class BinaryMask(_Volume):
     """Dense boolean mask sharing the LabelVolume linear order."""
 
     geometry: Geometry
     bits: np.ndarray
 
-    def __post_init__(self):
-        bits = np.ascontiguousarray(self.bits, dtype=bool)
-        _check_shape(self.geometry, bits, "mask")
-        bits.setflags(write=False)
-        object.__setattr__(self, "bits", bits)
+    _payload = "bits"
 
-    def __eq__(self, other):
-        if not isinstance(other, BinaryMask):
-            return NotImplemented
-        return self.geometry == other.geometry and np.array_equal(self.bits, other.bits)
+    def __post_init__(self):
+        self._freeze(bool, self.geometry.dims, "mask")
 
     def count(self) -> int:
         return int(self.bits.sum())

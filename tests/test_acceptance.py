@@ -19,7 +19,7 @@ from bratskit.metrics import (
 )
 from bratskit.nifti import read_volume, write_volume
 from bratskit.phantom import Lesion, Perturbation, PhantomSpec, generate_phantom, random_phantom_spec
-from bratskit.postprocess import ThresholdScope, ThresholdSpec, apply_thresholds, legacy_et_to_ncr
+from bratskit.postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
 from bratskit.ranking import METRICS, MetricTable, rank_solutions
 from bratskit.regions import REGIONS, Region, extract_region
 from bratskit.synthprep import (
@@ -211,7 +211,8 @@ def test_postprocessing():
     for count, flipped in ((199, True), (200, False)):
         v = np.zeros((16, 16, 16), np.uint8)
         v.reshape(-1)[:count] = 3
-        res = legacy_et_to_ncr(labels_from_array(v), 200)
+        legacy = ThresholdSpec(et=200, scope=ThresholdScope.WholeRegion)
+        res = apply_thresholds(labels_from_array(v), legacy)
         if flipped:
             assert int((res.voxels == 1).sum()) == count
             assert not (res.voxels == 3).any()

@@ -1,11 +1,15 @@
+import argparse
 import csv
+import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bratskit.cli import main
+import bratskit.cli
+from bratskit.cli import build_parser, main
 from bratskit.fusion import StapleParams, staple_fusion
 from bratskit.nifti import read_volume, write_volume
 from bratskit.phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
@@ -77,6 +81,37 @@ class TestEvaluate:
         assert code == 1
         rows = list(csv.DictReader(out.open()))
         assert not any(r["case_id"] == "case000" for r in rows)
+
+    def test_unreadable_case_skipped(self, tmp_path, monkeypatch):
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=3)
+        real_read = bratskit.cli.read_volume
+
+        def read_volume(path, kind):
+            if Path(path).stem == "case001":
+                raise PermissionError(f"[Errno 13] Permission denied: '{path}'")
+            return real_read(path, kind)
+
+        monkeypatch.setattr(bratskit.cli, "read_volume", read_volume)
+        out = tmp_path / "m.csv"
+        code = main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
+                     "--pred-dir", str(tmp_path / "pred"), "--out", str(out),
+                     "--workers", "1"])
+        assert code == 1
+        cases = {r["case_id"] for r in csv.DictReader(out.open())}
+        assert cases == {"case000", "case002", "__mean__"}
+        report = out.with_suffix(".skipped.txt").read_text()
+        assert report.startswith("case001\t") and "Permission denied" in report
+
+    def test_negative_dilation_iterations_config_error(self, tmp_path, capsys):
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=1)
+        out = tmp_path / "m.csv"
+        code = main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
+                     "--pred-dir", str(tmp_path / "pred"), "--out", str(out),
+                     "--dilation-iterations", "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_dir_config_error(self, tmp_path):
         code = main(["evaluate", "--gt-dir", str(tmp_path / "nope"),
@@ -222,6 +257,34 @@ class TestPostprocessCommand:
         assert (result.voxels[2:4, 2:4, 2:4] == 1).all()
 
 
+    @pytest.mark.parametrize("n_et, flipped", [(199, True), (200, False)])
+    def test_legacy_et_threshold(self, tmp_path, n_et, flipped):
+        vox = np.zeros((20, 20, 20), np.uint8)
+        vox.reshape(-1)[:n_et] = 3
+        src = tmp_path / "in.nii"
+        write_volume(labels_from_array(vox), src)
+        out = tmp_path / "out.nii"
+        assert main(["postprocess", "--input", str(src), "--out", str(out),
+                     "--legacy-et-threshold", "200"]) == 0
+        if flipped:
+            result = read_volume(out, "label")
+            assert not (result.voxels == 3).any()
+            assert int((result.voxels == 1).sum()) == n_et
+        else:
+            assert out.read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--wt", "--tc", "--et", "--legacy-et-threshold"])
+    def test_negative_threshold_config_error(self, tmp_path, capsys, flag):
+        src = tmp_path / "in.nii"
+        write_volume(labels_from_array(np.zeros((4, 4, 4), np.uint8)), src)
+        out = tmp_path / "out.nii"
+        code = main(["postprocess", "--input", str(src), "--out", str(out), flag, "-1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestSynthCommands:
     def test_corrupt_deterministic(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -270,3 +333,15 @@ class TestSynthCommands:
         assert gt.geometry == pred.geometry
         assert (gt.voxels != 0).any()
         assert not np.array_equal(gt.voxels, pred.voxels)
+
+
+def test_every_option_is_read_by_its_handler():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(sub.get_default("func"))
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert re.search(rf"\bargs\.{action.dest}\b", source), \
+                f"{name} {action.option_strings[0]} is never read by its handler"

@@ -203,6 +203,18 @@ class TestStapleBinary:
         res = staple_binary([m, m, m], params)
         assert res.consensus == m
 
+    @pytest.mark.parametrize("n_raters", [3, 5, 8])
+    def test_all_raters_mark_every_voxel(self, n_raters):
+        # The posterior is exactly 1 everywhere, so no voxel weighs on the
+        # specificity update; it must keep its value instead of becoming 0/0.
+        g = Geometry((4, 4, 4))
+        full = BinaryMask(g, np.ones(g.dims, bool))
+        res = staple_binary([full] * n_raters)
+        assert res.converged
+        assert res.consensus == full
+        assert np.allclose(res.weights, 1.0)
+        assert all(np.isfinite(pq).all() for pq in res.rater_performance)
+
 
 class TestStapleFusion:
     def test_identical_inputs(self, rng):

@@ -10,9 +10,10 @@ from bratskit.metrics import (
     dice,
     hd95,
     lesion_match,
+    mean_rows,
     metrics_rows,
 )
-from bratskit.errors import IncompatibleGeometryError
+from bratskit.errors import IncompatibleGeometryError, ValidationError
 from bratskit.phantom import random_phantom_spec, generate_phantom
 from bratskit.regions import REGIONS, Region, extract_region
 from bratskit.volume import BinaryMask, Geometry, LabelVolume
@@ -264,3 +265,20 @@ def test_metrics_rows_schema():
     assert [r[2] for r in rows] == ["ET", "TC", "WT"]
     assert all(r[1] == MetricMode.LesionWise.value for r in rows)
     assert rows[0][3] == "1.000000" and rows[0][4] == "0.000000"
+
+
+@pytest.mark.parametrize("kwargs", [dict(dilation_iterations=-1), dict(min_gt_lesion_size=-1)])
+def test_match_params_reject_negative(kwargs):
+    with pytest.raises(ValidationError):
+        MatchParams(**kwargs)
+
+
+def test_mean_rows_average_the_written_strings():
+    rows = [["a", "legacy", "ET", "0.250000", "1.000000", "", "", ""],
+            ["a", "legacy", "WT", "1.000000", "2.500000", "", "", ""],
+            ["b", "legacy", "ET", "0.500000", "3.000000", "", "", ""]]
+    assert mean_rows(rows, "legacy") == [
+        ["__mean__", "legacy", "ET", "0.375000", "2.000000", "", "", ""],
+        ["__mean__", "legacy", "WT", "1.000000", "2.500000", "", "", ""],
+    ]
+    assert mean_rows([], "legacy") == []

@@ -8,6 +8,7 @@ from bratskit.morphology import (
     euclidean_dt,
     surface_voxels,
 )
+from bratskit.errors import ValidationError
 from bratskit.volume import BinaryMask, Geometry
 
 from conftest import mask_from_coords
@@ -133,3 +134,7 @@ class TestDilate:
         mask = random_mask(rng, (8, 8, 8), 0.1)
         grown = dilate(mask, 2)
         assert not (mask.bits & ~grown.bits).any()
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(ValidationError):
+            dilate(mask_from_coords((3, 3, 3), [(1, 1, 1)]), -1)

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from bratskit.postprocess import (
-    ThresholdScope,
-    ThresholdSpec,
-    apply_thresholds,
-    legacy_et_to_ncr,
-)
+from bratskit.errors import ValidationError
+from bratskit.postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
 from bratskit.regions import REGIONS, Region, extract_region
 
 from conftest import labels_from_array
@@ -93,7 +89,19 @@ def test_large_components_untouched(rng):
     assert np.array_equal(out.voxels, vox)
 
 
+@pytest.mark.parametrize("spec", [dict(wt=-1), dict(tc=-1), dict(et=-1)])
+def test_negative_threshold_rejected(spec):
+    with pytest.raises(ValidationError):
+        ThresholdSpec(**spec)
+
+
 class TestLegacyEtToNcr:
+    """The BraTS 2021 rule: fewer than t ET voxels in the case -> all ET to NCR."""
+
+    @staticmethod
+    def legacy(labels, threshold):
+        return apply_thresholds(labels, ThresholdSpec(et=threshold, scope=ThresholdScope.WholeRegion))
+
     def make(self, n_et):
         vox = np.zeros((20, 20, 20), np.uint8)
         flat = vox.reshape(-1)
@@ -101,16 +109,20 @@ class TestLegacyEtToNcr:
         return labels_from_array(flat.reshape(20, 20, 20))
 
     def test_below_threshold_flips(self):
-        out = legacy_et_to_ncr(self.make(199), 200)
+        out = self.legacy(self.make(199), 200)
         assert (out.voxels != 3).all()
         assert int((out.voxels == 1).sum()) == 199
 
     def test_at_threshold_unchanged(self):
         labels = self.make(200)
-        assert legacy_et_to_ncr(labels, 200) == labels
+        assert self.legacy(labels, 200) == labels
 
     def test_no_et_unchanged(self):
         labels = self.make(0)
-        out = legacy_et_to_ncr(labels, 200)
+        out = self.legacy(labels, 200)
         assert out == labels
         assert not (out.voxels == 3).any()
+
+    def test_zero_threshold_unchanged(self):
+        labels = self.make(5)
+        assert self.legacy(labels, 0) == labels

@@ -55,6 +55,13 @@ def test_matches_brute_force_oracle(rng):
         assert result.normalized_rank[sol] == pytest.approx(oracle[sol], abs=1e-12)
 
 
+@pytest.mark.parametrize("n_solutions", [1, 2, 5])
+def test_equals_per_key_loop_bit_for_bit(rng, n_solutions):
+    # The average ranks are exact, and both sum the keys in the same order.
+    table = make_table(rng, [f"s{i}" for i in range(n_solutions)], [f"c{i}" for i in range(40)])
+    assert rank_solutions(table).normalized_rank == brute_rank(table)
+
+
 def test_ties_get_average_rank(rng):
     table = make_table(rng, ["A", "B", "C"], ["c"])
     for region in REGIONS:
@@ -113,6 +120,22 @@ def test_nan_entry_rejected(rng):
     table.entries[("A", "c1", "WT", "DSC")] = float("nan")
     with pytest.raises(ValidationError):
         rank_solutions(table)
+
+
+def test_errors_name_the_entry(rng):
+    table = make_table(rng, ["A", "B"], ["c1", "c2"])
+    del table.entries[("B", "c1", "WT", "DSC")]
+    with pytest.raises(ValidationError, match=r"missing entries: \[\('B', 'c1', 'WT', 'DSC'\)\]"):
+        rank_solutions(table)
+    # a NaN is reported in preference to missing entries, even later in key order
+    table.entries[("A", "c2", "ET", "HD95")] = float("nan")
+    with pytest.raises(ValidationError, match=r"NaN entry at \('A', 'c2', 'ET', 'HD95'\)"):
+        rank_solutions(table)
+
+
+def test_empty_case_set_rejected():
+    with pytest.raises(ValidationError):
+        rank_solutions(MetricTable(["A", "B"], [], {}))
 
 
 def test_rank_over_p_switch(rng):

@@ -3,8 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bratskit.errors import (
+    BratskitError,
     CompressedInputError,
     DegenerateInputError,
     FormatError,
@@ -66,6 +69,43 @@ class TestRegionProbValidation:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValidationError):
             read_volume(path, "region_prob")
+
+
+class TestVolumeTypes:
+    MAKERS = {
+        "label": lambda g, a: LabelVolume(g, a.astype(np.uint8)),
+        "scalar": lambda g, a: ScalarVolume(g, a.astype(np.float32)),
+        "mask": lambda g, a: BinaryMask(g, a.astype(bool)),
+        "region_prob": lambda g, a: RegionProbVolume(g, np.stack([a] * 3).astype(np.float32)),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_frozen_equal_and_unhashable(self, kind):
+        make = self.MAKERS[kind]
+        g = Geometry((2, 3, 4))
+        a = np.zeros((2, 3, 4))
+        a[1, 2, 3] = 1
+        vol = make(g, a)
+        payload = getattr(vol, {"region_prob": "channels", "mask": "bits"}.get(kind, "voxels"))
+        assert payload.flags.c_contiguous and not payload.flags.writeable
+        assert vol == make(g, a.copy())
+        assert vol != make(g, np.zeros_like(a))
+        assert vol != make(Geometry((2, 3, 4), (2.0, 1.0, 1.0)), a)
+        with pytest.raises(TypeError):
+            hash(vol)
+        with pytest.raises(ValidationError, match="does not match"):
+            make(g, np.zeros((4, 3, 2)))
+
+    def test_types_never_compare_equal(self):
+        g = Geometry((2, 2, 2))
+        ones = np.ones((2, 2, 2))
+        assert LabelVolume(g, ones.astype(np.uint8)) != BinaryMask(g, ones.astype(bool))
+        assert LabelVolume(g, ones.astype(np.uint8)) != ScalarVolume(g, ones)
+
+    def test_legacy_remapped_not_compared(self):
+        g = Geometry((2, 2, 2))
+        vox = np.full((2, 2, 2), 3, np.uint8)
+        assert LabelVolume(g, vox, legacy_remapped=True) == LabelVolume(g, vox)
 
 
 class TestRoundTrip:
@@ -189,12 +229,89 @@ class TestHeaderErrors:
         with pytest.raises(FormatError):
             read_volume(path, "label")
 
+    @pytest.mark.parametrize("vox_offset", [np.nan, np.inf, -np.inf, 0.0, 348.0, 351.0, -352.0])
+    def test_bad_vox_offset(self, tmp_path, rng, vox_offset):
+        path = tmp_path / "x.nii"
+        write_volume(random_label(rng, (3, 3, 3)), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 108, vox_offset)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            read_volume(path, "label")
+        assert err.value.offset == 108
+
+    def test_larger_vox_offset_accepted(self, tmp_path, rng):
+        vol = random_label(rng, (3, 3, 3))
+        path = tmp_path / "x.nii"
+        write_volume(vol, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 108, 368.0)
+        path.write_bytes(bytes(raw[:352]) + bytes(16) + bytes(raw[352:]))
+        assert read_volume(path, "label") == vol
+
+    @pytest.mark.parametrize("pixdim", [np.nan, np.inf])
+    def test_non_finite_pixdim(self, tmp_path, rng, pixdim):
+        path = tmp_path / "x.nii"
+        write_volume(random_label(rng, (3, 3, 3)), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 80, pixdim)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError) as err:
+            read_volume(path, "label")
+        assert err.value.offset == 76
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scalar_refused_on_read(self, tmp_path, rng, bad):
+        path = tmp_path / "s.nii"
+        write_volume(random_scalar(rng, (3, 3, 3)), path)
+        raw = bytearray(path.read_bytes())
+        raw[352 + 4 * 7:352 + 4 * 8] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="NaN/Inf"):
+            read_volume(path, "scalar")
+
     def test_nan_scalar_refused_on_write(self, tmp_path):
         g = Geometry((2, 2, 2))
         vox = np.zeros((2, 2, 2), np.float32)
         vox[0, 0, 0] = np.nan
         with pytest.raises(ValidationError):
             write_volume(ScalarVolume(g, vox), tmp_path / "n.nii")
+
+
+MUTATED_KINDS = {
+    "label": (random_label, LabelVolume),
+    "scalar": (random_scalar, ScalarVolume),
+    "region_prob": (random_prob, RegionProbVolume),
+}
+# Offsets of the fields the reader parses: sizeof_hdr, dim[0..4], datatype,
+# bitpix, pixdim[1..3], vox_offset, magic.
+HEADER_FIELDS = [0, 40, 42, 44, 46, 48, 70, 72, 80, 84, 88, 108, 344]
+FIELD_VALUES = st.one_of(
+    st.binary(min_size=1, max_size=4),
+    st.integers(-(2 ** 15), 2 ** 15 - 1).map(lambda v: struct.pack("<h", v)),
+    st.sampled_from([0.0, -0.0, -1.0, 1e-40, 352.0, 352.5, 1e30, np.nan, np.inf, -np.inf])
+    .map(lambda v: struct.pack("<f", v)),
+)
+MUTATION = st.tuples(st.one_of(st.sampled_from(HEADER_FIELDS), st.integers(0, 351)), FIELD_VALUES)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(sorted(MUTATED_KINDS)), mutations=st.lists(MUTATION, min_size=1, max_size=6))
+def test_header_mutation_gives_volume_or_toolkit_error(tmp_path, kind, mutations):
+    make, expected = MUTATED_KINDS[kind]
+    path = tmp_path / f"{kind}.nii"
+    write_volume(make(np.random.default_rng(7), (3, 2, 2), (1.5, 1.0, 2.0)), path)
+    raw = bytearray(path.read_bytes())
+    for offset, value in mutations:
+        raw[offset:offset + len(value)] = value
+    path.write_bytes(bytes(raw))
+    try:
+        vol = read_volume(path, kind)
+    except BratskitError:
+        return
+    assert type(vol) is expected
+    assert all(0.0 < s < np.inf for s in vol.geometry.spacing)
 
 
 class TestZScore:
