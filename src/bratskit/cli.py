@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import BratskitError
+from .errors import BratskitError, ValidationError
 from .fusion import StapleParams, average_fusion, staple_fusion
 from .metrics import (
     MatchParams,
@@ -105,7 +105,10 @@ def cmd_rank(args):
     paths = {}
     if args.manifest:
         with open(args.manifest, newline="") as fh:
-            for row in csv.reader(fh):
+            for line, row in enumerate(csv.reader(fh), 1):
+                if len(row) < 2:
+                    raise ValidationError(f"{args.manifest} line {line}: expected "
+                                          f"solution_id,path, got {row}")
                 paths[row[0]] = row[1]
     for path in args.inputs:
         paths[Path(path).stem] = path
@@ -190,14 +193,16 @@ def _phantom_spec_from_json(doc):
         drop_index=int(p.get("drop_index", 0)),
     )
     return PhantomSpec(tuple(doc["dims"]), lesions, pert,
-                       tuple(doc.get("spacing", (1.0, 1.0, 1.0))),
-                       int(doc.get("seed", 0)))
+                       tuple(doc.get("spacing", (1.0, 1.0, 1.0))))
 
 
 def cmd_phantom(args):
     with open(args.spec) as fh:
-        doc = json.load(fh)
-    spec = _phantom_spec_from_json(doc)
+        try:
+            spec = _phantom_spec_from_json(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+            raise ValidationError(f"{args.spec}: not a phantom spec "
+                                  f"({type(exc).__name__}: {exc})") from None
     gt, pred = generate_phantom(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ from scipy import ndimage
 from .errors import ValidationError
 from .morphology import Connectivity, connected_components, dilate, surface_voxels
 from .regions import REGIONS, Region, extract_region
-from .volume import BinaryMask, LabelVolume
+from .volume import BinaryMask, Geometry, LabelVolume
 
 HD95_PENALTY = 374.0
 
@@ -76,14 +76,16 @@ def dice(a: BinaryMask, b: BinaryMask) -> float:
     return 2.0 * inter / (na + nb)
 
 
-def _joint_bbox(a_bits, b_bits):
-    both = a_bits | b_bits
-    xs, ys, zs = np.nonzero(both)
-    return (
-        slice(int(xs.min()), int(xs.max()) + 1),
-        slice(int(ys.min()), int(ys.max()) + 1),
-        slice(int(zs.min()), int(zs.max()) + 1),
-    )
+def _boxed(bits, spacing) -> BinaryMask:
+    """A mask on its own grid: the voxels of a box cut from a larger volume."""
+    return BinaryMask(Geometry(bits.shape, spacing), bits)
+
+
+def _hull(boxes, pad, dims):
+    """Smallest box holding every box, grown by `pad` voxels, clipped to dims."""
+    return tuple(slice(max(min(b[i].start for b in boxes) - pad, 0),
+                       min(max(b[i].stop for b in boxes) + pad, n))
+                 for i, n in enumerate(dims))
 
 
 def _directed_p95(src_surface, dst_surface, spacing):
@@ -93,30 +95,26 @@ def _directed_p95(src_surface, dst_surface, spacing):
     return float(np.percentile(dist[src_surface], 95, method="linear"))
 
 
-def hd95(a: BinaryMask, b: BinaryMask, spacing=None) -> float:
+def hd95(a: BinaryMask, b: BinaryMask) -> float:
     a.geometry.require_compatible(b.geometry)
-    if spacing is None:
-        spacing = a.geometry.spacing
     na = a.bits.any()
     nb = b.bits.any()
     if not na and not nb:
         return 0.0
     if not na or not nb:
         return HD95_PENALTY
-    # Crop to the joint bounding box; both surfaces lie fully inside it, so
-    # nearest-surface distances are unaffected.
-    box = _joint_bbox(a.bits, b.bits)
-    sa = surface_voxels(a)
-    sb = surface_voxels(b)
-    sa_c = sa.bits[box]
-    sb_c = sb.bits[box]
-    d_ab = _directed_p95(sa_c, sb_c, spacing)
-    d_ba = _directed_p95(sb_c, sa_c, spacing)
-    return max(d_ab, d_ba)
+    # Work in the joint bounding box. It holds every true voxel and the
+    # erosion treats off-grid voxels as false, so the surfaces and their
+    # distances are those of the full grid. find_objects rejects bool input.
+    box = ndimage.find_objects((a.bits | b.bits).view(np.uint8))[0]
+    spacing = a.geometry.spacing
+    sa = surface_voxels(_boxed(a.bits[box], spacing)).bits
+    sb = surface_voxels(_boxed(b.bits[box], spacing)).bits
+    return max(_directed_p95(sa, sb, spacing), _directed_p95(sb, sa, spacing))
 
 
-def region_metrics(gt_mask: BinaryMask, pred_mask: BinaryMask, spacing=None) -> MetricPair:
-    return MetricPair(dice(gt_mask, pred_mask), hd95(gt_mask, pred_mask, spacing))
+def region_metrics(gt_mask: BinaryMask, pred_mask: BinaryMask) -> MetricPair:
+    return MetricPair(dice(gt_mask, pred_mask), hd95(gt_mask, pred_mask))
 
 
 def case_metrics_legacy(gt: LabelVolume, pred: LabelVolume, case_id: str = "") -> CaseMetrics:
@@ -135,48 +133,49 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
     A predicted component is matched to a gt component iff it intersects the
     dilated gt component; predictions touching several gt lesions go to the one
     with the largest intersection (ties broken by lower gt id).
+
+    Each lesion is handled inside its `find_objects` box. The dilation reaches
+    at most `dilation_iterations` voxels past the gt box, so it runs in that
+    box padded by as much; a pair is scored in the hull of its boxes.
     """
     gt_mask.geometry.require_compatible(pred_mask.geometry)
     gt_comps = connected_components(gt_mask, params.connectivity)
     pred_comps = connected_components(pred_mask, params.connectivity)
+    gt_boxes = ndimage.find_objects(gt_comps.ids)
+    pred_boxes = ndimage.find_objects(pred_comps.ids)
+    dims, spacing = gt_mask.geometry.dims, gt_mask.geometry.spacing
 
     gt_ids = [
         cid for cid in range(1, gt_comps.count + 1)
         if gt_comps.sizes[cid] >= params.min_gt_lesion_size
     ]
 
-    # intersection[(pred id, gt id)] -> voxel overlap with the dilated gt lesion
-    intersections: dict[int, dict[int, int]] = {}
+    # owner[p]: the gt lesion whose dilation holds most voxels of pred lesion p,
+    # 0 for none. gt ids rise and only a larger overlap takes a pred lesion
+    # over, so a tie stays with the lower gt id. A (gt x pred) overlap array
+    # would cost memory in the product of the lesion counts.
+    best = np.zeros(pred_comps.count + 1, dtype=np.int64)
+    owner = np.zeros(pred_comps.count + 1, dtype=np.int64)
     for gid in gt_ids:
-        comp = gt_comps.component_mask(gid)
-        grown = dilate(comp, params.dilation_iterations, params.connectivity)
-        hit_ids, hit_counts = np.unique(pred_comps.ids[grown.bits], return_counts=True)
-        for pid, n in zip(hit_ids, hit_counts):
-            if pid == 0:
-                continue
-            intersections.setdefault(int(pid), {})[gid] = int(n)
-
-    assigned: dict[int, list[int]] = {gid: [] for gid in gt_ids}
-    false_positives = []
-    for pid in range(1, pred_comps.count + 1):
-        hits = intersections.get(pid)
-        if not hits:
-            false_positives.append(pid)
-            continue
-        best = max(hits.items(), key=lambda kv: (kv[1], -kv[0]))[0]
-        assigned[best].append(pid)
+        box = _hull([gt_boxes[gid - 1]], params.dilation_iterations, dims)
+        grown = dilate(_boxed(gt_comps.ids[box] == gid, spacing),
+                       params.dilation_iterations, params.connectivity)
+        hits = np.bincount(pred_comps.ids[box][grown.bits], minlength=pred_comps.count + 1)
+        wins = hits > best
+        best[wins], owner[wins] = hits[wins], gid
+    owner = owner[1:]  # index 0 counted the background
+    false_positives = (np.flatnonzero(owner == 0) + 1).tolist()
 
     matched = []
     false_negatives = []
     for gid in gt_ids:
-        pids = assigned[gid]
+        pids = (np.flatnonzero(owner == gid) + 1).tolist()
         if not pids:
             false_negatives.append(gid)
             continue
-        union = np.isin(pred_comps.ids, pids)
-        pair = region_metrics(
-            gt_comps.component_mask(gid), BinaryMask(pred_mask.geometry, union)
-        )
+        box = _hull([gt_boxes[gid - 1], *(pred_boxes[p - 1] for p in pids)], 0, dims)
+        pair = region_metrics(_boxed(gt_comps.ids[box] == gid, spacing),
+                              _boxed(np.isin(pred_comps.ids[box], pids), spacing))
         matched.append((gid, frozenset(pids), pair))
 
     return LesionMatchReport(matched, false_positives, false_negatives, params)

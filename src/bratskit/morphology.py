@@ -29,29 +29,17 @@ class ComponentMap:
     sizes: dict[int, int]
     count: int
 
-    def component_mask(self, cid: int) -> BinaryMask:
-        return BinaryMask(self.geometry, self.ids == cid)
-
 
 def connected_components(mask: BinaryMask, conn: Connectivity = Connectivity.Full26) -> ComponentMap:
     """Label connected components, ids 1..count assigned by first encounter
     in x-fastest linear order."""
-    labeled, count = ndimage.label(mask.bits, structure=conn.structure)
-    labeled = labeled.astype(np.int32)
-    if count:
-        # Relabel so ids follow first occurrence in the linear-order contract.
-        flat = labeled.flatten(order="F")
-        first = np.full(count + 1, flat.size, dtype=np.int64)
-        nz = np.flatnonzero(flat)
-        # reversed so the earliest index wins the final assignment
-        first[flat[nz[::-1]]] = nz[::-1]
-        order = np.argsort(first[1:], kind="stable")
-        remap = np.zeros(count + 1, dtype=np.int32)
-        remap[1 + order] = np.arange(1, count + 1, dtype=np.int32)
-        labeled = remap[labeled]
+    # ndimage.label numbers components in the C order of its input, and the C
+    # order of the transposed (z, y, x) view is x-fastest. Count on the C-ordered
+    # output: ravel() of the transposed result would copy the grid.
+    labeled, count = ndimage.label(mask.bits.T, structure=conn.structure)
     counts = np.bincount(labeled.ravel(), minlength=count + 1)
     sizes = {cid: int(counts[cid]) for cid in range(1, count + 1)}
-    return ComponentMap(mask.geometry, labeled, sizes, int(count))
+    return ComponentMap(mask.geometry, labeled.T, sizes, int(count))
 
 
 def surface_voxels(mask: BinaryMask) -> BinaryMask:

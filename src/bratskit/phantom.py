@@ -42,7 +42,6 @@ class PhantomSpec:
     lesions: Sequence[Lesion]
     perturbation: Perturbation = field(default_factory=Perturbation)
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    seed: int = 0
 
 
 def _ellipsoid_mask(dims, center, radii):
@@ -162,4 +161,4 @@ def random_phantom_spec(rng: np.random.Generator, max_dim: int = 32,
         )
     else:
         pert = Perturbation()
-    return PhantomSpec(dims, tuple(lesions), pert, seed=int(rng.integers(0, 2**31)))
+    return PhantomSpec(dims, tuple(lesions), pert)

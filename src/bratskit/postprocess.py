@@ -55,7 +55,7 @@ def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
             continue
         # work on the raw buffer; LabelVolume would freeze the array in place
         bits = np.isin(voxels, sorted(region.labels))
-        mask = BinaryMask(pred.geometry, bits.copy())
+        mask = BinaryMask(pred.geometry, bits)
         if spec.scope is ThresholdScope.WholeRegion:
             if mask.count() < thr:
                 voxels[mask.bits] = _SUPPRESSED_LABEL[region]

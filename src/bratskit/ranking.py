@@ -96,13 +96,18 @@ def load_metrics_csv(path, solution_id):
     entries = {}
     cases = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            case = row["case_id"]
-            if case not in cases:
-                cases.append(case)
-            region = row["region"]
-            entries[(solution_id, case, region, "DSC")] = float(row["dsc"])
-            entries[(solution_id, case, region, "HD95")] = float(row["hd95"])
+        reader = csv.DictReader(fh)
+        try:
+            for row in reader:
+                case = row["case_id"]
+                if case not in cases:
+                    cases.append(case)
+                region = row["region"]
+                entries[(solution_id, case, region, "DSC")] = float(row["dsc"])
+                entries[(solution_id, case, region, "HD95")] = float(row["hd95"])
+        except (KeyError, TypeError, ValueError) as exc:  # a short row reads None
+            raise ValidationError(f"{path} line {reader.line_num}: not a metrics row "
+                                  f"({type(exc).__name__}: {exc})") from None
     return cases, entries
 
 

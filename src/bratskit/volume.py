@@ -28,8 +28,9 @@ class Geometry:
         spacing = tuple(float(s) for s in self.spacing)
         if len(dims) != 3 or any(d < 1 for d in dims):
             raise ValidationError(f"dims must be 3 positive integers, got {self.dims}")
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValidationError(f"spacing must be 3 positive reals, got {self.spacing}")
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):
+            raise ValidationError(f"spacing must be 3 positive finite reals, got {self.spacing}")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
 

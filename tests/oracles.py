@@ -94,6 +94,41 @@ def flood_fill_components(bits, neighbours):
     return ids, count
 
 
+def brute_lesion_match(gt, pred, neighbours, k, min_gt_lesion_size=0,
+                       spacing=(1.0, 1.0, 1.0)):
+    """Lesion matching from its definition, over explicit voxel distances.
+
+    A pred voxel lies in the k-dilation of gt lesion g when its Chebyshev
+    (26 neighbours) or L1 (6 neighbours) distance to a voxel of g is at most k.
+    Each pred lesion goes to the kept gt lesion whose dilation holds most of
+    its voxels; a tie goes to the lower gt id. Returns (matched, false_positives,
+    false_negatives), matched as [(gt id, frozenset of pred ids, (dsc, hd95))].
+    """
+    gids, n_gt = flood_fill_components(gt, neighbours)
+    pids, n_pred = flood_fill_components(pred, neighbours)
+    norm = 1 if len(neighbours) == 6 else np.inf
+    pred_coords = np.argwhere(pids > 0)
+    owner = {}  # pred id -> (overlap, gt id)
+    kept = [g for g in range(1, n_gt + 1) if (gids == g).sum() >= min_gt_lesion_size]
+    for g in kept:
+        offsets = pred_coords[:, None, :] - np.argwhere(gids == g)[None, :, :]
+        near = np.linalg.norm(offsets, ord=norm, axis=2).min(axis=1) <= k
+        for p in range(1, n_pred + 1):
+            n = int((pids[tuple(pred_coords[near].T)] == p).sum())
+            if n > owner.get(p, (0, 0))[0]:
+                owner[p] = (n, g)
+    matched, false_negatives = [], []
+    for g in kept:
+        mine = [p for p in range(1, n_pred + 1) if p in owner and owner[p][1] == g]
+        if not mine:
+            false_negatives.append(g)
+            continue
+        a, b = gids == g, np.isin(pids, mine)
+        matched.append((g, frozenset(mine), (brute_dice(a, b), brute_hd95(a, b, spacing))))
+    false_positives = [p for p in range(1, n_pred + 1) if p not in owner]
+    return matched, false_positives, false_negatives
+
+
 def staple_em_oracle(decisions, prior, p0=0.99, q0=0.99, max_iters=100, tol=1e-6):
     """Linear-domain EM over a (raters, voxels) 0/1 decision matrix.
 

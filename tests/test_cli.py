@@ -141,6 +141,34 @@ class TestRank:
         assert len(lines) == 3
         assert lines[1].startswith("solA")  # perfect predictions rank first
 
+    @pytest.mark.parametrize("body", [
+        "case_id,mode,region,dsc\nc0,legacy,WT,1.0\n",  # no hd95 column
+        "case_id,mode,region,dsc,hd95\nc0,legacy,WT,high,0.0\n",  # non-numeric dsc
+        "case_id,mode,region,dsc,hd95\nc0,legacy,WT\n",  # short row
+    ], ids=["no-hd95", "non-numeric-dsc", "short-row"])
+    def test_malformed_metrics_csv_config_error(self, tmp_path, capsys, body):
+        src = tmp_path / "sol.csv"
+        src.write_text(body)
+        out = tmp_path / "rank.csv"
+        code = main(["rank", "--inputs", str(src), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("manifest", ["solA\n", "\n"], ids=["one-column", "blank"])
+    def test_short_manifest_row_config_error(self, tmp_path, capsys, manifest):
+        path = tmp_path / "manifest.csv"
+        path.write_text(manifest)
+        out = tmp_path / "rank.csv"
+        code = main(["rank", "--manifest", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
 
 class TestFuse:
     @staticmethod
@@ -333,6 +361,34 @@ class TestSynthCommands:
         assert gt.geometry == pred.geometry
         assert (gt.voxels != 0).any()
         assert not np.array_equal(gt.voxels, pred.voxels)
+
+    def test_phantom_spec_seed_key_is_ignored(self, tmp_path):
+        doc = {"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}]}
+        outputs = []
+        for extra in ({}, {"seed": 7}):
+            spec_path = tmp_path / "spec.json"
+            spec_path.write_text(json.dumps({**doc, **extra}))
+            out_dir = tmp_path / f"out{len(outputs)}"
+            assert main(["phantom", "--spec", str(spec_path), "--out", str(out_dir)]) == 0
+            outputs.append((out_dir / "gt.nii").read_bytes() + (out_dir / "pred.nii").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("text", [
+        '{"dims": [16, 16, 16]}',  # no lesions
+        '{"dims": [16, 16, 16], "lesions": [',  # not JSON
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8]}]}',  # lesion without radii
+        '[1, 2, 3]',  # not an object
+    ], ids=["no-lesions", "not-json", "no-radii", "not-object"])
+    def test_malformed_phantom_spec_config_error(self, tmp_path, capsys, text):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(text)
+        out_dir = tmp_path / "out"
+        code = main(["phantom", "--spec", str(spec_path), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
 
 
 def test_every_option_is_read_by_its_handler():

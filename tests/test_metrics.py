@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,13 @@ from bratskit.metrics import (
     metrics_rows,
 )
 from bratskit.errors import IncompatibleGeometryError, ValidationError
+from bratskit.morphology import Connectivity
 from bratskit.phantom import random_phantom_spec, generate_phantom
 from bratskit.regions import REGIONS, Region, extract_region
 from bratskit.volume import BinaryMask, Geometry, LabelVolume
 
 from conftest import labels_from_array, mask_from_coords
-from oracles import brute_dice, brute_hd95
+from oracles import NEIGHBOURS_6, NEIGHBOURS_26, brute_dice, brute_hd95, brute_lesion_match
 
 
 class TestDice:
@@ -191,6 +194,115 @@ class TestLesionMatch:
         n_gt = connected_components(gt, report.params.connectivity).count
         assert len(matched_pids) + len(report.false_positives) == n_pred
         assert report.n_matched + len(report.false_negatives) == n_gt
+
+
+CONNECTIVITIES = [(Connectivity.Face6, NEIGHBOURS_6), (Connectivity.Full26, NEIGHBOURS_26)]
+
+
+def assert_match_equals_oracle(gt_bits, pred_bits, conn, neighbours, k,
+                               min_gt_lesion_size=0, spacing=(1.0, 1.0, 1.0)):
+    g = Geometry(gt_bits.shape, spacing)
+    report = lesion_match(BinaryMask(g, gt_bits), BinaryMask(g, pred_bits),
+                          MatchParams(k, conn, min_gt_lesion_size))
+    matched, fps, fns = brute_lesion_match(gt_bits, pred_bits, neighbours, k,
+                                           min_gt_lesion_size, spacing)
+    assert report.false_positives == fps
+    assert report.false_negatives == fns
+    assert [m[:2] for m in report.matched] == [m[:2] for m in matched]
+    for (_, _, pair), (_, _, (dsc, hd)) in zip(report.matched, matched):
+        assert pair.dsc == pytest.approx(dsc)
+        assert pair.hd95 == pytest.approx(hd, abs=1e-5)
+    return report
+
+
+class TestLesionMatchOracle:
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    @pytest.mark.parametrize("conn,neighbours", CONNECTIVITIES, ids=["face6", "full26"])
+    def test_random_phantoms(self, conn, neighbours, k):
+        rng = np.random.default_rng(2023 + k)
+        for i in range(50):
+            gt, pred = generate_phantom(random_phantom_spec(rng, max_dim=24, max_lesions=3))
+            spacing = (1.0, 1.0, 1.0) if i % 2 else (0.7, 1.3, 2.1)
+            for region in REGIONS:
+                assert_match_equals_oracle(extract_region(gt, region).bits,
+                                           extract_region(pred, region).bits,
+                                           conn, neighbours, k, spacing=spacing)
+
+    @pytest.mark.parametrize("conn,neighbours", CONNECTIVITIES, ids=["face6", "full26"])
+    def test_lesions_on_every_grid_face(self, conn, neighbours):
+        # One gt voxel at the centre of each face, so every padded box is
+        # clipped. Each gets a pred voxel 3 steps inward (matched for both
+        # connectivities) and one 2 steps along each axis (Chebyshev 2, L1 6).
+        dims = (11, 12, 13)
+        gt = np.zeros(dims, bool)
+        pred = np.zeros(dims, bool)
+        for axis in range(3):
+            for side in (0, dims[axis] - 1):
+                at = [d // 2 for d in dims]
+                at[axis] = side
+                gt[tuple(at)] = True
+                inward = 1 if side == 0 else -1
+                at[axis] = side + 3 * inward
+                pred[tuple(at)] = True
+                at[axis] = side + 2 * inward
+                at[(axis + 1) % 3] += 2
+                at[(axis + 2) % 3] += 2
+                pred[tuple(at)] = True
+        report = assert_match_equals_oracle(gt, pred, conn, neighbours, 3)
+        assert report.n_matched == 6 and report.false_negatives == []
+        assert len(report.false_positives) == (6 if conn is Connectivity.Face6 else 0)
+
+    @pytest.mark.parametrize("conn,neighbours", CONNECTIVITIES, ids=["face6", "full26"])
+    def test_pred_reaching_past_padded_box(self, conn, neighbours):
+        gt = np.zeros((40, 9, 9), bool)
+        gt[2:5, 3:6, 3:6] = True
+        pred = np.zeros((40, 9, 9), bool)
+        pred[3:38, 4, 4] = True  # enters gt, ends far past its padded box (x < 8)
+        report = assert_match_equals_oracle(gt, pred, conn, neighbours, 3)
+        assert report.n_matched == 1
+        pair = report.matched[0][2]
+        assert pair.dsc == pytest.approx(2 * 2 / (27 + 35))
+        assert pair.hd95 > 30.0
+
+    @pytest.mark.parametrize("conn,neighbours", CONNECTIVITIES, ids=["face6", "full26"])
+    def test_overlap_tie_goes_to_lower_gt_id(self, conn, neighbours):
+        gt = np.zeros((20, 7, 7), bool)
+        gt[2:5, 2:5, 2:5] = True    # gt 1
+        gt[12:15, 2:5, 2:5] = True  # gt 2
+        pred = np.zeros((20, 7, 7), bool)
+        pred[5:12, 3, 3] = True     # 3 voxels within 3 steps of each
+        report = assert_match_equals_oracle(gt, pred, conn, neighbours, 3)
+        assert [m[:2] for m in report.matched] == [(1, frozenset({1}))]
+        assert report.false_negatives == [2]
+
+    @pytest.mark.parametrize("conn,neighbours", CONNECTIVITIES, ids=["face6", "full26"])
+    def test_min_gt_lesion_size_drops_lesion(self, conn, neighbours):
+        gt = np.zeros((20, 20, 20), bool)
+        gt[2, 2, 2] = True           # gt 1, one voxel: dropped
+        gt[10:14, 10:14, 10:14] = True
+        pred = np.zeros((20, 20, 20), bool)
+        pred[2:4, 2, 2] = True       # touches only the dropped lesion
+        pred[10:14, 10:14, 10:14] = True
+        report = assert_match_equals_oracle(gt, pred, conn, neighbours, 3,
+                                            min_gt_lesion_size=5)
+        assert [m[:2] for m in report.matched] == [(2, frozenset({2}))]
+        assert report.false_positives == [1]
+        assert report.false_negatives == []
+
+
+    def test_memory_does_not_grow_with_lesion_pairs(self):
+        # about 3000 lesions on each side: a (gt x pred) array would take 73 MB
+        rng = np.random.default_rng(0)
+        g = Geometry((48, 48, 48))
+        gt = BinaryMask(g, rng.random(g.dims) < 0.03)
+        pred = BinaryMask(g, rng.random(g.dims) < 0.03)
+        tracemalloc.start()
+        try:
+            lesion_match(gt, pred, MatchParams(1, Connectivity.Face6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
 
 class TestLesionwiseCaseMetrics:

@@ -52,6 +52,11 @@ class TestGeometry:
         with pytest.raises(ValidationError):
             Geometry((4, 4, 4), (0.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_spacing(self, bad):
+        with pytest.raises(ValidationError):
+            Geometry((2, 2, 2), (bad, 1.0, 1.0))
+
 
 class TestRegionProbValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.1])
