@@ -16,7 +16,6 @@ from .morphology import (
     Connectivity,
     connected_components,
     dilate,
-    euclidean_dt,
     surface_voxels,
 )
 from .metrics import (

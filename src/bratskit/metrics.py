@@ -13,6 +13,7 @@ from enum import Enum
 
 import numpy as np
 from scipy import ndimage
+from scipy.spatial import cKDTree
 
 from .errors import ValidationError
 from .morphology import Connectivity, connected_components, dilate, surface_voxels
@@ -88,11 +89,31 @@ def _hull(boxes, pad, dims):
                  for i, n in enumerate(dims))
 
 
-def _directed_p95(src_surface, dst_surface, spacing):
-    """95th percentile (linear interpolation) of distances from each src
-    surface voxel to the nearest dst surface voxel."""
-    dist = ndimage.distance_transform_edt(~dst_surface, sampling=spacing)
-    return float(np.percentile(dist[src_surface], 95, method="linear"))
+# Up to this many (src, dst) point pairs, scoring every pair costs less than
+# building and searching a k-d tree; above it the tree costs less.
+_ALL_PAIRS_MAX = 1 << 16
+
+
+def _directed_p95(src, dst, spacing):
+    """95th percentile (linear interpolation) of the distances (mm) from each
+    src point to its nearest dst point; points are voxel coordinates.
+
+    Squared distances are summed in axis order from the voxel offsets scaled
+    per axis, as the exact EDT sums them. Offsets of equal length can round
+    one bit apart and the EDT keeps the lesser, so the least sum over every
+    tied dst point is kept."""
+    if len(src) * len(dst) <= _ALL_PAIRS_MAX:
+        # one (src x dst) plane per axis keeps the temporaries small
+        sq = sum(((src[:, None, i] - dst[None, :, i]) * s) ** 2 for i, s in enumerate(spacing))
+        sq = sq.min(axis=1)
+    else:
+        tree = cKDTree(dst * spacing)
+        near, _ = tree.query(src * spacing)
+        ties = tree.query_ball_point(src * spacing, near * (1 + 1e-9), return_sorted=False)
+        counts = [len(t) for t in ties]
+        offsets = src.repeat(counts, axis=0) - dst[np.concatenate(ties)]
+        sq = np.minimum.reduceat(((offsets * spacing) ** 2).sum(axis=1), np.cumsum(counts) - counts)
+    return float(np.percentile(np.sqrt(sq), 95, method="linear"))
 
 
 def hd95(a: BinaryMask, b: BinaryMask) -> float:
@@ -108,8 +129,8 @@ def hd95(a: BinaryMask, b: BinaryMask) -> float:
     # distances are those of the full grid. find_objects rejects bool input.
     box = ndimage.find_objects((a.bits | b.bits).view(np.uint8))[0]
     spacing = a.geometry.spacing
-    sa = surface_voxels(_boxed(a.bits[box], spacing)).bits
-    sb = surface_voxels(_boxed(b.bits[box], spacing)).bits
+    sa = np.argwhere(surface_voxels(_boxed(a.bits[box], spacing)).bits)
+    sb = np.argwhere(surface_voxels(_boxed(b.bits[box], spacing)).bits)
     return max(_directed_p95(sa, sb, spacing), _directed_p95(sb, sa, spacing))
 
 
@@ -145,10 +166,7 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
     pred_boxes = ndimage.find_objects(pred_comps.ids)
     dims, spacing = gt_mask.geometry.dims, gt_mask.geometry.spacing
 
-    gt_ids = [
-        cid for cid in range(1, gt_comps.count + 1)
-        if gt_comps.sizes[cid] >= params.min_gt_lesion_size
-    ]
+    gt_ids = (np.flatnonzero(gt_comps.sizes[1:] >= params.min_gt_lesion_size) + 1).tolist()
 
     # owner[p]: the gt lesion whose dilation holds most voxels of pred lesion p,
     # 0 for none. gt ids rise and only a larger overlap takes a pred lesion
@@ -163,19 +181,19 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
         hits = np.bincount(pred_comps.ids[box][grown.bits], minlength=pred_comps.count + 1)
         wins = hits > best
         best[wins], owner[wins] = hits[wins], gid
-    owner = owner[1:]  # index 0 counted the background
-    false_positives = (np.flatnonzero(owner == 0) + 1).tolist()
+    owner[0] = 0  # id 0 counted the background
+    false_positives = np.flatnonzero(owner == 0)[1:].tolist()
 
     matched = []
     false_negatives = []
     for gid in gt_ids:
-        pids = (np.flatnonzero(owner == gid) + 1).tolist()
+        pids = np.flatnonzero(owner == gid).tolist()
         if not pids:
             false_negatives.append(gid)
             continue
         box = _hull([gt_boxes[gid - 1], *(pred_boxes[p - 1] for p in pids)], 0, dims)
         pair = region_metrics(_boxed(gt_comps.ids[box] == gid, spacing),
-                              _boxed(np.isin(pred_comps.ids[box], pids), spacing))
+                              _boxed(owner[pred_comps.ids[box]] == gid, spacing))
         matched.append((gid, frozenset(pids), pair))
 
     return LesionMatchReport(matched, false_positives, false_negatives, params)

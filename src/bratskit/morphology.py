@@ -1,4 +1,4 @@
-"""3D binary-mask primitives: connected components, surfaces, EDT, dilation."""
+"""3D binary-mask primitives: connected components, surfaces, dilation."""
 
 from __future__ import annotations
 
@@ -9,7 +9,14 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ValidationError
-from .volume import BinaryMask, Geometry, ScalarVolume
+from .volume import BinaryMask, Geometry
+
+
+# Built once and shared by every call, so read-only.
+_STRUCTURES = {6: ndimage.generate_binary_structure(3, 1),
+               26: ndimage.generate_binary_structure(3, 3)}
+for _structure in _STRUCTURES.values():
+    _structure.flags.writeable = False
 
 
 class Connectivity(Enum):
@@ -18,15 +25,14 @@ class Connectivity(Enum):
 
     @property
     def structure(self) -> np.ndarray:
-        rank = 1 if self is Connectivity.Face6 else 3
-        return ndimage.generate_binary_structure(3, rank)
+        return _STRUCTURES[self.value]
 
 
 @dataclass(frozen=True)
 class ComponentMap:
     geometry: Geometry
     ids: np.ndarray  # int32, 0 = background
-    sizes: dict[int, int]
+    sizes: np.ndarray  # voxels per id; sizes[0] counts the background
     count: int
 
 
@@ -37,8 +43,7 @@ def connected_components(mask: BinaryMask, conn: Connectivity = Connectivity.Ful
     # order of the transposed (z, y, x) view is x-fastest. Count on the C-ordered
     # output: ravel() of the transposed result would copy the grid.
     labeled, count = ndimage.label(mask.bits.T, structure=conn.structure)
-    counts = np.bincount(labeled.ravel(), minlength=count + 1)
-    sizes = {cid: int(counts[cid]) for cid in range(1, count + 1)}
+    sizes = np.bincount(labeled.ravel(), minlength=count + 1)
     return ComponentMap(mask.geometry, labeled.T, sizes, int(count))
 
 
@@ -48,18 +53,6 @@ def surface_voxels(mask: BinaryMask) -> BinaryMask:
         mask.bits, structure=Connectivity.Face6.structure, border_value=0
     )
     return BinaryMask(mask.geometry, mask.bits & ~interior)
-
-
-def euclidean_dt(mask: BinaryMask, spacing=None) -> ScalarVolume:
-    """Exact Euclidean distance (mm) from each voxel centre to the nearest true
-    voxel centre. True voxels map to 0; an all-false mask maps to +inf."""
-    if spacing is None:
-        spacing = mask.geometry.spacing
-    if not mask.bits.any():
-        dist = np.full(mask.geometry.dims, np.inf, dtype=np.float32)
-    else:
-        dist = ndimage.distance_transform_edt(~mask.bits, sampling=spacing)
-    return ScalarVolume(Geometry(mask.geometry.dims, spacing), dist)
 
 
 def dilate(mask: BinaryMask, iterations: int, conn: Connectivity = Connectivity.Full26) -> BinaryMask:

@@ -95,6 +95,8 @@ def generate_phantom(spec: PhantomSpec):
     """Return (gt, pred) label volumes; pred is gt under the perturbation."""
     geometry = Geometry(spec.dims, spec.spacing)
     for i, lesion in enumerate(spec.lesions):
+        if not all(0 < v < np.inf for v in (*lesion.radii, *(sc for _, sc in lesion.shells))):
+            raise ValidationError(f"lesion {i}: radii and shell scales must be positive and finite")
         for c, r, n in zip(lesion.center, lesion.radii, spec.dims):
             if c - r < -0.5 or c + r > n - 0.5:
                 raise ValidationError(f"lesion {i} does not fit inside dims {spec.dims}")
@@ -106,12 +108,16 @@ def generate_phantom(spec: PhantomSpec):
     elif pert.kind == "shift":
         pred_voxels = _shift_zero_fill(gt_voxels, pert.shift)
     elif pert.kind == "erode":
+        if pert.iterations < 1:
+            raise ValidationError("erode needs iterations >= 1")
         keep = ndimage.binary_erosion(
             gt_voxels > 0, structure=ndimage.generate_binary_structure(3, 1),
             iterations=pert.iterations, border_value=0,
         )
         pred_voxels = np.where(keep, gt_voxels, 0).astype(np.uint8)
     elif pert.kind == "add_fp":
+        if not 0 < pert.fp_radius < np.inf:
+            raise ValidationError("fp_radius must be positive and finite")
         pred_voxels = gt_voxels.copy()
         fp = _ellipsoid_mask(spec.dims, pert.fp_center, (pert.fp_radius,) * 3)
         pred_voxels[fp] = pert.fp_label

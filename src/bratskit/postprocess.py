@@ -61,9 +61,8 @@ def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
                 voxels[mask.bits] = _SUPPRESSED_LABEL[region]
         else:
             comps = connected_components(mask, conn)
-            small = [cid for cid, size in comps.sizes.items() if size < thr]
-            if not small:
-                continue
-            suppress_bits = np.isin(comps.ids, small)
-            voxels[suppress_bits] = _SUPPRESSED_LABEL[region]
+            small = comps.sizes < thr
+            small[0] = False  # id 0 is the background, not a lesion
+            if small.any():
+                voxels[small[comps.ids]] = _SUPPRESSED_LABEL[region]
     return LabelVolume(pred.geometry, voxels)

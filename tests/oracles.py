@@ -1,12 +1,13 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 Everything here deliberately avoids the package's own fast paths: surfaces are
-found by explicit neighbour checks, distances by all-pairs scans, components
-by BFS flood fill, STAPLE by a straight linear-domain EM, rankings by sorting
-each key independently.
+found by explicit neighbour checks, distances by all-pairs scans or scipy's
+exact EDT, components by BFS flood fill, STAPLE by a straight linear-domain EM,
+rankings by sorting each key independently.
 """
 
 import numpy as np
+from scipy import ndimage
 
 NEIGHBOURS_6 = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 NEIGHBOURS_26 = [
@@ -55,19 +56,20 @@ def brute_hd95(a, b, spacing=(1.0, 1.0, 1.0)):
     return float(max(d_ab, d_ba))
 
 
-def brute_edt(bits, spacing=(1.0, 1.0, 1.0)):
-    dims = bits.shape
-    out = np.full(dims, np.inf)
-    targets = _coords_mm(bits, spacing)
-    if targets.size == 0:
-        return out
-    sp = np.asarray(spacing)
-    for x in range(dims[0]):
-        for y in range(dims[1]):
-            for z in range(dims[2]):
-                p = np.array([x, y, z]) * sp
-                out[x, y, z] = np.sqrt(((targets - p) ** 2).sum(axis=1)).min()
-    return out
+def edt_hd95(a, b, spacing=(1.0, 1.0, 1.0)):
+    """HD95 from exact Euclidean distance transforms, over the joint bounding
+    box: each surface's EDT read at the other surface, then the linear 95th
+    percentile. HD95 by nearest surface points must equal it bit for bit."""
+    if not a.any() and not b.any():
+        return 0.0
+    if not a.any() or not b.any():
+        return 374.0
+    box = ndimage.find_objects((a | b).view(np.uint8))[0]
+    sa, sb = brute_surface(a[box]), brute_surface(b[box])
+    d_ab = ndimage.distance_transform_edt(~sb, sampling=spacing)[sa]
+    d_ba = ndimage.distance_transform_edt(~sa, sampling=spacing)[sb]
+    return float(max(np.percentile(d_ab, 95, method="linear"),
+                     np.percentile(d_ba, 95, method="linear")))
 
 
 def flood_fill_components(bits, neighbours):

@@ -378,7 +378,18 @@ class TestSynthCommands:
         '{"dims": [16, 16, 16], "lesions": [',  # not JSON
         '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8]}]}',  # lesion without radii
         '[1, 2, 3]',  # not an object
-    ], ids=["no-lesions", "not-json", "no-radii", "not-object"])
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [0, 3, 3]}]}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [-3, 3, 3]}]}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [NaN, 3, 3]}]}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3],'
+        ' "shells": [[2, 1.0], [3, 0.0]]}]}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}],'
+        ' "perturbation": {"kind": "erode", "iterations": 0}}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}],'
+        ' "perturbation": {"kind": "add_fp", "fp_center": [3, 3, 3], "fp_radius": 0}}',
+    ], ids=["no-lesions", "not-json", "no-radii", "not-object", "zero-radius",
+            "negative-radius", "nan-radius", "zero-shell-scale", "erode-0-iterations",
+            "zero-fp-radius"])
     def test_malformed_phantom_spec_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)

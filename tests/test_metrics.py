@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bratskit import metrics
 from bratskit.metrics import (
     HD95_PENALTY,
     MatchParams,
     MetricMode,
+    _directed_p95,
     case_metrics_legacy,
     case_metrics_lesionwise,
     dice,
@@ -17,12 +19,25 @@ from bratskit.metrics import (
 )
 from bratskit.errors import IncompatibleGeometryError, ValidationError
 from bratskit.morphology import Connectivity
-from bratskit.phantom import random_phantom_spec, generate_phantom
+from bratskit.phantom import (
+    Lesion,
+    Perturbation,
+    PhantomSpec,
+    generate_phantom,
+    random_phantom_spec,
+)
 from bratskit.regions import REGIONS, Region, extract_region
 from bratskit.volume import BinaryMask, Geometry, LabelVolume
 
 from conftest import labels_from_array, mask_from_coords
-from oracles import NEIGHBOURS_6, NEIGHBOURS_26, brute_dice, brute_hd95, brute_lesion_match
+from oracles import (
+    NEIGHBOURS_6,
+    NEIGHBOURS_26,
+    brute_dice,
+    brute_hd95,
+    brute_lesion_match,
+    edt_hd95,
+)
 
 
 class TestDice:
@@ -100,6 +115,66 @@ class TestHD95:
         v1 = hd95(BinaryMask(g1, bits_a), BinaryMask(g1, bits_b))
         v2 = hd95(BinaryMask(g2, bits_a), BinaryMask(g2, bits_b))
         assert v2 == pytest.approx(2.5 * v1)
+
+
+def region_pairs(gt, pred, spacing):
+    """(gt, pred) region masks of a phantom pair, on a grid of `spacing`."""
+    g = Geometry(gt.geometry.dims, spacing)
+    for region in REGIONS:
+        yield (BinaryMask(g, extract_region(gt, region).bits),
+               BinaryMask(g, extract_region(pred, region).bits))
+
+
+class TestHD95EqualsEDT:
+    """HD95 from nearest surface points equals, under ==, HD95 from the exact
+    EDT of the joint box, so the 6-decimal CSV strings cannot move."""
+
+    @pytest.fixture(params=["all-pairs", "tree"])
+    def scoring(self, request, monkeypatch):
+        """Score small point sets pair by pair, as usual, or through the tree."""
+        if request.param == "tree":
+            monkeypatch.setattr(metrics, "_ALL_PAIRS_MAX", 0)
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1), (1.2, 0.8, 3.0)])
+    def test_random_phantoms(self, spacing, scoring):
+        rng = np.random.default_rng(606)
+        for _ in range(50):
+            gt, pred = generate_phantom(random_phantom_spec(rng))
+            for a, b in region_pairs(gt, pred, spacing):
+                got, want = hd95(a, b), edt_hd95(a.bits, b.bits, spacing)
+                assert got == want
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1), (1.2, 0.8, 3.0)])
+    def test_sparse_noise(self, spacing, scoring):
+        # scattered voxels give many nearest points at equal distances
+        rng = np.random.default_rng(7)
+        g = Geometry((8, 9, 7), spacing)
+        for _ in range(300):
+            a = BinaryMask(g, rng.random(g.dims) < 0.08)
+            b = BinaryMask(g, rng.random(g.dims) < 0.08)
+            got, want = hd95(a, b), edt_hd95(a.bits, b.bits, spacing)
+            assert got == want
+
+    def test_equal_offsets_keep_least_sum(self, scoring):
+        # Offsets (0, -2, 1) and (3, -2, 0) are both sqrt(11.17) mm long under
+        # this spacing, but their sums of squares round one bit apart. The
+        # EDT keeps the lesser, whichever point the nearest query returns.
+        spacing = (0.7, 1.3, 2.1)
+        src, dst = np.array([[1, 3, 0]]), np.array([[1, 1, 1], [4, 1, 0]])
+        sums = [np.sqrt((((q - src[0]) * spacing) ** 2).sum()) for q in dst]
+        assert sums[0] != sums[1]
+        assert _directed_p95(src, dst, spacing) == min(sums)
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.9375, 0.9375, 1.5)])
+    def test_criterion10_pair(self, spacing):
+        spec = PhantomSpec(
+            (240, 240, 155),
+            (Lesion((80, 80, 70), (22, 18, 16)), Lesion((170, 160, 90), (14, 14, 12))),
+            Perturbation(kind="shift", shift=(2, 1, 0)),
+        )
+        for a, b in region_pairs(*generate_phantom(spec), spacing):
+            got, want = hd95(a, b), edt_hd95(a.bits, b.bits, spacing)
+            assert got == want
 
 
 class TestLegacyCaseMetrics:

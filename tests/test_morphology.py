@@ -5,14 +5,27 @@ from bratskit.morphology import (
     Connectivity,
     connected_components,
     dilate,
-    euclidean_dt,
     surface_voxels,
 )
 from bratskit.errors import ValidationError
 from bratskit.volume import BinaryMask, Geometry
 
 from conftest import mask_from_coords
-from oracles import NEIGHBOURS_6, NEIGHBOURS_26, brute_edt, flood_fill_components
+from oracles import NEIGHBOURS_6, NEIGHBOURS_26, flood_fill_components
+
+
+class TestConnectivity:
+    @pytest.mark.parametrize("conn", list(Connectivity))
+    def test_structure_built_once_and_read_only(self, conn):
+        structure = conn.structure
+        assert conn.structure is structure
+        assert not structure.flags.writeable
+        with pytest.raises(ValueError):
+            structure[1, 1, 1] = False
+
+    def test_structure_neighbourhoods(self):
+        assert Connectivity.Face6.structure.sum() == 7
+        assert Connectivity.Full26.structure.sum() == 27
 
 
 def random_mask(rng, dims, density=0.3, spacing=(1.0, 1.0, 1.0)):
@@ -23,7 +36,7 @@ class TestConnectedComponents:
     def test_empty_mask(self):
         cm = connected_components(mask_from_coords((4, 4, 4), []))
         assert cm.count == 0
-        assert cm.sizes == {}
+        assert cm.sizes[1:].size == 0
 
     def test_diagonal_pair_connectivity(self):
         mask = mask_from_coords((3, 3, 3), [(0, 0, 0), (1, 1, 1)])
@@ -46,7 +59,9 @@ class TestConnectedComponents:
     def test_partition_and_size_invariants(self, rng):
         mask = random_mask(rng, (8, 8, 8), 0.4)
         cm = connected_components(mask)
-        assert sum(cm.sizes.values()) == mask.count()
+        assert cm.sizes[1:].sum() == mask.count()
+        # sizes[i] counts the voxels of id i; id 0 is the background
+        assert cm.sizes.tolist() == [int((cm.ids == i).sum()) for i in range(cm.count + 1)]
         assert set(np.unique(cm.ids)) - {0} == set(range(1, cm.count + 1))
         again = connected_components(mask)
         assert np.array_equal(cm.ids, again.ids)
@@ -81,35 +96,6 @@ class TestSurface:
         mask = random_mask(rng, (9, 9, 9), 0.5)
         surf = surface_voxels(mask)
         assert not (surf.bits & ~mask.bits).any()
-
-
-class TestEuclideanDT:
-    def test_true_voxels_zero(self, rng):
-        mask = random_mask(rng, (6, 6, 6), 0.3)
-        dist = euclidean_dt(mask)
-        assert (dist.voxels[mask.bits] == 0).all()
-
-    def test_pythagorean(self):
-        mask = mask_from_coords((8, 8, 8), [(0, 0, 0)])
-        dist = euclidean_dt(mask)
-        assert dist.voxels[3, 4, 0] == pytest.approx(5.0)
-
-    def test_all_false_gives_infinity(self):
-        dist = euclidean_dt(mask_from_coords((3, 3, 3), []))
-        assert np.isinf(dist.voxels).all()
-
-    def test_matches_brute_force_anisotropic(self, rng):
-        spacing = (1.0, 2.0, 3.0)
-        mask = random_mask(rng, (8, 8, 8), 0.1, spacing)
-        dist = euclidean_dt(mask, spacing)
-        oracle = brute_edt(mask.bits, spacing)
-        assert np.allclose(dist.voxels, oracle, atol=1e-5)
-
-    def test_spacing_linearity(self, rng):
-        mask = random_mask(rng, (7, 7, 7), 0.15)
-        d1 = euclidean_dt(mask, (1.0, 1.0, 1.0)).voxels.astype(np.float64)
-        d2 = euclidean_dt(mask, (2.0, 2.0, 2.0)).voxels.astype(np.float64)
-        assert np.allclose(d2, 2.0 * d1, rtol=1e-6)
 
 
 class TestDilate:

@@ -92,6 +92,26 @@ def test_lesion_outside_dims_rejected():
         generate_phantom(spec)
 
 
+@pytest.mark.parametrize("lesion,pert", [
+    (Lesion((8, 8, 8), (0.0, 3, 3)), Perturbation()),
+    (Lesion((8, 8, 8), (-3.0, 3, 3)), Perturbation()),
+    (Lesion((8, 8, 8), (float("nan"), 3, 3)), Perturbation()),
+    (Lesion((8, 8, 8), (float("inf"), 3, 3)), Perturbation()),
+    (Lesion((8, 8, 8), (3, 3, 3), shells=((2, 1.0), (3, 0.0))), Perturbation()),
+    (Lesion((8, 8, 8), (3, 3, 3), shells=((2, -1.0),)), Perturbation()),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="erode", iterations=0)),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="erode", iterations=-2)),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="add_fp", fp_radius=0.0)),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="add_fp", fp_radius=float("inf"))),
+], ids=["zero-radius", "negative-radius", "nan-radius", "inf-radius", "zero-shell-scale",
+        "negative-shell-scale", "erode-0-iterations", "erode-negative-iterations",
+        "zero-fp-radius", "inf-fp-radius"])
+def test_degenerate_spec_rejected(lesion, pert):
+    # Let through, each would build an empty, mirrored or whole-grid lesion.
+    with pytest.raises(ValidationError):
+        generate_phantom(PhantomSpec((16, 16, 16), (lesion,), pert))
+
+
 def test_random_specs_always_generate(rng):
     for _ in range(25):
         spec = random_phantom_spec(rng)

@@ -89,6 +89,18 @@ def test_large_components_untouched(rng):
     assert np.array_equal(out.voxels, vox)
 
 
+@pytest.mark.parametrize("spec", [dict(tc=150), dict(et=100), dict(wt=250, tc=150, et=100)])
+def test_small_background_is_not_a_lesion(spec):
+    # ET fills the grid but for 5 background and 5 ED voxels. Those 10 voxels
+    # are the background (id 0) of the TC and ET masks, not a lesion, however
+    # few they are.
+    vox = np.full((10, 10, 10), 3, np.uint8)
+    vox[0, 0, :5] = 0
+    vox[9, 9, :5] = 2
+    labels = labels_from_array(vox)
+    assert apply_thresholds(labels, ThresholdSpec(**spec)) == labels
+
+
 @pytest.mark.parametrize("spec", [dict(wt=-1), dict(tc=-1), dict(et=-1)])
 def test_negative_threshold_rejected(spec):
     with pytest.raises(ValidationError):
