@@ -175,32 +175,49 @@ def cmd_place(args):
     return EXIT_OK
 
 
+def _number(value, field, integral=False):
+    """A JSON number as a float, or an int when `integral`; refuses anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+            integral and isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"{field} must be {'an integer' if integral else 'a number'}, got {value!r}")
+    return int(value) if integral else float(value)
+
+
+def _triple(values, field, integral=False):
+    if not isinstance(values, list) or len(values) != 3:
+        raise ValidationError(f"{field} must be a list of 3 numbers, got {values!r}")
+    return tuple(_number(v, field, integral) for v in values)
+
+
 def _phantom_spec_from_json(doc):
     lesions = tuple(
-        Lesion(tuple(l["center"]), tuple(l["radii"]),
-               tuple((int(lab), float(sc)) for lab, sc in l.get("shells",
-                     [[2, 1.0], [1, 0.6], [3, 0.3]])))
-        for l in doc["lesions"]
+        Lesion(_triple(l["center"], f"lesion {i} center"),
+               _triple(l["radii"], f"lesion {i} radii"),
+               tuple((_number(lab, f"lesion {i} shell label", integral=True),
+                      _number(sc, f"lesion {i} shell scale"))
+                     for lab, sc in l.get("shells", [[2, 1.0], [1, 0.6], [3, 0.3]])))
+        for i, l in enumerate(doc["lesions"])
     )
     p = doc.get("perturbation", {})
     pert = Perturbation(
         kind=p.get("kind", "none"),
-        shift=tuple(p.get("shift", (0, 0, 0))),
-        iterations=int(p.get("iterations", 1)),
-        fp_center=tuple(p.get("fp_center", (0, 0, 0))),
-        fp_radius=float(p.get("fp_radius", 1.0)),
-        fp_label=int(p.get("fp_label", 3)),
-        drop_index=int(p.get("drop_index", 0)),
+        shift=_triple(p.get("shift", [0, 0, 0]), "shift", integral=True),
+        iterations=_number(p.get("iterations", 1), "iterations", integral=True),
+        fp_center=_triple(p.get("fp_center", [0, 0, 0]), "fp_center"),
+        fp_radius=_number(p.get("fp_radius", 1.0), "fp_radius"),
+        fp_label=_number(p.get("fp_label", 3), "fp_label", integral=True),
+        drop_index=_number(p.get("drop_index", 0), "drop_index", integral=True),
     )
-    return PhantomSpec(tuple(doc["dims"]), lesions, pert,
-                       tuple(doc.get("spacing", (1.0, 1.0, 1.0))))
+    return PhantomSpec(_triple(doc["dims"], "dims", integral=True), lesions, pert,
+                       _triple(doc.get("spacing", [1.0, 1.0, 1.0]), "spacing"))
 
 
 def cmd_phantom(args):
     with open(args.spec) as fh:
         try:
             spec = _phantom_spec_from_json(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
+        # ValueError covers bad JSON, OverflowError an integer too large for a float.
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{args.spec}: not a phantom spec "
                                   f"({type(exc).__name__}: {exc})") from None
     gt, pred = generate_phantom(spec)

@@ -39,10 +39,10 @@ class ComponentMap:
 def connected_components(mask: BinaryMask, conn: Connectivity = Connectivity.Full26) -> ComponentMap:
     """Label connected components, ids 1..count assigned by first encounter
     in x-fastest linear order."""
-    # ndimage.label numbers components in the C order of its input, and the C
-    # order of the transposed (z, y, x) view is x-fastest. Count on the C-ordered
-    # output: ravel() of the transposed result would copy the grid.
-    labeled, count = ndimage.label(mask.bits.T, structure=conn.structure)
+    # ndimage.label numbers components in the C order of its input; a C copy of
+    # the transposed (z, y, x) view is x-fastest and labels faster than the view.
+    # Count on the C-ordered output: ravel() of the transposed result would copy.
+    labeled, count = ndimage.label(np.ascontiguousarray(mask.bits.T), structure=conn.structure)
     sizes = np.bincount(labeled.ravel(), minlength=count + 1)
     return ComponentMap(mask.geometry, labeled.T, sizes, int(count))
 

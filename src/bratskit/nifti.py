@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,13 +40,27 @@ _OFF_VOX_OFFSET = 108
 _OFF_MAGIC = 344
 
 
-def _build_header(dims, spacing, datatype, bitpix, ndim, dim4=1):
+class _Kind(NamedTuple):
+    volume: type
+    datatype: int
+    dtype: np.dtype  # little-endian payload dtype
+    dim4: int  # 1 for the 3D kinds
+
+
+_KINDS = {
+    "label": _Kind(LabelVolume, DT_UINT8, np.dtype("<u1"), 1),
+    "scalar": _Kind(ScalarVolume, DT_FLOAT32, np.dtype("<f4"), 1),
+    "region_prob": _Kind(RegionProbVolume, DT_FLOAT32, np.dtype("<f4"), 3),
+}
+
+
+def _build_header(dims, spacing, kind):
     hdr = bytearray(HEADER_SIZE)
     struct.pack_into("<i", hdr, _OFF_SIZEOF_HDR, HEADER_SIZE)
-    dim = [ndim, dims[0], dims[1], dims[2], dim4, 1, 1, 1]
+    dim = [3 if kind.dim4 == 1 else 4, dims[0], dims[1], dims[2], kind.dim4, 1, 1, 1]
     struct.pack_into("<8h", hdr, _OFF_DIM, *dim)
-    struct.pack_into("<h", hdr, _OFF_DATATYPE, datatype)
-    struct.pack_into("<h", hdr, _OFF_BITPIX, bitpix)
+    struct.pack_into("<h", hdr, _OFF_DATATYPE, kind.datatype)
+    struct.pack_into("<h", hdr, _OFF_BITPIX, 8 * kind.dtype.itemsize)
     pixdim = [1.0, spacing[0], spacing[1], spacing[2], 1.0, 1.0, 1.0, 1.0]
     struct.pack_into("<8f", hdr, _OFF_PIXDIM, *pixdim)
     struct.pack_into("<f", hdr, _OFF_VOX_OFFSET, float(VOX_OFFSET))
@@ -65,28 +80,19 @@ def write_volume(volume, path):
     Emits a 348-byte header, 4 zero pad bytes (no extensions) and the raw
     little-endian payload in x-fastest order. Output bytes are deterministic.
     """
-    path = Path(path)
-    dims = volume.geometry.dims
-    spacing = volume.geometry.spacing
-    if isinstance(volume, LabelVolume):
-        header = _build_header(dims, spacing, DT_UINT8, 8, 3)
-        payload = volume.voxels.astype("<u1").tobytes(order="F")
-    elif isinstance(volume, ScalarVolume):
-        _require_finite(volume)
-        header = _build_header(dims, spacing, DT_FLOAT32, 32, 3)
-        payload = volume.voxels.astype("<f4").tobytes(order="F")
-    elif isinstance(volume, RegionProbVolume):
-        header = _build_header(dims, spacing, DT_FLOAT32, 32, 4, dim4=3)
-        # 4D F-order: the three spatial channels are written back to back.
-        payload = b"".join(
-            volume.channels[c].astype("<f4").tobytes(order="F") for c in range(3)
-        )
-    else:
+    kind = next((k for k in _KINDS.values() if type(volume) is k.volume), None)
+    if kind is None:
         raise ValidationError(f"unsupported volume type {type(volume).__name__}")
+    if isinstance(volume, ScalarVolume):
+        _require_finite(volume)
+    dims = volume.geometry.dims
+    # File order (x fastest, 4th dim slowest) is F order with the channel axis
+    # last; a payload that already lies in file order is written with one copy.
+    payload = np.moveaxis(volume.payload.reshape((kind.dim4,) + dims), 0, 3)
     with open(path, "wb") as fh:
-        fh.write(header)
+        fh.write(_build_header(dims, volume.geometry.spacing, kind))
         fh.write(b"\x00" * (VOX_OFFSET - HEADER_SIZE))
-        fh.write(payload)
+        fh.write(payload.astype(kind.dtype, copy=False).tobytes(order="F"))
 
 
 def _parse_header(raw):
@@ -122,55 +128,40 @@ def _parse_header(raw):
 
 
 def read_volume(path, kind):
-    """Read a volume of the given kind: 'label', 'scalar' or 'region_prob'."""
-    if kind not in ("label", "scalar", "region_prob"):
-        raise ValueError(f"unknown kind {kind!r}")
+    """Read a volume of the given kind: 'label', 'scalar' or 'region_prob'.
+
+    Scalar and region_prob payloads are read-only views of the file bytes, in
+    file order; label payloads are a C-ordered copy.
+    """
+    spec = _KINDS.get(kind)
+    if spec is None:
+        raise ValidationError(f"unknown kind {kind!r}")
     raw = Path(path).read_bytes()
     dims, dim4, spacing, datatype, vox_offset = _parse_header(raw)
     geometry = Geometry(dims, spacing)
+    if datatype != spec.datatype:
+        raise UnsupportedDatatypeError(f"{kind} volume requires datatype {spec.datatype} "
+                                       f"({spec.dtype.name}), got {datatype}")
+    if dim4 != spec.dim4:
+        raise FormatError(f"{kind} volume must have 4th dim {spec.dim4}, got {dim4}",
+                          offset=_OFF_DIM)
+    count = geometry.n_voxels * dim4
+    nbytes, have = count * spec.dtype.itemsize, max(len(raw) - vox_offset, 0)
+    if have < nbytes:
+        raise FormatError(f"payload truncated: need {nbytes} bytes, have {have}", offset=vox_offset)
+    # frombuffer at an offset views the file bytes; slicing `raw` would copy them.
+    flat = np.frombuffer(raw, spec.dtype, count, offset=vox_offset)
+    payload = np.moveaxis(flat.reshape(dims + (dim4,), order="F"), 3, 0)
+    payload = payload if dim4 > 1 else payload[0]
 
     if kind == "label":
-        if datatype != DT_UINT8:
-            raise UnsupportedDatatypeError(
-                f"label volume requires datatype {DT_UINT8} (uint8), got {datatype}"
-            )
-        expected, dtype, itemsize = geometry.n_voxels, "<u1", 1
-        if dim4 != 1:
-            raise FormatError(f"label volume must be 3D, got 4th dim {dim4}", offset=_OFF_DIM)
-    else:
-        if datatype != DT_FLOAT32:
-            raise UnsupportedDatatypeError(
-                f"{kind} volume requires datatype {DT_FLOAT32} (float32), got {datatype}"
-            )
-        dtype, itemsize = "<f4", 4
-        if kind == "region_prob":
-            if dim4 != 3:
-                raise FormatError(
-                    f"region_prob volume must have 4th dim 3, got {dim4}", offset=_OFF_DIM
-                )
-            expected = geometry.n_voxels * 3
-        else:
-            if dim4 != 1:
-                raise FormatError(f"scalar volume must be 3D, got 4th dim {dim4}", offset=_OFF_DIM)
-            expected = geometry.n_voxels
-
-    payload = raw[vox_offset:]
-    if len(payload) < expected * itemsize:
-        raise FormatError(
-            f"payload truncated: need {expected * itemsize} bytes, have {len(payload)}",
-            offset=vox_offset,
-        )
-    flat = np.frombuffer(payload, dtype=dtype, count=expected)
-
-    if kind == "label":
-        vox = flat.reshape(dims, order="F").copy()
+        # The legacy remap below writes, and every label consumer (np.isin,
+        # find_objects, STAPLE's ravel) runs faster on C order than on F.
+        vox = payload.copy()
         if vox.max(initial=0) > 4:
             raise ValidationError(f"label value {int(vox.max())} outside {{0,1,2,3,4}}")
-        remapped = bool((vox == 4).any())
-        if remapped:
-            vox[vox == 4] = 3
-        return LabelVolume(geometry, vox, legacy_remapped=remapped)
-    if kind == "scalar":
-        return _require_finite(ScalarVolume(geometry, flat.reshape(dims, order="F")))
-    channels = flat.reshape(dims + (3,), order="F")
-    return RegionProbVolume(geometry, np.moveaxis(channels, 3, 0))
+        legacy = vox == 4
+        vox[legacy] = 3
+        return LabelVolume(geometry, vox, legacy_remapped=bool(legacy.any()))
+    volume = spec.volume(geometry, payload)
+    return _require_finite(volume) if kind == "scalar" else volume

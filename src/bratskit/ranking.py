@@ -71,7 +71,7 @@ def rank_solutions(table: MetricTable, normalization: str = "minus_one") -> Rank
     worst exactly 1; "rank_over_p" -> rank / P.
     """
     if normalization not in ("minus_one", "rank_over_p"):
-        raise ValueError(f"unknown normalization {normalization!r}")
+        raise ValidationError(f"unknown normalization {normalization!r}")
     if not table.solutions:
         raise ValidationError("need at least one solution")
     if not table.cases:

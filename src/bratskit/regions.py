@@ -50,7 +50,8 @@ def reconstruct_labels(wt: BinaryMask, tc: BinaryMask, et: BinaryMask) -> LabelV
     """
     wt.geometry.require_compatible(tc.geometry)
     wt.geometry.require_compatible(et.geometry)
-    out = np.zeros(wt.geometry.dims, dtype=np.uint8)
+    # Masks from a file-order probability map are F-ordered and scatter slowly into C order.
+    out = np.zeros_like(wt.bits, dtype=np.uint8)
     out[wt.bits] = LABEL_ED
     out[tc.bits] = LABEL_NCR
     out[et.bits] = LABEL_ET

@@ -148,9 +148,7 @@ def place_label(target_labels: LabelVolume, brain_mask: BinaryMask,
         ok = brain_mask.bits[box][cand_nz].all() and (target_labels.voxels[box][cand_nz] == 0).all()
         if ok:
             out = target_labels.voxels.copy()
-            region = out[box]
-            region[cand_nz] = candidate.voxels[cand_nz]
-            out[box] = region
+            out[box][cand_nz] = candidate.voxels[cand_nz]
             return LabelVolume(target_labels.geometry, out), origin
     raise PlacementError(f"no valid placement found in {max_attempts} attempts")
 

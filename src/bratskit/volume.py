@@ -1,8 +1,9 @@
 """Core volume types.
 
 All voxel data is stored as numpy arrays of shape ``dims`` indexed ``[x, y, z]``.
-The linear order contract is x-fastest: voxel (x, y, z) lives at flat index
-``x + nx * (y + ny * z)``, i.e. Fortran order of the ``(nx, ny, nz)`` array.
+The linear order contract is on indices, x-fastest: voxel (x, y, z) has flat index
+``x + nx * (y + ny * z)``. In memory an array may be C- or F-ordered; float maps
+read from a file keep the file's F order.
 """
 
 from __future__ import annotations
@@ -62,9 +63,13 @@ class _Volume:
 
     _payload = "voxels"
 
+    @property
+    def payload(self) -> np.ndarray:
+        return getattr(self, self._payload)
+
     def _freeze(self, dtype, shape, what):
-        """Store the payload read-only and C-contiguous; return it."""
-        array = np.ascontiguousarray(getattr(self, self._payload), dtype=dtype)
+        """Store the payload read-only, in the memory order it was given; return it."""
+        array = np.asarray(self.payload, dtype=dtype)
         if array.shape != shape:
             raise ValidationError(f"{what} shape {array.shape} does not match {shape}")
         array.setflags(write=False)
@@ -74,8 +79,7 @@ class _Volume:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.geometry == other.geometry and np.array_equal(
-            getattr(self, self._payload), getattr(other, other._payload))
+        return self.geometry == other.geometry and np.array_equal(self.payload, other.payload)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import inspect
 import json
 import re
@@ -12,7 +13,13 @@ import bratskit.cli
 from bratskit.cli import build_parser, main
 from bratskit.fusion import StapleParams, staple_fusion
 from bratskit.nifti import read_volume, write_volume
-from bratskit.phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
+from bratskit.phantom import (
+    Lesion,
+    Perturbation,
+    PhantomSpec,
+    generate_phantom,
+    random_phantom_spec,
+)
 from bratskit.volume import Geometry, LabelVolume, RegionProbVolume, ScalarVolume
 
 from conftest import labels_from_array
@@ -387,9 +394,36 @@ class TestSynthCommands:
         ' "perturbation": {"kind": "erode", "iterations": 0}}',
         '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}],'
         ' "perturbation": {"kind": "add_fp", "fp_center": [3, 3, 3], "fp_radius": 0}}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": ["a", 3, 3]}]}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": ["x", 8, 8], "radii": [3, 3, 3]}]}',
+        '{"dims": [16, "16", 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}]}',
+        '{"dims": [16, 16.5, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}]}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8], "radii": [3, 3, 3]}]}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}],'
+        ' "spacing": ["a", 1, 1]}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3],'
+        ' "shells": [[2, "1.0"]]}]}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}],'
+        ' "perturbation": {"kind": "shift", "shift": [0.5, 0, 0]}}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}],'
+        ' "perturbation": {"kind": "erode", "iterations": "2"}}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}],'
+        ' "perturbation": {"kind": "add_fp", "fp_center": [3, 3, true], "fp_label": 3}}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}],'
+        ' "perturbation": {"kind": "add_fp", "fp_center": [3, 3, 3], "fp_label": 2.5}}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}],'
+        ' "perturbation": {"kind": "drop_lesion", "drop_index": Infinity}}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [1' + '0' * 400 + ', 8, 8],'
+        ' "radii": [3, 3, 3]}]}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}],'
+        ' "perturbation": 5}',
     ], ids=["no-lesions", "not-json", "no-radii", "not-object", "zero-radius",
             "negative-radius", "nan-radius", "zero-shell-scale", "erode-0-iterations",
-            "zero-fp-radius"])
+            "zero-fp-radius", "string-radius", "string-center", "string-dim",
+            "fractional-dim", "short-center", "string-spacing", "string-shell-scale",
+            "fractional-shift", "string-iterations", "bool-fp-center",
+            "fractional-fp-label", "infinite-drop-index", "huge-center",
+            "perturbation-not-object"])
     def test_malformed_phantom_spec_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)
@@ -400,6 +434,16 @@ class TestSynthCommands:
         assert err.startswith("error:") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists()
+
+    def test_phantom_spec_json_round_trip_builds_same_volumes(self):
+        rng = np.random.default_rng(2023)
+        for _ in range(60):
+            spec = random_phantom_spec(rng, max_dim=24, max_lesions=3)
+            doc = json.loads(json.dumps(dataclasses.asdict(spec)))
+            parsed = bratskit.cli._phantom_spec_from_json(doc)
+            for built, expected in zip(generate_phantom(parsed), generate_phantom(spec)):
+                assert built.geometry == expected.geometry
+                assert built.voxels.tobytes() == expected.voxels.tobytes()
 
 
 def test_every_option_is_read_by_its_handler():

@@ -138,6 +138,12 @@ def test_empty_case_set_rejected():
         rank_solutions(MetricTable(["A", "B"], [], {}))
 
 
+def test_unknown_normalization_rejected(rng):
+    table = make_table(rng, ["A", "B"], ["c1"])
+    with pytest.raises(ValidationError, match="unknown normalization 'rank'"):
+        rank_solutions(table, normalization="rank")
+
+
 def test_rank_over_p_switch(rng):
     table = make_table(rng, ["A", "B"], ["c1"])
     for region in REGIONS:

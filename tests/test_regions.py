@@ -51,6 +51,17 @@ def test_reconstruct_override_order():
     assert out.voxels[0, 0, 0] == 0
 
 
+def test_reconstruct_keeps_fortran_order_of_masks(rng):
+    g = Geometry((5, 4, 3))
+    bits = [rng.random((5, 4, 3)) < p for p in (0.6, 0.4, 0.2)]
+    c_out = reconstruct_labels(*(BinaryMask(g, b) for b in bits))
+    f_out = reconstruct_labels(*(BinaryMask(g, np.asfortranarray(b)) for b in bits))
+    assert f_out == c_out
+    # Masks thresholded from a file-order probability map are F-ordered; the
+    # labels keep that order, so writing them is one copy of the buffer.
+    assert f_out.voxels.flags.f_contiguous
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=27, max_size=27))
 def test_round_trip_and_nesting(flat):

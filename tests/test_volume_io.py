@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,12 @@ class TestHeaderErrors:
         with pytest.raises(ValidationError, match="NaN/Inf"):
             read_volume(path, "scalar")
 
+    def test_unknown_kind_refused(self, tmp_path, rng):
+        path = tmp_path / "x.nii"
+        write_volume(random_label(rng, (3, 3, 3)), path)
+        with pytest.raises(ValidationError, match="unknown kind 'labels'"):
+            read_volume(path, "labels")
+
     def test_nan_scalar_refused_on_write(self, tmp_path):
         g = Geometry((2, 2, 2))
         vox = np.zeros((2, 2, 2), np.float32)
@@ -317,6 +324,57 @@ def test_header_mutation_gives_volume_or_toolkit_error(tmp_path, kind, mutations
         return
     assert type(vol) is expected
     assert all(0.0 < s < np.inf for s in vol.geometry.spacing)
+
+
+# Memory layouts a caller may hand a volume type: C order, F order, the first
+# axis slowest and the rest in F order (for region_prob, the file order) and a
+# strided view that is contiguous in neither order.
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "first-axis-slowest": lambda a: np.moveaxis(np.asfortranarray(np.moveaxis(a, 0, -1)), -1, 0),
+    "strided": lambda a: np.stack([a, a], axis=-1)[..., 0],
+}
+
+
+class TestPayloadLayout:
+    @pytest.mark.parametrize("kind", ["scalar", "region_prob"])
+    def test_float_payloads_are_read_only_file_views(self, rng, tmp_path, kind):
+        make, _ = MUTATED_KINDS[kind]
+        path = tmp_path / f"{kind}.nii"
+        write_volume(make(rng, (5, 4, 3)), path)
+        payload = read_volume(path, kind).payload
+        assert not payload.flags.writeable and not payload.flags.owndata
+        for channel in payload.reshape((-1, 5, 4, 3)):
+            assert channel.flags.f_contiguous
+
+    def test_label_payload_is_c_ordered(self, rng, tmp_path):
+        path = tmp_path / "label.nii"
+        write_volume(random_label(rng, (5, 4, 3)), path)
+        assert read_volume(path, "label").voxels.flags.c_contiguous
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("kind", sorted(MUTATED_KINDS))
+    def test_written_bytes_do_not_depend_on_layout(self, rng, tmp_path, kind, layout):
+        make, volume_type = MUTATED_KINDS[kind]
+        vol = make(rng, (5, 4, 3), (1.5, 1.0, 2.0))
+        relaid = volume_type(vol.geometry, LAYOUTS[layout](np.array(vol.payload)))
+        write_volume(vol, tmp_path / "c.nii")
+        write_volume(relaid, tmp_path / "relaid.nii")
+        assert (tmp_path / "relaid.nii").read_bytes() == (tmp_path / "c.nii").read_bytes()
+        assert read_volume(tmp_path / "relaid.nii", kind) == vol
+
+    def test_region_prob_read_peak_memory(self, rng, tmp_path):
+        path = tmp_path / "p.nii"
+        write_volume(random_prob(rng, (64, 64, 64)), path)
+        payload_bytes = 3 * 4 * 64 ** 3
+        tracemalloc.start()
+        try:
+            read_volume(path, "region_prob")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload_bytes
 
 
 class TestZScore:
