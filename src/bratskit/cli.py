@@ -68,8 +68,7 @@ def cmd_evaluate(args):
     gt_dir = Path(args.gt_dir)
     pred_dir = Path(args.pred_dir)
     if not gt_dir.is_dir() or not pred_dir.is_dir():
-        print("evaluate: gt and pred directories must exist", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValidationError("gt and pred directories must exist")
     gt_files = _case_stems(gt_dir)
     pred_files = _case_stems(pred_dir)
     paired = sorted(set(gt_files) & set(pred_files))
@@ -113,8 +112,7 @@ def cmd_rank(args):
     for path in args.inputs:
         paths[Path(path).stem] = path
     if not paths:
-        print("rank: no solution CSVs given", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValidationError("no solution CSVs given")
     table = build_table(paths)
     result = rank_solutions(table, normalization=args.normalization)
     write_ranking_csv(args.out, table, result)
@@ -299,10 +297,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BratskitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (BratskitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

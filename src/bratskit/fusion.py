@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .regions import REGIONS, Region, extract_region, reconstruct_labels
-from .volume import BinaryMask, LabelVolume, RegionProbVolume
+from .volume import BinaryMask, LabelVolume, RegionProbVolume, common_geometry
 
 _EPS = 1e-7
 # staple_binary counts decision patterns in a histogram of 2**R bins.
@@ -58,9 +58,7 @@ def average_fusion(maps: Sequence[RegionProbVolume]):
     reconstructed into a label volume."""
     if not maps:
         raise ValidationError("average_fusion needs at least one probability map")
-    geometry = maps[0].geometry
-    for m in maps[1:]:
-        geometry.require_compatible(m.geometry)
+    geometry = common_geometry(maps)
     # One float64 accumulator, summed map by map: the same order as np.mean
     # over the stacked maps, without a float64 copy of each map.
     mean = maps[0].channels.astype(np.float64)
@@ -88,9 +86,7 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
     if len(masks) > MAX_RATERS:
         raise ValidationError(
             f"staple_binary accepts at most {MAX_RATERS} masks, got {len(masks)}")
-    geometry = masks[0].geometry
-    for m in masks[1:]:
-        geometry.require_compatible(m.geometry)
+    geometry = common_geometry(masks)
     n_raters = len(masks)
 
     # Bit j of a voxel's code is rater j's decision.
@@ -156,9 +152,7 @@ def staple_fusion(labels: Sequence[LabelVolume], params: StapleParams = StaplePa
     """
     if len(labels) < 2:
         raise ValidationError("staple_fusion needs at least 2 label volumes")
-    geometry = labels[0].geometry
-    for lv in labels[1:]:
-        geometry.require_compatible(lv.geometry)
+    common_geometry(labels)
     consensus = {}
     for region in REGIONS:
         masks = [extract_region(lv, region) for lv in labels]

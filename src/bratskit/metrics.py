@@ -200,19 +200,16 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
 
 
 def _lesionwise_region(gt_mask, pred_mask, params):
-    if not gt_mask.any() and not pred_mask.any():
-        report = LesionMatchReport([], [], [], params)
-        return MetricPair(1.0, 0.0), report
-    report = lesion_match(gt_mask, pred_mask, params)
+    report = (lesion_match(gt_mask, pred_mask, params) if gt_mask.any() or pred_mask.any()
+              else LesionMatchReport([], [], [], params))
     dscs = [pair.dsc for _, _, pair in report.matched]
     hds = [pair.hd95 for _, _, pair in report.matched]
     n_penalty = len(report.false_positives) + len(report.false_negatives)
     dscs.extend([0.0] * n_penalty)
     hds.extend([HD95_PENALTY] * n_penalty)
-    if not dscs:
-        # Possible only when the size filter removed every gt lesion.
-        return MetricPair(1.0, 0.0), report
-    return MetricPair(float(np.mean(dscs)), float(np.mean(hds))), report
+    # Nothing to score: both masks empty, or the size filter removed every gt lesion.
+    pair = MetricPair(float(np.mean(dscs)), float(np.mean(hds))) if dscs else MetricPair(1.0, 0.0)
+    return pair, report
 
 
 def case_metrics_lesionwise(gt: LabelVolume, pred: LabelVolume,
@@ -252,6 +249,12 @@ def metrics_rows(case: CaseMetrics, reports=None):
     return rows
 
 
+def row_order_mean(values) -> np.ndarray:
+    """Column means with the rows added in order, as a running float sum adds them;
+    `.sum(axis=0)` turns pairwise on a single column and changes the last bits."""
+    return np.cumsum(values, axis=0)[-1] / len(values)
+
+
 def mean_rows(rows, mode: str):
     """`__mean__` rows: per region with rows, the mean DSC and HD95 of the
     6-decimal strings as written, summed in row order."""
@@ -259,8 +262,7 @@ def mean_rows(rows, mode: str):
     for region in sorted(r.value for r in REGIONS):
         picked = [(float(row[3]), float(row[4])) for row in rows if row[2] == region]
         if picked:
-            # cumsum adds the rows in order, as a running float sum does.
-            dsc, hd = np.cumsum(picked, axis=0)[-1] / len(picked)
+            dsc, hd = row_order_mean(picked)
             means.append(["__mean__", mode, region, f"{dsc:.6f}", f"{hd:.6f}", "", "", ""])
     return means
 

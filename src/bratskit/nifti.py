@@ -68,12 +68,6 @@ def _build_header(dims, spacing, kind):
     return bytes(hdr)
 
 
-def _require_finite(volume):
-    if not np.isfinite(volume.voxels).all():
-        raise ValidationError("scalar payload contains NaN/Inf")
-    return volume
-
-
 def write_volume(volume, path):
     """Serialize a LabelVolume, ScalarVolume or RegionProbVolume to disk.
 
@@ -83,8 +77,6 @@ def write_volume(volume, path):
     kind = next((k for k in _KINDS.values() if type(volume) is k.volume), None)
     if kind is None:
         raise ValidationError(f"unsupported volume type {type(volume).__name__}")
-    if isinstance(volume, ScalarVolume):
-        _require_finite(volume)
     dims = volume.geometry.dims
     # File order (x fastest, 4th dim slowest) is F order with the channel axis
     # last; a payload that already lies in file order is written with one copy.
@@ -163,5 +155,4 @@ def read_volume(path, kind):
         legacy = vox == 4
         vox[legacy] = 3
         return LabelVolume(geometry, vox, legacy_remapped=bool(legacy.any()))
-    volume = spec.volume(geometry, payload)
-    return _require_finite(volume) if kind == "scalar" else volume
+    return spec.volume(geometry, payload)

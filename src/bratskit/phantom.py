@@ -94,7 +94,12 @@ def _shift_zero_fill(voxels, offset):
 def generate_phantom(spec: PhantomSpec):
     """Return (gt, pred) label volumes; pred is gt under the perturbation."""
     geometry = Geometry(spec.dims, spec.spacing)
+    pert = spec.perturbation
+    if len(pert.shift) != 3 or len(pert.fp_center) != 3:
+        raise ValidationError("perturbation shift and fp_center must have 3 entries")
     for i, lesion in enumerate(spec.lesions):
+        if len(lesion.center) != 3 or len(lesion.radii) != 3:
+            raise ValidationError(f"lesion {i}: center and radii must have 3 entries")
         if not all(0 < v < np.inf for v in (*lesion.radii, *(sc for _, sc in lesion.shells))):
             raise ValidationError(f"lesion {i}: radii and shell scales must be positive and finite")
         for c, r, n in zip(lesion.center, lesion.radii, spec.dims):
@@ -102,7 +107,6 @@ def generate_phantom(spec: PhantomSpec):
                 raise ValidationError(f"lesion {i} does not fit inside dims {spec.dims}")
     gt_voxels = _build_labels(spec.dims, spec.lesions)
 
-    pert = spec.perturbation
     if pert.kind == "none":
         pred_voxels = gt_voxels.copy()
     elif pert.kind == "shift":

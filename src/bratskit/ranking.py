@@ -14,6 +14,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import ValidationError
+from .metrics import row_order_mean
 from .regions import REGIONS
 
 METRICS = ("DSC", "HD95")
@@ -58,12 +59,6 @@ def _is_dsc(table: MetricTable) -> np.ndarray:
     return np.array([metric == "DSC" for _, _, metric in table.keys()])
 
 
-def _key_means(values: np.ndarray) -> np.ndarray:
-    # cumsum adds the key rows in order for any shape; .sum(axis=0) turns
-    # pairwise when there is a single solution, and that changes the last bits.
-    return values.cumsum(axis=0)[-1] / len(values)
-
-
 def rank_solutions(table: MetricTable, normalization: str = "minus_one") -> RankingResult:
     """Aggregate fractional ranks into a normalized score per solution.
 
@@ -87,14 +82,16 @@ def rank_solutions(table: MetricTable, normalization: str = "minus_one") -> Rank
         scores = np.zeros_like(ranks) if p == 1 else (ranks - 1.0) / (p - 1.0)
     else:
         scores = ranks / p
-    normalized = dict(zip(table.solutions, _key_means(scores).tolist()))
+    normalized = dict(zip(table.solutions, row_order_mean(scores).tolist()))
     return RankingResult(normalized, per_key_ranks)
 
 
 def load_metrics_csv(path, solution_id):
-    """Read one solution's metrics CSV (module metrics schema) into table entries."""
+    """Read one solution's metrics CSV (module metrics schema) into table
+    entries and the set of metric modes its rows name."""
     entries = {}
     cases = []
+    modes = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
@@ -102,26 +99,31 @@ def load_metrics_csv(path, solution_id):
                 case = row["case_id"]
                 if case not in cases:
                     cases.append(case)
+                modes.add(row["mode"])
                 region = row["region"]
                 entries[(solution_id, case, region, "DSC")] = float(row["dsc"])
                 entries[(solution_id, case, region, "HD95")] = float(row["hd95"])
         except (KeyError, TypeError, ValueError) as exc:  # a short row reads None
             raise ValidationError(f"{path} line {reader.line_num}: not a metrics row "
                                   f"({type(exc).__name__}: {exc})") from None
-    return cases, entries
+    return cases, entries, modes
 
 
 def build_table(csv_paths_by_solution: dict) -> MetricTable:
     entries = {}
     all_cases = None
+    modes = set()
     solutions = sorted(csv_paths_by_solution)
     for sol in solutions:
-        cases, sol_entries = load_metrics_csv(csv_paths_by_solution[sol], sol)
+        cases, sol_entries, sol_modes = load_metrics_csv(csv_paths_by_solution[sol], sol)
         entries.update(sol_entries)
+        modes |= sol_modes
         if all_cases is None:
             all_cases = cases
         elif set(all_cases) != set(cases):
             raise ValidationError(f"solution {sol} covers a different case set")
+    if len(modes) > 1:
+        raise ValidationError(f"cannot rank a mix of {' and '.join(sorted(modes))} metrics")
     return MetricTable(solutions, sorted(all_cases or []), entries)
 
 
@@ -129,7 +131,8 @@ def write_ranking_csv(path, table: MetricTable, result: RankingResult):
     """Leaderboard CSV: solution_id, normalized_rank, mean_dsc, mean_hd95."""
     values, is_dsc = table.to_array(), _is_dsc(table)
     rows = sorted(zip(table.solutions, map(result.normalized_rank.get, table.solutions),
-                      _key_means(values[is_dsc]).tolist(), _key_means(values[~is_dsc]).tolist()),
+                      row_order_mean(values[is_dsc]).tolist(),
+                      row_order_mean(values[~is_dsc]).tolist()),
                   key=lambda r: (r[1], r[0]))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

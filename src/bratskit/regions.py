@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .volume import BinaryMask, LabelVolume
+from .volume import BinaryMask, LabelVolume, common_geometry
 
 
 class Region(Enum):
@@ -48,11 +48,10 @@ def reconstruct_labels(wt: BinaryMask, tc: BinaryMask, et: BinaryMask) -> LabelV
     Assignment order WT -> TC -> ET with later regions overriding, so
     non-nested inputs still produce a valid, nested label volume.
     """
-    wt.geometry.require_compatible(tc.geometry)
-    wt.geometry.require_compatible(et.geometry)
+    geometry = common_geometry((wt, tc, et))
     # Masks from a file-order probability map are F-ordered and scatter slowly into C order.
     out = np.zeros_like(wt.bits, dtype=np.uint8)
     out[wt.bits] = LABEL_ED
     out[tc.bits] = LABEL_NCR
     out[et.bits] = LABEL_ET
-    return LabelVolume(wt.geometry, out)
+    return LabelVolume(geometry, out)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, PlacementError, ValidationError
-from .volume import BinaryMask, Geometry, LabelVolume, ScalarVolume
+from .volume import BinaryMask, Geometry, LabelVolume, ScalarVolume, common_geometry
 
 CROP_SIZE = 96
 # First training step runs with fixed weights before the linear ramp.
@@ -67,12 +67,15 @@ def decay_exponent(max_size: int) -> float:
     return slope * max_size + 1.1 - CROP_SIZE * slope
 
 
-def replacement_probability(distance: float, exponent: float) -> float:
-    """Probability of replacing a voxel at the given distance from the centre."""
+def replacement_probability(distance, exponent: float):
+    """Probability of replacing a voxel at the given distance from the centre;
+    `distance` is a number or an array, and the result has its shape."""
     if exponent < 1.0:
         raise ValidationError(f"exponent must be >= 1, got {exponent}")
-    prob = 83.0 / (exponent ** distance + 82.0)
-    return min(max(prob, 0.0), 1.0)
+    # numpy's array and scalar powers can differ in the last bit, so a number
+    # is raised as a one-element array and gets the value the field holds.
+    d = np.asarray(distance, dtype=np.float64)
+    return np.clip(83.0 / (exponent ** d.reshape(-1) + 82.0), 0.0, 1.0).reshape(d.shape)[()]
 
 
 def build_corruption_field(geom: TumourGeometry, crop_geometry: Geometry) -> CorruptionField:
@@ -89,8 +92,13 @@ def build_corruption_field(geom: TumourGeometry, crop_geometry: Geometry) -> Cor
     dist = np.sqrt(
         coords[:, None, None] ** 2 + coords[None, :, None] ** 2 + coords[None, None, :] ** 2
     )
-    probs = np.clip(83.0 / (exponent ** dist + 82.0), 0.0, 1.0)
-    return CorruptionField(crop_geometry, probs, exponent)
+    return CorruptionField(crop_geometry, replacement_probability(dist, exponent), exponent)
+
+
+def _require_int(value, name, minimum):
+    # numpy takes a negative seed with a bare ValueError and None as fresh entropy.
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _minmax_to_unit_range(values):
@@ -110,8 +118,8 @@ def corrupt_crop(image: ScalarVolume, labels: LabelVolume, field: CorruptionFiel
     and every healthy voxel with probability given by the field. One seeded
     stream in a fixed draw order makes the output deterministic per seed.
     """
-    for other in (labels.geometry, field.geometry):
-        image.geometry.require_compatible(other)
+    common_geometry((image, labels, field))
+    _require_int(rng_seed, "rng_seed", 0)
     if image.geometry.dims != (CROP_SIZE, CROP_SIZE, CROP_SIZE):
         raise ValidationError(f"crop inputs must be {CROP_SIZE}^3")
     rng = np.random.default_rng(rng_seed)
@@ -136,6 +144,8 @@ def place_label(target_labels: LabelVolume, brain_mask: BinaryMask,
     updated volume and the chosen origin, or raises after max_attempts.
     """
     target_labels.geometry.require_compatible(brain_mask.geometry)
+    _require_int(rng_seed, "rng_seed", 0)
+    _require_int(max_attempts, "max_attempts", 1)
     tdims = target_labels.geometry.dims
     cdims = candidate.geometry.dims
     if any(c > t for c, t in zip(cdims, tdims)):

@@ -25,10 +25,11 @@ class Geometry:
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
+        # float(d).is_integer() keeps 16.0 and np.int64(16), and refuses 16.5 and NaN.
+        if len(self.dims) != 3 or not all(float(d).is_integer() and int(d) >= 1 for d in self.dims):
+            raise ValidationError(f"dims must be 3 positive integers, got {self.dims}")
         dims = tuple(int(d) for d in self.dims)
         spacing = tuple(float(s) for s in self.spacing)
-        if len(dims) != 3 or any(d < 1 for d in dims):
-            raise ValidationError(f"dims must be 3 positive integers, got {self.dims}")
         # Written so that NaN, which fails every comparison, is rejected too.
         if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):
             raise ValidationError(f"spacing must be 3 positive finite reals, got {self.spacing}")
@@ -54,6 +55,14 @@ class Geometry:
                 f"incompatible geometries: {self.dims}/{self.spacing} vs "
                 f"{other.dims}/{other.spacing}"
             )
+
+
+def common_geometry(volumes) -> Geometry:
+    """The geometry the volumes share; IncompatibleGeometryError if one differs."""
+    geometry = volumes[0].geometry
+    for v in volumes[1:]:
+        geometry.require_compatible(v.geometry)
+    return geometry
 
 
 class _Volume:
@@ -105,7 +114,8 @@ class ScalarVolume(_Volume):
     voxels: np.ndarray
 
     def __post_init__(self):
-        self._freeze(np.float32, self.geometry.dims, "scalar")
+        if not np.isfinite(self._freeze(np.float32, self.geometry.dims, "scalar")).all():
+            raise ValidationError("scalar payload contains NaN/Inf")
 
 
 @dataclass(frozen=True, eq=False)

@@ -120,11 +120,14 @@ class TestEvaluate:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
-    def test_missing_dir_config_error(self, tmp_path):
+    def test_missing_dir_config_error(self, tmp_path, capsys):
         code = main(["evaluate", "--gt-dir", str(tmp_path / "nope"),
                      "--pred-dir", str(tmp_path / "nope2"),
                      "--out", str(tmp_path / "m.csv")])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestRank:
@@ -162,6 +165,30 @@ class TestRank:
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_no_inputs_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "rank.csv"
+        code = main(["rank", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_mixed_modes_refused(self, tmp_path, capsys):
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=2)
+        paths = []
+        for mode in ("lesionwise", "legacy"):
+            paths.append(str(tmp_path / f"{mode}.csv"))
+            assert main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
+                         "--pred-dir", str(tmp_path / "pred"),
+                         "--out", paths[-1], "--mode", mode]) == 0
+        out = tmp_path / "rank.csv"
+        code = main(["rank", "--inputs", *paths, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "legacy" in err and "lesionwise" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("manifest", ["solA\n", "\n"], ids=["one-column", "blank"])
@@ -353,6 +380,30 @@ class TestSynthCommands:
         placed = read_volume(out, "label")
         assert int((placed.voxels != 0).sum()) == 1
 
+    @pytest.mark.parametrize("command", ["corrupt", "place"])
+    def test_negative_seed_config_error(self, tmp_path, capsys, command):
+        rng = np.random.default_rng(5)
+        write_volume(ScalarVolume(Geometry((96, 96, 96)),
+                                  rng.standard_normal((96, 96, 96)).astype(np.float32)),
+                     tmp_path / "img.nii")
+        vox = np.zeros((96, 96, 96), np.uint8)
+        vox[40:60, 40:60, 40:60] = 1
+        write_volume(labels_from_array(vox), tmp_path / "lab.nii")
+        write_volume(labels_from_array(np.ones((96, 96, 96))), tmp_path / "brain.nii")
+        write_volume(labels_from_array(np.full((3, 3, 3), 3)), tmp_path / "cand.nii")
+        out = tmp_path / "out.nii"
+        inputs = {"corrupt": ["--image", "img.nii", "--label", "lab.nii"],
+                  "place": ["--target", "lab.nii", "--brain-mask", "brain.nii",
+                            "--candidate", "cand.nii"]}[command]
+        argv = [command, *(a if a.startswith("--") else str(tmp_path / a) for a in inputs),
+                "--seed", "-1", "--out", str(out)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_phantom_subcommand(self, tmp_path):
         doc = {
             "dims": [20, 20, 20],
@@ -444,6 +495,16 @@ class TestSynthCommands:
             for built, expected in zip(generate_phantom(parsed), generate_phantom(spec)):
                 assert built.geometry == expected.geometry
                 assert built.voxels.tobytes() == expected.voxels.tobytes()
+
+
+def test_no_handler_refuses_by_itself():
+    # A refusal is a BratskitError that main prints as one error: line.
+    handlers = [f for name, f in inspect.getmembers(bratskit.cli, inspect.isfunction)
+                if name.startswith("cmd_")]
+    assert len(handlers) == 7
+    for handler in handlers:
+        assert "EXIT_CONFIG" not in inspect.getsource(handler), handler.__name__
+    assert inspect.getsource(main).count("except") == 1
 
 
 def test_every_option_is_read_by_its_handler():

@@ -103,11 +103,19 @@ def test_lesion_outside_dims_rejected():
     (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="erode", iterations=-2)),
     (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="add_fp", fp_radius=0.0)),
     (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="add_fp", fp_radius=float("inf"))),
+    (Lesion((8, 8), (3, 3, 3)), Perturbation()),
+    (Lesion((8, 8, 8, 8), (3, 3, 3)), Perturbation()),
+    (Lesion((8, 8, 8), (3, 3)), Perturbation()),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="shift", shift=(3,))),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="add_fp", fp_center=(3, 3))),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="none", shift=(1, 1))),
 ], ids=["zero-radius", "negative-radius", "nan-radius", "inf-radius", "zero-shell-scale",
         "negative-shell-scale", "erode-0-iterations", "erode-negative-iterations",
-        "zero-fp-radius", "inf-fp-radius"])
+        "zero-fp-radius", "inf-fp-radius", "short-center", "long-center", "short-radii",
+        "short-shift", "short-fp-center", "short-unused-shift"])
 def test_degenerate_spec_rejected(lesion, pert):
-    # Let through, each would build an empty, mirrored or whole-grid lesion.
+    # Let through, each would build an empty, mirrored or whole-grid lesion, or
+    # (for a vector without 3 entries) one whose missing axes zip drops.
     with pytest.raises(ValidationError):
         generate_phantom(PhantomSpec((16, 16, 16), (lesion,), pert))
 

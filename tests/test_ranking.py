@@ -175,3 +175,14 @@ def test_csv_round_trip(tmp_path, rng):
     assert lines[0] == "solution_id,normalized_rank,mean_dsc,mean_hd95"
     assert lines[1].startswith("good,0.000000")
     assert lines[2].startswith("bad,1.000000")
+
+
+def test_mixed_modes_rejected(tmp_path):
+    paths = {}
+    for sol, mode in [("a", "lesionwise"), ("b", "legacy")]:
+        rows = [["c1", mode, region, "0.500000", "1.000000", "", "", ""]
+                for region in sorted(r.value for r in REGIONS)]
+        paths[sol] = tmp_path / f"{sol}.csv"
+        write_metrics_csv(paths[sol], rows)
+    with pytest.raises(ValidationError, match="legacy and lesionwise"):
+        build_table(paths)

@@ -123,6 +123,22 @@ class TestCorruptionField:
             d = math.dist(p, (48, 48, 48))
             assert field.probs[p] == pytest.approx(replacement_probability(d, e))
 
+    @pytest.mark.parametrize("max_size", [12, 40, 96])
+    def test_field_equals_scalar_calls_at_every_distance(self, max_size):
+        field = self.field(max_size)
+        c = np.arange(CROP_SIZE) - 48
+        dist = np.sqrt(c[:, None, None] ** 2 + c[None, :, None] ** 2 + c[None, None, :] ** 2)
+        distances, first = np.unique(dist, return_index=True)
+        expected = [replacement_probability(float(d), field.exponent) for d in distances]
+        assert field.probs.ravel()[first].tolist() == expected
+
+    def test_array_call_keeps_the_shape(self):
+        distances = np.linspace(0.0, 90.0, 12).reshape(3, 4)
+        probs = replacement_probability(distances, 1.3)
+        assert probs.shape == (3, 4)
+        assert probs.tolist() == [[replacement_probability(d, 1.3) for d in row]
+                                  for row in distances.tolist()]
+
     def test_wrong_crop_size_rejected(self):
         vox = np.zeros((CROP_SIZE,) * 3, np.uint8)
         vox[48, 48, 48] = 1
@@ -170,6 +186,17 @@ class TestCorruptCrop:
         flat = ScalarVolume(CROP_GEOM, np.zeros((CROP_SIZE,) * 3, np.float32))
         with pytest.raises(DegenerateInputError):
             corrupt_crop(flat, labels, field, 1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", True, None])
+    def test_seed_must_be_non_negative_integer(self, rng, seed):
+        img, labels, field = crop_inputs(rng)
+        with pytest.raises(ValidationError, match="rng_seed"):
+            corrupt_crop(img, labels, field, seed)
+
+    def test_numpy_integer_seed_accepted(self, rng):
+        img, labels, field = crop_inputs(rng)
+        a = corrupt_crop(img, labels, field, np.int64(7))
+        assert a.voxels.tobytes() == corrupt_crop(img, labels, field, 7).voxels.tobytes()
 
     def test_replacement_frequency_tracks_field(self, rng):
         # Monte Carlo: healthy voxels at a common radius are replaced at the
@@ -220,6 +247,22 @@ class TestPlaceLabel:
         outside = np.ones((24, 24, 24), bool)
         outside[box] = False
         assert np.array_equal(placed.voxels[outside], vox[outside])
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, "3", False, None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        target = labels_from_array(np.zeros((8, 8, 8)))
+        brain = BinaryMask(target.geometry, np.ones((8, 8, 8), bool))
+        cand = labels_from_array(np.full((2, 2, 2), 3, np.uint8))
+        with pytest.raises(ValidationError, match="rng_seed"):
+            place_label(target, brain, cand, seed)
+
+    @pytest.mark.parametrize("max_attempts", [0, -3, 2.5])
+    def test_max_attempts_must_be_positive(self, max_attempts):
+        target = labels_from_array(np.zeros((8, 8, 8)))
+        brain = BinaryMask(target.geometry, np.ones((8, 8, 8), bool))
+        cand = labels_from_array(np.full((2, 2, 2), 3, np.uint8))
+        with pytest.raises(ValidationError, match="max_attempts"):
+            place_label(target, brain, cand, 0, max_attempts=max_attempts)
 
     def test_candidate_too_big(self):
         target = labels_from_array(np.zeros((4, 4, 4)))

@@ -12,10 +12,14 @@ from bratskit.errors import (
     CompressedInputError,
     DegenerateInputError,
     FormatError,
+    IncompatibleGeometryError,
     UnsupportedDatatypeError,
     ValidationError,
 )
+from bratskit.fusion import average_fusion, staple_binary, staple_fusion
 from bratskit.nifti import read_volume, write_volume
+from bratskit.regions import reconstruct_labels
+from bratskit.synthprep import CROP_SIZE, CorruptionField, corrupt_crop
 from bratskit.volume import (
     BinaryMask,
     Geometry,
@@ -57,6 +61,65 @@ class TestGeometry:
     def test_rejects_non_finite_spacing(self, bad):
         with pytest.raises(ValidationError):
             Geometry((2, 2, 2), (bad, 1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [16.5, 0.5, np.float64(16.25), np.nan, np.inf])
+    def test_rejects_fractional_dim(self, bad):
+        with pytest.raises(ValidationError, match="dims"):
+            Geometry((16, bad, 16))
+
+    def test_accepts_integral_dims_of_any_type(self):
+        dims = Geometry((16.0, np.int64(16), np.float32(16))).dims
+        assert dims == (16, 16, 16)
+        assert all(type(d) is int for d in dims)
+
+
+def _prob(g):
+    return RegionProbVolume(g, np.full((3, *g.dims), 0.5, np.float32))
+
+
+def _mask(g):
+    return BinaryMask(g, np.zeros(g.dims, bool))
+
+
+def _labels(g):
+    return LabelVolume(g, np.zeros(g.dims, np.uint8))
+
+
+def _corrupt(geometries):
+    image, labels, field = geometries
+    voxels = np.random.default_rng(0).standard_normal(image.dims).astype(np.float32)
+    return corrupt_crop(ScalarVolume(image, voxels), _labels(labels),
+                        CorruptionField(field, np.zeros(field.dims), 1.1), 0)
+
+
+# Each caller of the shared geometry check: its grid and a call on the
+# geometries of its three inputs, in order.
+GEOMETRY_CALLERS = {
+    "average_fusion": ((4, 4, 4), lambda gs: average_fusion([_prob(g) for g in gs])),
+    "staple_binary": ((4, 4, 4), lambda gs: staple_binary([_mask(g) for g in gs])),
+    "staple_fusion": ((4, 4, 4), lambda gs: staple_fusion([_labels(g) for g in gs])),
+    "reconstruct_labels": ((4, 4, 4), lambda gs: reconstruct_labels(*(_mask(g) for g in gs))),
+    "corrupt_crop": ((CROP_SIZE,) * 3, _corrupt),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(GEOMETRY_CALLERS))
+@pytest.mark.parametrize("bad_index", [1, 2], ids=["second", "last"])
+def test_geometry_check_callers_refuse_one_mismatch(caller, bad_index):
+    dims, call = GEOMETRY_CALLERS[caller]
+    odd = (dims[0], dims[1], dims[2] + 1)
+    call([Geometry(dims), Geometry(dims), Geometry(dims)])  # agreeing inputs pass
+    with pytest.raises(IncompatibleGeometryError):
+        call([Geometry(odd if i == bad_index else dims) for i in range(3)])
+
+
+class TestScalarValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values_when_built(self, bad):
+        vox = np.zeros((2, 2, 2), np.float32)
+        vox[1, 0, 1] = bad
+        with pytest.raises(ValidationError, match="scalar payload contains NaN/Inf"):
+            ScalarVolume(Geometry((2, 2, 2)), vox)
 
 
 class TestRegionProbValidation:
