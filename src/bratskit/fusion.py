@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .regions import REGIONS, Region, extract_region, reconstruct_labels
-from .volume import BinaryMask, LabelVolume, RegionProbVolume, common_geometry
+from .volume import BinaryMask, LabelVolume, RegionProbVolume, common_geometry, tumour_box
 
 _EPS = 1e-7
 # staple_binary counts decision patterns in a histogram of 2**R bins.
@@ -79,7 +79,8 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
     on its pattern of rater decisions. EM therefore runs on the counts of the
     patterns that occur (at most 2**R), and the posterior is mapped back to
     the voxels once at the end. The E-step works in the log domain so
-    products over many raters stay stable.
+    products over many raters stay stable. Patterns are coded on the raters'
+    box only: every voxel outside it has pattern 0.
     """
     if len(masks) < 2:
         raise ValidationError("staple_binary needs at least 2 masks")
@@ -88,20 +89,21 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
             f"staple_binary accepts at most {MAX_RATERS} masks, got {len(masks)}")
     geometry = common_geometry(masks)
     n_raters = len(masks)
-
-    # Bit j of a voxel's code is rater j's decision.
-    code = np.zeros(geometry.dims, dtype=np.uint16)
-    for j, m in enumerate(masks):
-        code |= m.bits.astype(np.uint16) << j
-    counts = np.bincount(code.ravel())
-    patterns = np.flatnonzero(counts)
-    counts = counts[patterns]
-    d = ((patterns[:, None] >> np.arange(n_raters)) & 1).astype(bool)  # (patterns, raters)
-
-    if not d.any():
+    box = tumour_box(masks)
+    if box is None:
         empty = BinaryMask(geometry, np.zeros(geometry.dims, dtype=bool))
         perf = [(1.0, 1.0)] * n_raters
         return StapleResult(empty, np.zeros(geometry.dims), perf, 0, True)
+
+    # Bit j of a voxel's code is rater j's decision.
+    code = np.zeros(tuple(s.stop - s.start for s in box), dtype=np.uint16)
+    for j, m in enumerate(masks):
+        code |= m.bits[box].astype(np.uint16) << j
+    counts = np.bincount(code.ravel())
+    counts[0] += geometry.n_voxels - code.size
+    patterns = np.flatnonzero(counts)
+    counts = counts[patterns]
+    d = ((patterns[:, None] >> np.arange(n_raters)) & 1).astype(bool)  # (patterns, raters)
 
     if params.prior is PriorKind.MeanOfMasks:
         prior = d.mean(axis=1)
@@ -138,7 +140,8 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
 
     lut = np.zeros(1 << n_raters)
     lut[patterns] = w
-    weights = lut[code]
+    weights = np.full(geometry.dims, lut[0])
+    weights[box] = lut[code]
     consensus = BinaryMask(geometry, weights >= 0.5)
     perf = [(float(pi), float(qi)) for pi, qi in zip(p, q)]
     return StapleResult(consensus, weights, perf, iterations, converged)

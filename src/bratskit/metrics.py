@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 from .errors import ValidationError
 from .morphology import Connectivity, connected_components, dilate, surface_voxels
 from .regions import REGIONS, Region, extract_region
-from .volume import BinaryMask, Geometry, LabelVolume
+from .volume import BinaryMask, Geometry, LabelVolume, crop, hull, tumour_box
 
 HD95_PENALTY = 374.0
 
@@ -49,8 +49,13 @@ class MatchParams:
     min_gt_lesion_size: int = 0
 
     def __post_init__(self):
-        if min(self.dilation_iterations, self.min_gt_lesion_size) < 0:
-            raise ValidationError("dilation_iterations and min_gt_lesion_size must be >= 0")
+        # float(n).is_integer() keeps 3.0 and refuses 1.5 and NaN, as in Geometry.
+        counts = (self.dilation_iterations, self.min_gt_lesion_size)
+        if not all(float(n).is_integer() and n >= 0 for n in counts):
+            raise ValidationError("dilation_iterations and min_gt_lesion_size must be "
+                                  f"integers >= 0, got {counts}")
+        object.__setattr__(self, "dilation_iterations", int(self.dilation_iterations))
+        object.__setattr__(self, "min_gt_lesion_size", int(self.min_gt_lesion_size))
 
 
 @dataclass(frozen=True)
@@ -80,13 +85,6 @@ def dice(a: BinaryMask, b: BinaryMask) -> float:
 def _boxed(bits, spacing) -> BinaryMask:
     """A mask on its own grid: the voxels of a box cut from a larger volume."""
     return BinaryMask(Geometry(bits.shape, spacing), bits)
-
-
-def _hull(boxes, pad, dims):
-    """Smallest box holding every box, grown by `pad` voxels, clipped to dims."""
-    return tuple(slice(max(min(b[i].start for b in boxes) - pad, 0),
-                       min(max(b[i].stop for b in boxes) + pad, n))
-                 for i, n in enumerate(dims))
 
 
 # Up to this many (src, dst) point pairs, scoring every pair costs less than
@@ -124,13 +122,13 @@ def hd95(a: BinaryMask, b: BinaryMask) -> float:
         return 0.0
     if not na or not nb:
         return HD95_PENALTY
-    # Work in the joint bounding box. It holds every true voxel and the
-    # erosion treats off-grid voxels as false, so the surfaces and their
-    # distances are those of the full grid. find_objects rejects bool input.
-    box = ndimage.find_objects((a.bits | b.bits).view(np.uint8))[0]
+    # Work in the joint box. It holds every true voxel and the erosion treats
+    # off-grid voxels as false, so the surfaces and their distances are those
+    # of the full grid.
+    box = tumour_box((a, b))
     spacing = a.geometry.spacing
-    sa = np.argwhere(surface_voxels(_boxed(a.bits[box], spacing)).bits)
-    sb = np.argwhere(surface_voxels(_boxed(b.bits[box], spacing)).bits)
+    sa = np.argwhere(surface_voxels(crop(a, box)).bits)
+    sb = np.argwhere(surface_voxels(crop(b, box)).bits)
     return max(_directed_p95(sa, sb, spacing), _directed_p95(sb, sa, spacing))
 
 
@@ -138,8 +136,18 @@ def region_metrics(gt_mask: BinaryMask, pred_mask: BinaryMask) -> MetricPair:
     return MetricPair(dice(gt_mask, pred_mask), hd95(gt_mask, pred_mask))
 
 
-def case_metrics_legacy(gt: LabelVolume, pred: LabelVolume, case_id: str = "") -> CaseMetrics:
+def _cropped(gt, pred, pad):
+    """gt and pred cut to their joint tumour box grown by `pad`. Every lesion
+    lies in the box, and restricting the x-fastest order to a box keeps the
+    order in which components are first met, so every metric and lesion id is
+    that of the whole grid."""
     gt.geometry.require_compatible(pred.geometry)
+    box = tumour_box((gt, pred), pad)
+    return crop(gt, box), crop(pred, box)
+
+
+def case_metrics_legacy(gt: LabelVolume, pred: LabelVolume, case_id: str = "") -> CaseMetrics:
+    gt, pred = _cropped(gt, pred, 0)
     per_region = {
         region: region_metrics(extract_region(gt, region), extract_region(pred, region))
         for region in REGIONS
@@ -175,7 +183,7 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
     best = np.zeros(pred_comps.count + 1, dtype=np.int64)
     owner = np.zeros(pred_comps.count + 1, dtype=np.int64)
     for gid in gt_ids:
-        box = _hull([gt_boxes[gid - 1]], params.dilation_iterations, dims)
+        box = hull([gt_boxes[gid - 1]], params.dilation_iterations, dims)
         grown = dilate(_boxed(gt_comps.ids[box] == gid, spacing),
                        params.dilation_iterations, params.connectivity)
         hits = np.bincount(pred_comps.ids[box][grown.bits], minlength=pred_comps.count + 1)
@@ -191,7 +199,7 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
         if not pids:
             false_negatives.append(gid)
             continue
-        box = _hull([gt_boxes[gid - 1], *(pred_boxes[p - 1] for p in pids)], 0, dims)
+        box = hull([gt_boxes[gid - 1], *(pred_boxes[p - 1] for p in pids)], 0, dims)
         pair = region_metrics(_boxed(gt_comps.ids[box] == gid, spacing),
                               _boxed(owner[pred_comps.ids[box]] == gid, spacing))
         matched.append((gid, frozenset(pids), pair))
@@ -217,8 +225,9 @@ def case_metrics_lesionwise(gt: LabelVolume, pred: LabelVolume,
                             case_id: str = ""):
     """Lesion-wise metrics: per matched gt lesion a MetricPair against the
     union of its predictions; each FP/FN contributes (0, 374); region score is
-    the arithmetic mean over all contributions."""
-    gt.geometry.require_compatible(pred.geometry)
+    the arithmetic mean over all contributions. The case is cut to its tumour
+    box grown by the dilation, which then runs as on the whole grid."""
+    gt, pred = _cropped(gt, pred, params.dilation_iterations)
     per_region = {}
     reports = {}
     for region in REGIONS:

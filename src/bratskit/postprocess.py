@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ValidationError
 from .morphology import Connectivity, connected_components
 from .regions import LABEL_ED, LABEL_NCR, Region
-from .volume import BinaryMask, LabelVolume
+from .volume import BinaryMask, Geometry, LabelVolume, tumour_box
 
 
 class ThresholdScope(Enum):
@@ -47,22 +47,29 @@ _SUPPRESSED_LABEL = {Region.WT: 0, Region.TC: LABEL_ED, Region.ET: LABEL_NCR}
 
 def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
                      conn: Connectivity = Connectivity.Full26) -> LabelVolume:
-    """Remove sub-threshold lesions per region (strict `< threshold`)."""
+    """Remove sub-threshold lesions per region (strict `< threshold`).
+
+    Every lesion lies in the tumour box, so the thresholds run on a view of
+    the box inside the full-grid copy."""
     voxels = pred.voxels.copy()
+    box = tumour_box((pred,))
+    if box is None:  # no lesion to remove
+        return LabelVolume(pred.geometry, voxels)
+    # work on the raw buffer; LabelVolume would freeze the array in place
+    view = voxels[box]
+    geometry = Geometry(view.shape, pred.geometry.spacing)
     for region in (Region.WT, Region.TC, Region.ET):
         thr = spec.threshold(region)
         if thr <= 0:
             continue
-        # work on the raw buffer; LabelVolume would freeze the array in place
-        bits = np.isin(voxels, sorted(region.labels))
-        mask = BinaryMask(pred.geometry, bits)
+        mask = BinaryMask(geometry, np.isin(view, sorted(region.labels)))
         if spec.scope is ThresholdScope.WholeRegion:
             if mask.count() < thr:
-                voxels[mask.bits] = _SUPPRESSED_LABEL[region]
+                view[mask.bits] = _SUPPRESSED_LABEL[region]
         else:
             comps = connected_components(mask, conn)
             small = comps.sizes < thr
             small[0] = False  # id 0 is the background, not a lesion
             if small.any():
-                voxels[small[comps.ids]] = _SUPPRESSED_LABEL[region]
+                view[small[comps.ids]] = _SUPPRESSED_LABEL[region]
     return LabelVolume(pred.geometry, voxels)

@@ -90,15 +90,14 @@ def load_metrics_csv(path, solution_id):
     """Read one solution's metrics CSV (module metrics schema) into table
     entries and the set of metric modes its rows name."""
     entries = {}
-    cases = []
+    cases = {}  # a dict keeps the first-seen order and finds a case in O(1)
     modes = set()
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         try:
             for row in reader:
                 case = row["case_id"]
-                if case not in cases:
-                    cases.append(case)
+                cases.setdefault(case)
                 modes.add(row["mode"])
                 region = row["region"]
                 entries[(solution_id, case, region, "DSC")] = float(row["dsc"])
@@ -106,7 +105,7 @@ def load_metrics_csv(path, solution_id):
         except (KeyError, TypeError, ValueError) as exc:  # a short row reads None
             raise ValidationError(f"{path} line {reader.line_num}: not a metrics row "
                                   f"({type(exc).__name__}: {exc})") from None
-    return cases, entries, modes
+    return list(cases), entries, modes
 
 
 def build_table(csv_paths_by_solution: dict) -> MetricTable:

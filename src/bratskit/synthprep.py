@@ -70,7 +70,7 @@ def decay_exponent(max_size: int) -> float:
 def replacement_probability(distance, exponent: float):
     """Probability of replacing a voxel at the given distance from the centre;
     `distance` is a number or an array, and the result has its shape."""
-    if exponent < 1.0:
+    if not exponent >= 1.0:  # NaN fails it too
         raise ValidationError(f"exponent must be >= 1, got {exponent}")
     # numpy's array and scalar powers can differ in the last bit, so a number
     # is raised as a one-element array and gets the value the field holds.

@@ -11,7 +11,7 @@ from bratskit.fusion import (
     staple_fusion,
 )
 from bratskit.regions import REGIONS, Region, extract_region, reconstruct_labels
-from bratskit.volume import BinaryMask, Geometry, LabelVolume, RegionProbVolume
+from bratskit.volume import BinaryMask, Geometry, LabelVolume, RegionProbVolume, tumour_box
 
 from conftest import labels_from_array
 from oracles import staple_em_oracle
@@ -202,6 +202,21 @@ class TestStapleBinary:
         params = StapleParams(prior=PriorKind.Fixed, fixed_prior=0.5)
         res = staple_binary([m, m, m], params)
         assert res.consensus == m
+
+    @pytest.mark.parametrize("prior", [PriorKind.MeanOfMasks, PriorKind.Fixed])
+    def test_raters_box_is_the_whole_grid(self, rng, prior):
+        # Opposite corners are marked, so no voxel lies outside the raters' box.
+        g = Geometry((9, 8, 7))
+        truth = rng.random(g.dims) < 0.3
+        bits = [truth ^ (rng.random(g.dims) < 0.1) for _ in range(3)]
+        bits[0][0, 0, 0] = bits[0][-1, -1, -1] = True
+        masks = [BinaryMask(g, b) for b in bits]
+        assert tumour_box(masks) == tuple(slice(0, n) for n in g.dims)
+        res, (w, p, q, iterations) = staple_and_oracle(masks, prior)
+        assert res.iterations_run == iterations
+        assert np.allclose(res.weights.ravel(), w, rtol=0, atol=1e-6)
+        assert np.allclose(np.array(res.rater_performance), np.stack([p, q], axis=1),
+                           rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("n_raters", [3, 5, 8])
     def test_all_raters_mark_every_voxel(self, n_raters):

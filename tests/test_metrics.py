@@ -460,6 +460,37 @@ def test_match_params_reject_negative(kwargs):
         MatchParams(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [dict(dilation_iterations=1.5), dict(min_gt_lesion_size=2.5),
+                                    dict(dilation_iterations=float("nan")),
+                                    dict(min_gt_lesion_size=float("inf"))])
+def test_match_params_reject_non_integral(kwargs):
+    with pytest.raises(ValidationError, match="integers >= 0"):
+        MatchParams(**kwargs)
+
+
+def test_fractional_dilation_refused_before_matching():
+    # Refused when the params are built, not as a TypeError from slicing a box.
+    vox = np.zeros((8, 8, 8), np.uint8)
+    vox[2:4, 2:4, 2:4] = 2
+    labels = labels_from_array(vox)
+    mask = extract_region(labels, Region.WT)
+    with pytest.raises(ValidationError):
+        lesion_match(mask, mask, MatchParams(dilation_iterations=1.5))
+    with pytest.raises(ValidationError):
+        case_metrics_lesionwise(labels, labels, MatchParams(dilation_iterations=1.5))
+
+
+def test_match_params_take_integral_values_of_any_type():
+    vox = np.zeros((8, 8, 8), np.uint8)
+    vox[2:4, 2:4, 2:4] = 2
+    labels = labels_from_array(vox)
+    params = MatchParams(dilation_iterations=2.0, min_gt_lesion_size=np.int64(1))
+    assert params == MatchParams(2, min_gt_lesion_size=1)
+    assert type(params.dilation_iterations) is int
+    assert case_metrics_lesionwise(labels, labels, params) == \
+        case_metrics_lesionwise(labels, labels, MatchParams(2, min_gt_lesion_size=1))
+
+
 def test_mean_rows_average_the_written_strings():
     rows = [["a", "legacy", "ET", "0.250000", "1.000000", "", "", ""],
             ["a", "legacy", "WT", "1.000000", "2.500000", "", "", ""],

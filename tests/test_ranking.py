@@ -9,6 +9,7 @@ from bratskit.ranking import (
     METRICS,
     MetricTable,
     build_table,
+    load_metrics_csv,
     rank_solutions,
     write_ranking_csv,
 )
@@ -186,3 +187,15 @@ def test_mixed_modes_rejected(tmp_path):
         write_metrics_csv(paths[sol], rows)
     with pytest.raises(ValidationError, match="legacy and lesionwise"):
         build_table(paths)
+
+
+def test_load_keeps_first_appearance_case_order(tmp_path):
+    # cases interleaved and repeated; the order is that of their first row
+    order = ["c9", "c1", "c5", "c1", "c9", "c2", "c5"]
+    rows = [[case, "legacy", region, "0.500000", "1.000000", "", "", ""]
+            for case in order for region in ("ET", "TC")]
+    path = tmp_path / "m.csv"
+    write_metrics_csv(path, rows)
+    cases, entries, modes = load_metrics_csv(path, "s")
+    assert cases == ["c9", "c1", "c5", "c2"]
+    assert len(entries) == 4 * 2 * 2 and modes == {"legacy"}

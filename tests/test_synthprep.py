@@ -84,6 +84,11 @@ class TestReplacementProbability:
         for d in (0.0, 5.0, 100.0):
             assert replacement_probability(d, 1.0) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [0.5, float("nan"), -float("inf")])
+    def test_exponent_below_one_or_nan_refused(self, bad):
+        with pytest.raises(ValidationError, match="exponent"):
+            replacement_probability(3.0, bad)
+
     def test_non_increasing(self):
         probs = [replacement_probability(d, 1.2) for d in np.linspace(0, 80, 50)]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
