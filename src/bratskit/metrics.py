@@ -18,7 +18,7 @@ from scipy.spatial import cKDTree
 from .errors import ValidationError
 from .morphology import Connectivity, connected_components, dilate, surface_voxels
 from .regions import REGIONS, Region, extract_region
-from .volume import BinaryMask, Geometry, LabelVolume, crop, hull, tumour_box
+from .volume import BinaryMask, LabelVolume, boxed_mask, crop, hull, tumour_box
 
 HD95_PENALTY = 374.0
 
@@ -82,11 +82,6 @@ def dice(a: BinaryMask, b: BinaryMask) -> float:
     return 2.0 * inter / (na + nb)
 
 
-def _boxed(bits, spacing) -> BinaryMask:
-    """A mask on its own grid: the voxels of a box cut from a larger volume."""
-    return BinaryMask(Geometry(bits.shape, spacing), bits)
-
-
 # Up to this many (src, dst) point pairs, scoring every pair costs less than
 # building and searching a k-d tree; above it the tree costs less.
 _ALL_PAIRS_MAX = 1 << 16
@@ -126,9 +121,14 @@ def hd95(a: BinaryMask, b: BinaryMask) -> float:
     # off-grid voxels as false, so the surfaces and their distances are those
     # of the full grid.
     box = tumour_box((a, b))
+    return _surface_hd95(crop(a, box), crop(b, box))
+
+
+def _surface_hd95(a: BinaryMask, b: BinaryMask) -> float:
+    """HD95 of two non-empty masks, on the grid they are given."""
     spacing = a.geometry.spacing
-    sa = np.argwhere(surface_voxels(crop(a, box)).bits)
-    sb = np.argwhere(surface_voxels(crop(b, box)).bits)
+    sa = np.argwhere(surface_voxels(a).bits)
+    sb = np.argwhere(surface_voxels(b).bits)
     return max(_directed_p95(sa, sb, spacing), _directed_p95(sb, sa, spacing))
 
 
@@ -184,7 +184,7 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
     owner = np.zeros(pred_comps.count + 1, dtype=np.int64)
     for gid in gt_ids:
         box = hull([gt_boxes[gid - 1]], params.dilation_iterations, dims)
-        grown = dilate(_boxed(gt_comps.ids[box] == gid, spacing),
+        grown = dilate(boxed_mask(gt_comps.ids[box] == gid, spacing),
                        params.dilation_iterations, params.connectivity)
         hits = np.bincount(pred_comps.ids[box][grown.bits], minlength=pred_comps.count + 1)
         wins = hits > best
@@ -199,9 +199,11 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
         if not pids:
             false_negatives.append(gid)
             continue
+        # The pair's box is already the joint box hd95 would cut them to.
         box = hull([gt_boxes[gid - 1], *(pred_boxes[p - 1] for p in pids)], 0, dims)
-        pair = region_metrics(_boxed(gt_comps.ids[box] == gid, spacing),
-                              _boxed(owner[pred_comps.ids[box]] == gid, spacing))
+        lesion = boxed_mask(gt_comps.ids[box] == gid, spacing)
+        preds = boxed_mask(owner[pred_comps.ids[box]] == gid, spacing)
+        pair = MetricPair(dice(lesion, preds), _surface_hd95(lesion, preds))
         matched.append((gid, frozenset(pids), pair))
 
     return LesionMatchReport(matched, false_positives, false_negatives, params)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ValidationError
 from .morphology import Connectivity, connected_components
 from .regions import LABEL_ED, LABEL_NCR, Region
-from .volume import BinaryMask, Geometry, LabelVolume, tumour_box
+from .volume import LabelVolume, boxed_mask, tumour_box
 
 
 class ThresholdScope(Enum):
@@ -57,12 +57,11 @@ def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
         return LabelVolume(pred.geometry, voxels)
     # work on the raw buffer; LabelVolume would freeze the array in place
     view = voxels[box]
-    geometry = Geometry(view.shape, pred.geometry.spacing)
     for region in (Region.WT, Region.TC, Region.ET):
         thr = spec.threshold(region)
         if thr <= 0:
             continue
-        mask = BinaryMask(geometry, np.isin(view, sorted(region.labels)))
+        mask = boxed_mask(np.isin(view, sorted(region.labels)), pred.geometry.spacing)
         if spec.scope is ThresholdScope.WholeRegion:
             if mask.count() < thr:
                 view[mask.bits] = _SUPPRESSED_LABEL[region]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, PlacementError, ValidationError
-from .volume import BinaryMask, Geometry, LabelVolume, ScalarVolume, common_geometry
+from .volume import BinaryMask, Geometry, LabelVolume, ScalarVolume, common_geometry, tumour_box
 
 CROP_SIZE = 96
 # First training step runs with fixed weights before the linear ramp.
@@ -49,11 +49,11 @@ def tumour_geometry(labels: LabelVolume) -> TumourGeometry:
     The centre is the midpoint (floor) of the first and last occupied slice
     along each axis.
     """
-    nz = np.nonzero(labels.voxels)
-    if nz[0].size == 0:
+    box = tumour_box((labels,))
+    if box is None:
         raise DegenerateInputError("no tumour voxels")
-    bbox_min = tuple(int(axis.min()) for axis in nz)
-    bbox_max = tuple(int(axis.max()) for axis in nz)
+    bbox_min = tuple(s.start for s in box)
+    bbox_max = tuple(s.stop - 1 for s in box)
     center = tuple((lo + hi) // 2 for lo, hi in zip(bbox_min, bbox_max))
     max_size = max(hi - lo + 1 for lo, hi in zip(bbox_min, bbox_max))
     return TumourGeometry(bbox_min, bbox_max, center, max_size)

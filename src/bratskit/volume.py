@@ -165,25 +165,22 @@ def tumour_box(volumes, pad=0):
     """Box of the nonzero voxels of every volume, grown by `pad` voxels and
     clipped to the grid; None when every volume is empty. The volumes are
     label volumes or masks on one grid."""
-    def project(index, axis):
-        out = volumes[0].payload[index].max(axis=axis)
-        for v in volumes[1:]:
-            out = np.maximum(out, v.payload[index].max(axis=axis))
-        return out
+    nonzero = volumes[0].payload != 0
+    for v in volumes[1:]:
+        nonzero |= v.payload != 0
+    if not nonzero.any():
+        return None
 
-    def span(nonzero):
-        at = np.flatnonzero(nonzero)
+    def span(axis):
+        at = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(3) if a != axis)))
         return slice(int(at[0]), int(at[-1]) + 1)
 
-    # The maximum over x of whole (y, z) planes is one vectorised pass, and x
-    # is then searched in the (y, z) box only. On a full-size case this is
-    # several times cheaper than three whole-grid projections or find_objects.
-    yz = project(..., 0)
-    if not yz.any():
-        return None
-    y, z = span(yz.any(axis=1)), span(yz.any(axis=0))
-    x = span(project((slice(None), y, z), (1, 2)))
-    return hull([(x, y, z)], pad, volumes[0].geometry.dims)
+    return hull([tuple(span(axis) for axis in range(3))], pad, volumes[0].geometry.dims)
+
+
+def boxed_mask(bits, spacing) -> BinaryMask:
+    """A mask on its own grid: the voxels of a box cut from a larger volume."""
+    return BinaryMask(Geometry(bits.shape, spacing), bits)
 
 
 def crop(volume, box):

@@ -19,7 +19,7 @@ from bratskit.morphology import Connectivity
 from bratskit.phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
 from bratskit.postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
 from bratskit.regions import REGIONS, Region, extract_region
-from bratskit.volume import BinaryMask, Geometry, LabelVolume, crop, hull, tumour_box
+from bratskit.volume import BinaryMask, Geometry, LabelVolume, boxed_mask, crop, hull, tumour_box
 
 from conftest import labels_from_array
 
@@ -196,6 +196,16 @@ class TestTumourBox:
         assert tumour_box((self.mask((4, 5, 6)),)) is None
         assert tumour_box((self.mask((4, 5, 6)),), pad=2) is None
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_the_extent_of_the_nonzero_voxels(self, seed):
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(n) for n in rng.integers(1, 9, 3))
+        a = BinaryMask(Geometry(dims), rng.random(dims) < 0.05)
+        vox = np.where(rng.random(dims) < 0.05, rng.integers(1, 4, dims), 0).astype(np.uint8)
+        nz = np.nonzero(a.bits | (vox != 0))
+        expected = tuple(slice(int(i.min()), int(i.max()) + 1) for i in nz) if nz[0].size else None
+        assert tumour_box((a, labels_from_array(vox))) == expected
+
     def test_bounds_are_python_ints(self):
         box = tumour_box((self.mask((4, 5, 6), (1, 2, 3)),), pad=1)
         assert all(type(s.start) is int and type(s.stop) is int for s in box)
@@ -215,6 +225,13 @@ class TestCrop:
         assert cut.geometry == Geometry((2, 5, 1), (0.5, 2.0, 3.0))
         assert np.array_equal(cut.voxels, vox[box])
         assert cut.legacy_remapped and not cut.voxels.flags.writeable
+
+    def test_boxed_mask_is_on_a_grid_of_its_own_shape(self):
+        bits = np.zeros((4, 5, 6), bool)
+        bits[1, 2, 3] = True
+        m = boxed_mask(bits[1:3, 2:5, 3:4], (0.5, 2.0, 3.0))
+        assert m.geometry == Geometry((2, 3, 1), (0.5, 2.0, 3.0))
+        assert m.count() == 1
 
     def test_none_keeps_the_whole_grid(self):
         m = BinaryMask(Geometry((3, 3, 3)), np.ones((3, 3, 3), bool))
