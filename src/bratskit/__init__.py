@@ -7,7 +7,6 @@ from .volume import (
     LabelVolume,
     RegionProbVolume,
     ScalarVolume,
-    zscore_normalize,
 )
 from .nifti import read_volume, write_volume
 from .regions import REGIONS, Region, extract_region, reconstruct_labels

@@ -15,6 +15,10 @@ from .volume import BinaryMask, LabelVolume, RegionProbVolume, common_geometry, 
 _EPS = 1e-7
 # staple_binary counts decision patterns in a histogram of 2**R bins.
 MAX_RATERS = 16
+# EM starts every rater at this sensitivity and specificity, and stops once
+# every estimate moves by less than _TOL in an iteration.
+_INIT_PERFORMANCE = 0.99
+_TOL = 1e-6
 
 
 class PriorKind(Enum):
@@ -25,20 +29,14 @@ class PriorKind(Enum):
 @dataclass(frozen=True)
 class StapleParams:
     max_iters: int = 100
-    tol: float = 1e-6
-    init_sensitivity: float = 0.99
-    init_specificity: float = 0.99
     prior: PriorKind = PriorKind.MeanOfMasks
     fixed_prior: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValidationError("tol must be > 0")
-        for p in (self.init_sensitivity, self.init_specificity):
-            if not 0.0 < p < 1.0:
-                raise ValidationError("init probabilities must lie in (0, 1)")
+        # float(n).is_integer() keeps 3.0 and refuses 2.5, NaN and Inf, as in MatchParams.
+        if not (float(self.max_iters).is_integer() and self.max_iters >= 1):
+            raise ValidationError(f"max_iters must be an integer >= 1, got {self.max_iters}")
+        object.__setattr__(self, "max_iters", int(self.max_iters))
         if self.prior is PriorKind.Fixed:
             if self.fixed_prior is None or not 0.0 < self.fixed_prior < 1.0:
                 raise ValidationError("fixed prior must lie in (0, 1)")
@@ -113,8 +111,8 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
     log_prior_t = np.log(prior)
     log_prior_f = np.log1p(-prior)
 
-    p = np.full(n_raters, params.init_sensitivity)  # sensitivity
-    q = np.full(n_raters, params.init_specificity)  # specificity
+    p = np.full(n_raters, _INIT_PERFORMANCE)  # sensitivity
+    q = np.full(n_raters, _INIT_PERFORMANCE)  # specificity
 
     converged = False
     for iterations in range(1, params.max_iters + 1):
@@ -134,7 +132,7 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
 
         delta = max(np.abs(new_p - p).max(), np.abs(new_q - q).max())
         p, q = new_p, new_q
-        if delta < params.tol:
+        if delta < _TOL:
             converged = True
             break
 

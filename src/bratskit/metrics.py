@@ -110,18 +110,17 @@ def _directed_p95(src, dst, spacing):
 
 
 def hd95(a: BinaryMask, b: BinaryMask) -> float:
-    a.geometry.require_compatible(b.geometry)
+    # Work in the joint box. It holds every true voxel and the erosion treats
+    # off-grid voxels as false, so the surfaces and their distances are those
+    # of the full grid.
+    a, b = _cropped(a, b, 0)
     na = a.bits.any()
     nb = b.bits.any()
     if not na and not nb:
         return 0.0
     if not na or not nb:
         return HD95_PENALTY
-    # Work in the joint box. It holds every true voxel and the erosion treats
-    # off-grid voxels as false, so the surfaces and their distances are those
-    # of the full grid.
-    box = tumour_box((a, b))
-    return _surface_hd95(crop(a, box), crop(b, box))
+    return _surface_hd95(a, b)
 
 
 def _surface_hd95(a: BinaryMask, b: BinaryMask) -> float:
@@ -130,10 +129,6 @@ def _surface_hd95(a: BinaryMask, b: BinaryMask) -> float:
     sa = np.argwhere(surface_voxels(a).bits)
     sb = np.argwhere(surface_voxels(b).bits)
     return max(_directed_p95(sa, sb, spacing), _directed_p95(sb, sa, spacing))
-
-
-def region_metrics(gt_mask: BinaryMask, pred_mask: BinaryMask) -> MetricPair:
-    return MetricPair(dice(gt_mask, pred_mask), hd95(gt_mask, pred_mask))
 
 
 def _cropped(gt, pred, pad):
@@ -148,10 +143,9 @@ def _cropped(gt, pred, pad):
 
 def case_metrics_legacy(gt: LabelVolume, pred: LabelVolume, case_id: str = "") -> CaseMetrics:
     gt, pred = _cropped(gt, pred, 0)
-    per_region = {
-        region: region_metrics(extract_region(gt, region), extract_region(pred, region))
-        for region in REGIONS
-    }
+    masks = {region: (extract_region(gt, region), extract_region(pred, region))
+             for region in REGIONS}
+    per_region = {region: MetricPair(dice(*pair), hd95(*pair)) for region, pair in masks.items()}
     return CaseMetrics(case_id, per_region, MetricMode.Legacy)
 
 

@@ -1,10 +1,11 @@
 """Threshold-based suppression of small predicted lesions.
 
 Suppression relabels downward through the region hierarchy rather than
-deleting evidence outright: WT voxels go to background, TC voxels (labels 1, 3)
-become ED, ET voxels (label 3) become NCR. Regions are processed WT, TC, ET on
-the evolving volume, so nesting is preserved. The BraTS 2021 rule that turns
-all ET into NCR when the case has fewer than t ET voxels is
+deleting evidence outright: regions are thresholded WT, TC, ET, each inside
+what the enclosing region kept, and `regions.reconstruct_labels` rebuilds the
+labels from the three nested masks, so a removed voxel takes the label of the
+region around it. The BraTS 2021 rule that turns all ET into NCR when the case
+has fewer than t ET voxels is
 `ThresholdSpec(et=t, scope=ThresholdScope.WholeRegion)`.
 """
 
@@ -13,12 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import ValidationError
 from .morphology import Connectivity, connected_components
-from .regions import LABEL_ED, LABEL_NCR, Region
-from .volume import LabelVolume, boxed_mask, tumour_box
+from .regions import REGIONS, Region, extract_region, reconstruct_labels
+from .volume import BinaryMask, LabelVolume, crop, tumour_box
 
 
 class ThresholdScope(Enum):
@@ -34,41 +33,41 @@ class ThresholdSpec:
     scope: ThresholdScope = ThresholdScope.PerComponent
 
     def __post_init__(self):
-        if min(self.wt, self.tc, self.et) < 0:
-            raise ValidationError("thresholds must be >= 0")
+        # float(n).is_integer() keeps 250.0 and refuses 2.5, NaN and Inf, as in MatchParams.
+        counts = (self.wt, self.tc, self.et)
+        if not all(float(n).is_integer() and n >= 0 for n in counts):
+            raise ValidationError(f"thresholds must be integers >= 0, got {counts}")
+        for name, n in zip(("wt", "tc", "et"), counts):
+            object.__setattr__(self, name, int(n))
 
     def threshold(self, region: Region) -> int:
         return {Region.WT: self.wt, Region.TC: self.tc, Region.ET: self.et}[region]
-
-
-# What a suppressed voxel of each region becomes.
-_SUPPRESSED_LABEL = {Region.WT: 0, Region.TC: LABEL_ED, Region.ET: LABEL_NCR}
 
 
 def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
                      conn: Connectivity = Connectivity.Full26) -> LabelVolume:
     """Remove sub-threshold lesions per region (strict `< threshold`).
 
-    Every lesion lies in the tumour box, so the thresholds run on a view of
-    the box inside the full-grid copy."""
-    voxels = pred.voxels.copy()
+    Every lesion lies in the tumour box, so the thresholds run on the box."""
     box = tumour_box((pred,))
     if box is None:  # no lesion to remove
-        return LabelVolume(pred.geometry, voxels)
-    # work on the raw buffer; LabelVolume would freeze the array in place
-    view = voxels[box]
-    for region in (Region.WT, Region.TC, Region.ET):
+        return pred
+    case = crop(pred, box)
+    kept = True  # what the enclosing region kept; WT has none
+    masks = []
+    for region in REGIONS:
+        bits = extract_region(case, region).bits & kept
         thr = spec.threshold(region)
-        if thr <= 0:
-            continue
-        mask = boxed_mask(np.isin(view, sorted(region.labels)), pred.geometry.spacing)
         if spec.scope is ThresholdScope.WholeRegion:
-            if mask.count() < thr:
-                view[mask.bits] = _SUPPRESSED_LABEL[region]
-        else:
-            comps = connected_components(mask, conn)
+            bits &= bits.sum() >= thr
+        elif thr > 0:
+            comps = connected_components(BinaryMask(case.geometry, bits), conn)
             small = comps.sizes < thr
             small[0] = False  # id 0 is the background, not a lesion
             if small.any():
-                view[small[comps.ids]] = _SUPPRESSED_LABEL[region]
+                bits = bits & ~small[comps.ids]
+        masks.append(BinaryMask(case.geometry, bits))
+        kept = bits
+    voxels = pred.voxels.copy()
+    voxels[box] = reconstruct_labels(*masks).voxels
     return LabelVolume(pred.geometry, voxels)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateInputError, IncompatibleGeometryError, ValidationError
+from .errors import IncompatibleGeometryError, ValidationError
 
 SPACING_RTOL = 1e-5
 
@@ -77,7 +77,11 @@ class _Volume:
         return getattr(self, self._payload)
 
     def _freeze(self, dtype, shape, what):
-        """Store the payload read-only, in the memory order it was given; return it."""
+        """Store the payload read-only, in the memory order it was given; return it.
+
+        A volume takes ownership of its array: when no cast is needed the
+        caller's array is stored uncopied and made read-only, and a write
+        through another view of its buffer would change the volume."""
         array = np.asarray(self.payload, dtype=dtype)
         if array.shape != shape:
             raise ValidationError(f"{what} shape {array.shape} does not match {shape}")
@@ -192,18 +196,3 @@ def crop(volume, box):
     return replace(volume, geometry=Geometry(payload.shape, volume.geometry.spacing),
                    **{volume._payload: payload})
 
-
-def zscore_normalize(volume: ScalarVolume, foreground: BinaryMask) -> ScalarVolume:
-    """Z-score the foreground voxels (population statistics), zero the background."""
-    volume.geometry.require_compatible(foreground.geometry)
-    fg = foreground.bits
-    if not fg.any():
-        raise DegenerateInputError("empty foreground mask")
-    values = volume.voxels[fg].astype(np.float64)
-    mean = values.mean()
-    std = values.std()
-    if std == 0.0:
-        raise DegenerateInputError("zero-variance foreground")
-    out = np.zeros(volume.geometry.dims, dtype=np.float32)
-    out[fg] = ((volume.voxels[fg] - mean) / std).astype(np.float32)
-    return ScalarVolume(volume.geometry, out)

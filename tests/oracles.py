@@ -179,3 +179,28 @@ def brute_rank(table):
             rank = sum(positions) / len(positions)
             totals[s] += 0.0 if p == 1 else (rank - 1) / (p - 1)
     return {s: totals[s] / n_keys for s in solutions}
+
+
+def brute_thresholds(labels, thresholds, whole_region, neighbours):
+    """Post-processing from its definition, on a plain label array.
+
+    Regions WT {1,2,3}, TC {1,3}, ET {3} are visited in that order on the
+    labels as the earlier regions left them. With thresholds (wt, tc, et), a
+    region's component (or the whole region) of fewer voxels than its threshold
+    is relabelled: WT voxels to 0, TC voxels to 2 (ED), ET voxels to 1 (NCR).
+    A threshold of 0 leaves its region alone."""
+    out = np.array(labels, dtype=np.uint8)
+    for members, thr, becomes in zip(([1, 2, 3], [1, 3], [3]), thresholds, (0, 2, 1)):
+        if thr <= 0:
+            continue
+        bits = np.isin(out, members)
+        if whole_region:
+            if bits.sum() < thr:
+                out[bits] = becomes
+            continue
+        ids, count = flood_fill_components(bits, neighbours)
+        for c in range(1, count + 1):
+            lesion = ids == c
+            if lesion.sum() < thr:
+                out[lesion] = becomes
+    return out

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import json
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -517,3 +518,16 @@ def test_every_option_is_read_by_its_handler():
                 continue
             assert re.search(rf"\bargs\.{action.dest}\b", source), \
                 f"{name} {action.option_strings[0]} is never read by its handler"
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("bratskit ")]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # argparse exits on an unknown or missing option
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv in commands} == set(sub.choices)

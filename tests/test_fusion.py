@@ -102,6 +102,18 @@ class TestStapleBinary:
         with pytest.raises(ValidationError):
             StapleParams(max_iters=0)
 
+    @pytest.mark.parametrize("max_iters", [2.5, float("nan"), float("inf")])
+    def test_max_iters_must_be_an_integer(self, max_iters):
+        with pytest.raises(ValidationError):
+            StapleParams(max_iters=max_iters)
+
+    def test_integral_max_iters_stored_as_int(self, rng):
+        params = StapleParams(max_iters=3.0)
+        assert type(params.max_iters) is int
+        g = Geometry((6, 5, 4))
+        masks = [BinaryMask(g, rng.random(g.dims) < 0.4) for _ in range(3)]
+        assert staple_binary(masks, params).iterations_run <= 3
+
     def test_unanimous_raters(self):
         g = Geometry((6, 6, 6))
         m = block_mask(g, (1, 1, 1), (4, 4, 4))

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from bratskit.errors import ValidationError
+from bratskit.morphology import Connectivity
+from bratskit.phantom import generate_phantom, random_phantom_spec
 from bratskit.postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
 from bratskit.regions import REGIONS, Region, extract_region
 
 from conftest import labels_from_array
+from oracles import NEIGHBOURS_6, NEIGHBOURS_26, brute_thresholds
 
 
 def cube(vox, origin, size, label):
@@ -101,10 +104,44 @@ def test_small_background_is_not_a_lesion(spec):
     assert apply_thresholds(labels, ThresholdSpec(**spec)) == labels
 
 
+@pytest.mark.parametrize("scope", list(ThresholdScope))
+@pytest.mark.parametrize("conn,neighbours", [(Connectivity.Face6, NEIGHBOURS_6),
+                                             (Connectivity.Full26, NEIGHBOURS_26)])
+def test_matches_brute_thresholds_on_noisy_phantoms(scope, conn, neighbours):
+    # 3% label noise gives many small components of every label next to the
+    # phantom lesions, so each region's relabel meets the earlier ones' output.
+    rng = np.random.default_rng(4242)
+    for _ in range(15):
+        gt, _ = generate_phantom(random_phantom_spec(rng, max_dim=24, max_lesions=3))
+        vox = gt.voxels.copy()
+        noisy = rng.random(vox.shape) < 0.03
+        vox[noisy] = rng.integers(0, 4, int(noisy.sum()))
+        thresholds = [int(t) if rng.random() < 0.8 else 0
+                      for t in rng.integers(1, 80 if scope is ThresholdScope.PerComponent
+                                            else 800, 3)]
+        out = apply_thresholds(labels_from_array(vox), ThresholdSpec(*thresholds, scope), conn)
+        want = brute_thresholds(vox, thresholds, scope is ThresholdScope.WholeRegion, neighbours)
+        assert np.array_equal(out.voxels, want)
+
+
 @pytest.mark.parametrize("spec", [dict(wt=-1), dict(tc=-1), dict(et=-1)])
 def test_negative_threshold_rejected(spec):
     with pytest.raises(ValidationError):
         ThresholdSpec(**spec)
+
+
+@pytest.mark.parametrize("spec", [dict(wt=2.5), dict(tc=float("nan")), dict(et=float("nan")),
+                                  dict(et=float("inf"))])
+def test_non_integral_threshold_rejected(spec):
+    # A NaN threshold compares false with every size, so it would remove nothing.
+    with pytest.raises(ValidationError):
+        ThresholdSpec(**spec)
+
+
+def test_integral_threshold_stored_as_int():
+    spec = ThresholdSpec(wt=250.0, tc=np.int64(150), et=100)
+    assert (spec.wt, spec.tc, spec.et) == (250, 150, 100)
+    assert all(type(t) is int for t in (spec.wt, spec.tc, spec.et))
 
 
 class TestLegacyEtToNcr:

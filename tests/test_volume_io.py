@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from bratskit.errors import (
     BratskitError,
     CompressedInputError,
-    DegenerateInputError,
     FormatError,
     IncompatibleGeometryError,
     UnsupportedDatatypeError,
@@ -26,7 +25,6 @@ from bratskit.volume import (
     LabelVolume,
     RegionProbVolume,
     ScalarVolume,
-    zscore_normalize,
 )
 
 
@@ -164,6 +162,20 @@ class TestVolumeTypes:
             hash(vol)
         with pytest.raises(ValidationError, match="does not match"):
             make(g, np.zeros((4, 3, 2)))
+
+    def test_volume_takes_ownership_of_its_array(self, rng, tmp_path):
+        g = Geometry((2, 3, 4))
+        a = np.zeros(g.dims, np.uint8)
+        vol = LabelVolume(g, a)
+        assert vol.voxels is a and not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0, 0] = 1
+        # a float map read from a file is a read-only view of the file bytes,
+        # and building a volume on it copies nothing
+        write_volume(random_prob(rng, g.dims), tmp_path / "p.nii")
+        probs = read_volume(tmp_path / "p.nii", "region_prob")
+        assert not probs.channels.flags.writeable
+        assert RegionProbVolume(g, probs.channels).channels is probs.channels
 
     def test_types_never_compare_equal(self):
         g = Geometry((2, 2, 2))
@@ -439,48 +451,3 @@ class TestPayloadLayout:
             tracemalloc.stop()
         assert peak < 1.5 * payload_bytes
 
-
-class TestZScore:
-    def test_hand_computed_values(self):
-        g = Geometry((3, 1, 1))
-        vol = ScalarVolume(g, np.array([1.0, 2.0, 3.0], np.float32).reshape(3, 1, 1))
-        fg = BinaryMask(g, np.ones((3, 1, 1), bool))
-        out = zscore_normalize(vol, fg)
-        expected = np.array([-1.2247, 0.0, 1.2247])
-        assert np.allclose(out.voxels.ravel(), expected, atol=1e-3)
-
-    def test_background_exactly_zero(self, rng):
-        g = Geometry((5, 5, 5))
-        vol = ScalarVolume(g, rng.standard_normal((5, 5, 5)).astype(np.float32) + 7)
-        fg_bits = rng.random((5, 5, 5)) < 0.5
-        fg_bits[0, 0, 0] = True
-        fg_bits[1, 1, 1] = True
-        out = zscore_normalize(vol, BinaryMask(g, fg_bits))
-        assert (out.voxels[~fg_bits] == 0.0).all()
-        vals = out.voxels[fg_bits].astype(np.float64)
-        assert abs(vals.mean()) < 1e-4
-        assert abs(vals.std() - 1.0) < 1e-4
-
-    def test_idempotent_on_standardized_input(self, rng):
-        g = Geometry((4, 4, 4))
-        fg = BinaryMask(g, np.ones((4, 4, 4), bool))
-        vol = ScalarVolume(g, rng.standard_normal((4, 4, 4)).astype(np.float32))
-        once = zscore_normalize(vol, fg)
-        twice = zscore_normalize(once, fg)
-        assert np.allclose(once.voxels, twice.voxels, atol=1e-4)
-
-    def test_affine_rescale_invariance(self, rng):
-        g = Geometry((4, 4, 4))
-        fg = BinaryMask(g, np.ones((4, 4, 4), bool))
-        base = rng.standard_normal((4, 4, 4)).astype(np.float32)
-        a = zscore_normalize(ScalarVolume(g, base), fg)
-        b = zscore_normalize(ScalarVolume(g, 3.5 * base + 11.0), fg)
-        assert np.allclose(a.voxels, b.voxels, atol=1e-4)
-
-    def test_degenerate_inputs(self):
-        g = Geometry((2, 2, 2))
-        vol = ScalarVolume(g, np.ones((2, 2, 2), np.float32))
-        with pytest.raises(DegenerateInputError):
-            zscore_normalize(vol, BinaryMask(g, np.zeros((2, 2, 2), bool)))
-        with pytest.raises(DegenerateInputError):
-            zscore_normalize(vol, BinaryMask(g, np.ones((2, 2, 2), bool)))
