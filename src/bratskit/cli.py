@@ -9,11 +9,12 @@ not depend on the worker count.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
+import dataclasses
 import functools
 import json
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import BratskitError, ValidationError
@@ -32,7 +33,7 @@ from .phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
 from .postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
 from .ranking import build_table, rank_solutions, write_ranking_csv
 from .synthprep import build_corruption_field, corrupt_crop, place_label, tumour_geometry
-from .volume import BinaryMask
+from .volume import BinaryMask, integral
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -76,9 +77,11 @@ def cmd_evaluate(args):
     params = MatchParams(args.dilation_iterations, _connectivity(args.connectivity))
     jobs = [(cid, gt_files[cid], pred_files[cid]) for cid in paired]
 
+    # A pool starts all its processes at its first submit: no more than there are jobs.
+    workers = min(integral(args.workers, "workers", 1), len(jobs))
     worker = functools.partial(_evaluate_case, mode=args.mode, params=params)
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(worker, jobs))
     else:
         results = [worker(job) for job in jobs]
@@ -101,16 +104,21 @@ def cmd_evaluate(args):
 
 
 def cmd_rank(args):
-    paths = {}
+    entries = []
     if args.manifest:
         with open(args.manifest, newline="") as fh:
             for line, row in enumerate(csv.reader(fh), 1):
                 if len(row) < 2:
                     raise ValidationError(f"{args.manifest} line {line}: expected "
                                           f"solution_id,path, got {row}")
-                paths[row[0]] = row[1]
-    for path in args.inputs:
-        paths[Path(path).stem] = path
+                entries.append(row[:2])
+    entries += [(Path(path).stem, path) for path in args.inputs]
+    paths = {}
+    for solution, path in entries:
+        if solution in paths:
+            raise ValidationError(f"solution id {solution!r} names both {paths[solution]} "
+                                  f"and {path}")
+        paths[solution] = path
     if not paths:
         raise ValidationError("no solution CSVs given")
     table = build_table(paths)
@@ -173,52 +181,27 @@ def cmd_place(args):
     return EXIT_OK
 
 
-def _number(value, field, integral=False):
-    """A JSON number as a float, or an int when `integral`; refuses anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-            integral and isinstance(value, float) and not value.is_integer()):
-        raise ValidationError(f"{field} must be {'an integer' if integral else 'a number'}, got {value!r}")
-    return int(value) if integral else float(value)
-
-
-def _triple(values, field, integral=False):
-    if not isinstance(values, list) or len(values) != 3:
-        raise ValidationError(f"{field} must be a list of 3 numbers, got {values!r}")
-    return tuple(_number(v, field, integral) for v in values)
+def _from_json(cls, doc):
+    """`cls` built from the keys of a JSON object that name its fields."""
+    return cls(**{f.name: doc[f.name] for f in dataclasses.fields(cls) if f.name in doc.keys()})
 
 
 def _phantom_spec_from_json(doc):
-    lesions = tuple(
-        Lesion(_triple(l["center"], f"lesion {i} center"),
-               _triple(l["radii"], f"lesion {i} radii"),
-               tuple((_number(lab, f"lesion {i} shell label", integral=True),
-                      _number(sc, f"lesion {i} shell scale"))
-                     for lab, sc in l.get("shells", [[2, 1.0], [1, 0.6], [3, 0.3]])))
-        for i, l in enumerate(doc["lesions"])
-    )
-    p = doc.get("perturbation", {})
-    pert = Perturbation(
-        kind=p.get("kind", "none"),
-        shift=_triple(p.get("shift", [0, 0, 0]), "shift", integral=True),
-        iterations=_number(p.get("iterations", 1), "iterations", integral=True),
-        fp_center=_triple(p.get("fp_center", [0, 0, 0]), "fp_center"),
-        fp_radius=_number(p.get("fp_radius", 1.0), "fp_radius"),
-        fp_label=_number(p.get("fp_label", 3), "fp_label", integral=True),
-        drop_index=_number(p.get("drop_index", 0), "drop_index", integral=True),
-    )
-    return PhantomSpec(_triple(doc["dims"], "dims", integral=True), lesions, pert,
-                       _triple(doc.get("spacing", [1.0, 1.0, 1.0]), "spacing"))
+    """A PhantomSpec from its JSON object: keys that name no field are ignored, a
+    missing key takes the field's default; generate_phantom checks the values."""
+    return _from_json(PhantomSpec, {
+        **doc, "lesions": [_from_json(Lesion, l) for l in doc["lesions"]],
+        "perturbation": _from_json(Perturbation, doc.get("perturbation", {}))})
 
 
 def cmd_phantom(args):
     with open(args.spec) as fh:
         try:
-            spec = _phantom_spec_from_json(json.load(fh))
-        # ValueError covers bad JSON, OverflowError an integer too large for a float.
+            gt, pred = generate_phantom(_phantom_spec_from_json(json.load(fh)))
+        # ValueError covers bad JSON, the rest a misshapen part or a label over 255.
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{args.spec}: not a phantom spec "
                                   f"({type(exc).__name__}: {exc})") from None
-    gt, pred = generate_phantom(spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_volume(gt, out_dir / "gt.nii")

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .regions import REGIONS, Region, extract_region, reconstruct_labels
-from .volume import BinaryMask, LabelVolume, RegionProbVolume, common_geometry, tumour_box
+from .volume import BinaryMask, LabelVolume, RegionProbVolume, common_geometry, integral, tumour_box
 
 _EPS = 1e-7
 # staple_binary counts decision patterns in a histogram of 2**R bins.
@@ -33,10 +33,7 @@ class StapleParams:
     fixed_prior: Optional[float] = None
 
     def __post_init__(self):
-        # float(n).is_integer() keeps 3.0 and refuses 2.5, NaN and Inf, as in MatchParams.
-        if not (float(self.max_iters).is_integer() and self.max_iters >= 1):
-            raise ValidationError(f"max_iters must be an integer >= 1, got {self.max_iters}")
-        object.__setattr__(self, "max_iters", int(self.max_iters))
+        object.__setattr__(self, "max_iters", integral(self.max_iters, "max_iters", 1))
         if self.prior is PriorKind.Fixed:
             if self.fixed_prior is None or not 0.0 < self.fixed_prior < 1.0:
                 raise ValidationError("fixed prior must lie in (0, 1)")

@@ -15,10 +15,9 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .errors import ValidationError
 from .morphology import Connectivity, connected_components, dilate, surface_voxels
 from .regions import REGIONS, Region, extract_region
-from .volume import BinaryMask, LabelVolume, boxed_mask, crop, hull, tumour_box
+from .volume import BinaryMask, LabelVolume, boxed_mask, crop, hull, integral, tumour_box
 
 HD95_PENALTY = 374.0
 
@@ -49,13 +48,8 @@ class MatchParams:
     min_gt_lesion_size: int = 0
 
     def __post_init__(self):
-        # float(n).is_integer() keeps 3.0 and refuses 1.5 and NaN, as in Geometry.
-        counts = (self.dilation_iterations, self.min_gt_lesion_size)
-        if not all(float(n).is_integer() and n >= 0 for n in counts):
-            raise ValidationError("dilation_iterations and min_gt_lesion_size must be "
-                                  f"integers >= 0, got {counts}")
-        object.__setattr__(self, "dilation_iterations", int(self.dilation_iterations))
-        object.__setattr__(self, "min_gt_lesion_size", int(self.min_gt_lesion_size))
+        for name in ("dilation_iterations", "min_gt_lesion_size"):
+            object.__setattr__(self, name, integral(getattr(self, name), name, 0))
 
 
 @dataclass(frozen=True)

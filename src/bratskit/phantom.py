@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ValidationError
-from .volume import Geometry, LabelVolume
+from .volume import Geometry, LabelVolume, integral, real, triple
 
 
 @dataclass(frozen=True)
@@ -91,17 +91,29 @@ def _shift_zero_fill(voxels, offset):
     return out
 
 
+def _checked(spec: PhantomSpec, geometry: Geometry) -> PhantomSpec:
+    """`spec` on `geometry`, each number checked by a `volume` rule whatever the kind."""
+    lesions = tuple(
+        Lesion(triple(l.center, f"lesion {i} center", real, -np.inf),
+               triple(l.radii, f"lesion {i} radii", real, 0.0),
+               tuple((integral(label, f"lesion {i} shell label", 0),
+                      real(scale, f"lesion {i} shell scale", 0.0)) for label, scale in l.shells))
+        for i, l in enumerate(spec.lesions))
+    p = spec.perturbation
+    pert = Perturbation(p.kind, triple(p.shift, "shift", integral, -np.inf),
+                        integral(p.iterations, "iterations", 1),
+                        triple(p.fp_center, "fp_center", real, -np.inf),
+                        real(p.fp_radius, "fp_radius", 0.0), integral(p.fp_label, "fp_label", 0),
+                        integral(p.drop_index, "drop_index", 0))
+    return PhantomSpec(geometry.dims, lesions, pert, geometry.spacing)
+
+
 def generate_phantom(spec: PhantomSpec):
     """Return (gt, pred) label volumes; pred is gt under the perturbation."""
     geometry = Geometry(spec.dims, spec.spacing)
+    spec = _checked(spec, geometry)
     pert = spec.perturbation
-    if len(pert.shift) != 3 or len(pert.fp_center) != 3:
-        raise ValidationError("perturbation shift and fp_center must have 3 entries")
     for i, lesion in enumerate(spec.lesions):
-        if len(lesion.center) != 3 or len(lesion.radii) != 3:
-            raise ValidationError(f"lesion {i}: center and radii must have 3 entries")
-        if not all(0 < v < np.inf for v in (*lesion.radii, *(sc for _, sc in lesion.shells))):
-            raise ValidationError(f"lesion {i}: radii and shell scales must be positive and finite")
         for c, r, n in zip(lesion.center, lesion.radii, spec.dims):
             if c - r < -0.5 or c + r > n - 0.5:
                 raise ValidationError(f"lesion {i} does not fit inside dims {spec.dims}")
@@ -112,21 +124,17 @@ def generate_phantom(spec: PhantomSpec):
     elif pert.kind == "shift":
         pred_voxels = _shift_zero_fill(gt_voxels, pert.shift)
     elif pert.kind == "erode":
-        if pert.iterations < 1:
-            raise ValidationError("erode needs iterations >= 1")
         keep = ndimage.binary_erosion(
             gt_voxels > 0, structure=ndimage.generate_binary_structure(3, 1),
             iterations=pert.iterations, border_value=0,
         )
         pred_voxels = np.where(keep, gt_voxels, 0).astype(np.uint8)
     elif pert.kind == "add_fp":
-        if not 0 < pert.fp_radius < np.inf:
-            raise ValidationError("fp_radius must be positive and finite")
         pred_voxels = gt_voxels.copy()
         fp = _ellipsoid_mask(spec.dims, pert.fp_center, (pert.fp_radius,) * 3)
         pred_voxels[fp] = pert.fp_label
     elif pert.kind == "drop_lesion":
-        if not 0 <= pert.drop_index < len(spec.lesions):
+        if pert.drop_index >= len(spec.lesions):
             raise ValidationError(f"drop_index {pert.drop_index} out of range")
         kept = [l for i, l in enumerate(spec.lesions) if i != pert.drop_index]
         pred_voxels = _build_labels(spec.dims, kept)

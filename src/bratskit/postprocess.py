@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ValidationError
 from .morphology import Connectivity, connected_components
 from .regions import REGIONS, Region, extract_region, reconstruct_labels
-from .volume import BinaryMask, LabelVolume, crop, tumour_box
+from .volume import BinaryMask, LabelVolume, crop, integral, tumour_box
 
 
 class ThresholdScope(Enum):
@@ -33,12 +32,8 @@ class ThresholdSpec:
     scope: ThresholdScope = ThresholdScope.PerComponent
 
     def __post_init__(self):
-        # float(n).is_integer() keeps 250.0 and refuses 2.5, NaN and Inf, as in MatchParams.
-        counts = (self.wt, self.tc, self.et)
-        if not all(float(n).is_integer() and n >= 0 for n in counts):
-            raise ValidationError(f"thresholds must be integers >= 0, got {counts}")
-        for name, n in zip(("wt", "tc", "et"), counts):
-            object.__setattr__(self, name, int(n))
+        for name in ("wt", "tc", "et"):
+            object.__setattr__(self, name, integral(getattr(self, name), name, 0))
 
     def threshold(self, region: Region) -> int:
         return {Region.WT: self.wt, Region.TC: self.tc, Region.ET: self.et}[region]

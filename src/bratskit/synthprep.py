@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, PlacementError, ValidationError
-from .volume import BinaryMask, Geometry, LabelVolume, ScalarVolume, common_geometry, tumour_box
+from .volume import (BinaryMask, Geometry, LabelVolume, ScalarVolume, common_geometry, integral,
+                     tumour_box)
 
 CROP_SIZE = 96
 # First training step runs with fixed weights before the linear ramp.
@@ -95,12 +96,6 @@ def build_corruption_field(geom: TumourGeometry, crop_geometry: Geometry) -> Cor
     return CorruptionField(crop_geometry, replacement_probability(dist, exponent), exponent)
 
 
-def _require_int(value, name, minimum):
-    # numpy takes a negative seed with a bare ValueError and None as fresh entropy.
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
 def _minmax_to_unit_range(values):
     lo = values.min()
     hi = values.max()
@@ -119,7 +114,8 @@ def corrupt_crop(image: ScalarVolume, labels: LabelVolume, field: CorruptionFiel
     stream in a fixed draw order makes the output deterministic per seed.
     """
     common_geometry((image, labels, field))
-    _require_int(rng_seed, "rng_seed", 0)
+    # numpy takes a negative seed with a bare ValueError and None as fresh entropy.
+    rng_seed = integral(rng_seed, "rng_seed", 0)
     if image.geometry.dims != (CROP_SIZE, CROP_SIZE, CROP_SIZE):
         raise ValidationError(f"crop inputs must be {CROP_SIZE}^3")
     rng = np.random.default_rng(rng_seed)
@@ -144,8 +140,8 @@ def place_label(target_labels: LabelVolume, brain_mask: BinaryMask,
     updated volume and the chosen origin, or raises after max_attempts.
     """
     target_labels.geometry.require_compatible(brain_mask.geometry)
-    _require_int(rng_seed, "rng_seed", 0)
-    _require_int(max_attempts, "max_attempts", 1)
+    rng_seed = integral(rng_seed, "rng_seed", 0)
+    max_attempts = integral(max_attempts, "max_attempts", 1)
     tdims = target_labels.geometry.dims
     cdims = candidate.geometry.dims
     if any(c > t for c, t in zip(cdims, tdims)):

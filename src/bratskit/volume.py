@@ -17,6 +17,38 @@ from .errors import IncompatibleGeometryError, ValidationError
 SPACING_RTOL = 1e-5
 
 
+def _as_float(value) -> float:
+    """float(value), or NaN (refused by every rule) for a bool, a str or a non-number."""
+    try:
+        return np.nan if isinstance(value, (bool, np.bool_, str)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return np.nan
+
+
+def integral(value, what, minimum) -> int:
+    """`value` as an int. Keeps 3, 3.0, np.int64(3) and np.float32(3); refuses
+    a bool, a string, 2.5, NaN, Inf and anything below `minimum`."""
+    number = _as_float(value)
+    if not (number.is_integer() and number >= minimum):
+        raise ValidationError(f"{what} must be one of the integers >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def real(value, what, lower) -> float:
+    """`value` as a finite float greater than `lower`; refuses a bool and a string."""
+    number = _as_float(value)
+    if not lower < number < np.inf:
+        raise ValidationError(f"{what} must be a finite real > {lower}, got {value!r}")
+    return number
+
+
+def triple(values, what, rule, bound) -> tuple:
+    """`rule(v, what, bound)` of each entry of a 3-entry sequence that is not a string."""
+    if isinstance(values, str) or not hasattr(values, "__len__") or len(values) != 3:
+        raise ValidationError(f"{what} must have 3 entries, got {values!r}")
+    return tuple(rule(v, what, bound) for v in values)
+
+
 @dataclass(frozen=True)
 class Geometry:
     """Grid shape in voxels plus voxel spacing in mm."""
@@ -25,16 +57,8 @@ class Geometry:
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
-        # float(d).is_integer() keeps 16.0 and np.int64(16), and refuses 16.5 and NaN.
-        if len(self.dims) != 3 or not all(float(d).is_integer() and int(d) >= 1 for d in self.dims):
-            raise ValidationError(f"dims must be 3 positive integers, got {self.dims}")
-        dims = tuple(int(d) for d in self.dims)
-        spacing = tuple(float(s) for s in self.spacing)
-        # Written so that NaN, which fails every comparison, is rejected too.
-        if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):
-            raise ValidationError(f"spacing must be 3 positive finite reals, got {self.spacing}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "dims", triple(self.dims, "dims", integral, 1))
+        object.__setattr__(self, "spacing", triple(self.spacing, "spacing", real, 0.0))
 
     @property
     def n_voxels(self) -> int:

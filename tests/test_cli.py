@@ -121,6 +121,46 @@ class TestEvaluate:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    def test_pool_is_no_larger_than_the_job_list(self, tmp_path, monkeypatch):
+        # A real pool starts all its processes at the first submit; this one
+        # records its size and maps in this process.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(bratskit.cli, "ProcessPoolExecutor", RecordingPool)
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=3)
+        for workers in ("64", "2"):
+            assert main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
+                         "--pred-dir", str(tmp_path / "pred"),
+                         "--out", str(tmp_path / f"w{workers}.csv"), "--workers", workers]) == 0
+        assert sizes == [3, 2]
+        assert (tmp_path / "w64.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_config_error(self, tmp_path, capsys, workers):
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=1)
+        out = tmp_path / "m.csv"
+        code = main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
+                     "--pred-dir", str(tmp_path / "pred"), "--out", str(out),
+                     "--workers", workers])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "workers" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out.exists()
+
     def test_missing_dir_config_error(self, tmp_path, capsys):
         code = main(["evaluate", "--gt-dir", str(tmp_path / "nope"),
                      "--pred-dir", str(tmp_path / "nope2"),
@@ -190,6 +230,32 @@ class TestRank:
         assert code == 2
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert "legacy" in err and "lesionwise" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("manifest,inputs", [
+        ([], ["a/sol.csv", "b/sol.csv", "other.csv"]),
+        ([("sol", "a/sol.csv"), ("sol", "b/sol.csv"), ("other", "other.csv")], []),
+        ([("sol", "a/sol.csv"), ("other", "other.csv")], ["b/sol.csv"]),
+    ], ids=["inputs", "manifest", "manifest-and-inputs"])
+    def test_solution_id_given_twice_refused(self, tmp_path, capsys, manifest, inputs):
+        # Keyed by id, the second path would silently replace the first.
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=2)
+        for name in ("a/sol.csv", "b/sol.csv", "other.csv"):
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            assert main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
+                         "--pred-dir", str(tmp_path / "pred"),
+                         "--out", str(tmp_path / name), "--mode", "legacy"]) == 0
+        argv = ["rank", "--inputs", *(str(tmp_path / name) for name in inputs)]
+        if manifest:
+            (tmp_path / "manifest.csv").write_text(
+                "".join(f"{sid},{tmp_path / name}\n" for sid, name in manifest))
+            argv += ["--manifest", str(tmp_path / "manifest.csv")]
+        out = tmp_path / "rank.csv"
+        code = main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "'sol'" in err
+        assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
     @pytest.mark.parametrize("manifest", ["solA\n", "\n"], ids=["one-column", "blank"])

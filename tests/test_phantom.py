@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from bratskit.errors import ValidationError
 from bratskit.metrics import case_metrics_legacy, case_metrics_lesionwise
+from bratskit.nifti import write_volume
 from bratskit.phantom import (
     Lesion,
     Perturbation,
@@ -109,15 +112,52 @@ def test_lesion_outside_dims_rejected():
     (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="shift", shift=(3,))),
     (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="add_fp", fp_center=(3, 3))),
     (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="none", shift=(1, 1))),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="drop_lesion", drop_index=0.5)),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="add_fp", fp_label=1.5)),
+    (Lesion((8, 8, 8), (3, 3, 3), shells=((1.5, 1.0),)), Perturbation()),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="add_fp", fp_label=-1)),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="shift", shift=(1.5, 0, 0))),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="erode", iterations=1.5)),
 ], ids=["zero-radius", "negative-radius", "nan-radius", "inf-radius", "zero-shell-scale",
         "negative-shell-scale", "erode-0-iterations", "erode-negative-iterations",
         "zero-fp-radius", "inf-fp-radius", "short-center", "long-center", "short-radii",
-        "short-shift", "short-fp-center", "short-unused-shift"])
+        "short-shift", "short-fp-center", "short-unused-shift", "fractional-drop-index",
+        "fractional-fp-label", "fractional-shell-label", "negative-fp-label",
+        "fractional-shift", "fractional-iterations"])
 def test_degenerate_spec_rejected(lesion, pert):
     # Let through, each would build an empty, mirrored or whole-grid lesion, or
     # (for a vector without 3 entries) one whose missing axes zip drops.
     with pytest.raises(ValidationError):
         generate_phantom(PhantomSpec((16, 16, 16), (lesion,), pert))
+
+
+# NIfTI digests (sha256, first 16 hex digits) of gt and pred, recorded before
+# generate_phantom's checks moved into the shared volume rules; the benchmark
+# corpus is built from these bytes.
+@pytest.mark.parametrize("spec,digests", [
+    (PhantomSpec((20, 18, 16), (Lesion((10, 9, 8), (5, 4, 3)),)),
+     ("cae1587f14352c46", "cae1587f14352c46")),
+    (PhantomSpec((24, 24, 24), (Lesion((12, 12, 12), (4, 5, 3)),),
+                 Perturbation("shift", shift=(2, -1, 0))),
+     ("d29456032ff7c034", "cb062e18b7d6864c")),
+    (PhantomSpec((24, 24, 24), (Lesion((12, 12, 12), (6, 5, 4)),),
+                 Perturbation("erode", iterations=2)),
+     ("8636d1b0b052f694", "5c7a7a6c6c750745")),
+    (PhantomSpec((24, 24, 24), (Lesion((8, 8, 8), (3, 3, 3)),),
+                 Perturbation("add_fp", fp_center=(18, 18, 17.5), fp_radius=1.7, fp_label=1)),
+     ("9508985c5df2ed0a", "0fad3818107f9cf5")),
+    (PhantomSpec((32, 32, 32), (Lesion((8, 8, 8), (3, 3, 3)), Lesion((22, 22, 22), (4, 3, 5))),
+                 Perturbation("drop_lesion", drop_index=0)),
+     ("5c0d2443924bc8cd", "91e755655b5d58e3")),
+    (PhantomSpec((22, 20, 18),
+                 (Lesion((10.5, 9.25, 8.0), (4.3, 3.7, 2.9), shells=((2, 1.0), (3, 0.5))),),
+                 Perturbation("shift", shift=(0, 1, -2)), spacing=(0.8, 1.2, 2.5)),
+     ("670f6e362a686b86", "543cbd3095655c22")),
+], ids=["none", "shift", "erode", "add_fp", "drop_lesion", "float-lesion-and-spacing"])
+def test_phantom_bytes_pinned(tmp_path, spec, digests):
+    for volume, name, digest in zip(generate_phantom(spec), ("gt", "pred"), digests):
+        write_volume(volume, tmp_path / f"{name}.nii")
+        assert hashlib.sha256((tmp_path / f"{name}.nii").read_bytes()).hexdigest()[:16] == digest
 
 
 def test_random_specs_always_generate(rng):

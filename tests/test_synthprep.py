@@ -198,10 +198,11 @@ class TestCorruptCrop:
         with pytest.raises(ValidationError, match="rng_seed"):
             corrupt_crop(img, labels, field, seed)
 
-    def test_numpy_integer_seed_accepted(self, rng):
+    @pytest.mark.parametrize("seed", [np.int64(7), np.int64(3), 3.0])
+    def test_numpy_integer_seed_accepted(self, rng, seed):
         img, labels, field = crop_inputs(rng)
-        a = corrupt_crop(img, labels, field, np.int64(7))
-        assert a.voxels.tobytes() == corrupt_crop(img, labels, field, 7).voxels.tobytes()
+        a = corrupt_crop(img, labels, field, seed)
+        assert a.voxels.tobytes() == corrupt_crop(img, labels, field, int(seed)).voxels.tobytes()
 
     def test_replacement_frequency_tracks_field(self, rng):
         # Monte Carlo: healthy voxels at a common radius are replaced at the

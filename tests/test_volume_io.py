@@ -55,12 +55,12 @@ class TestGeometry:
         with pytest.raises(ValidationError):
             Geometry((4, 4, 4), (0.0, 1.0, 1.0))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "a", "1.0"])
     def test_rejects_non_finite_spacing(self, bad):
         with pytest.raises(ValidationError):
             Geometry((2, 2, 2), (bad, 1.0, 1.0))
 
-    @pytest.mark.parametrize("bad", [16.5, 0.5, np.float64(16.25), np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [16.5, 0.5, np.float64(16.25), np.nan, np.inf, "16"])
     def test_rejects_fractional_dim(self, bad):
         with pytest.raises(ValidationError, match="dims"):
             Geometry((16, bad, 16))
