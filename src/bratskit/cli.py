@@ -135,8 +135,8 @@ def _warn_unconverged(region, result):
 
 def cmd_fuse(args):
     if args.method == "mean":
-        maps = [read_volume(p, "region_prob") for p in args.inputs]
-        fused, labels = average_fusion(maps)
+        # A generator: average_fusion reads one map at a time.
+        fused, labels = average_fusion(read_volume(p, "region_prob") for p in args.inputs)
         write_volume(labels, args.out)
         if args.prob_out:
             write_volume(fused, args.prob_out)
@@ -198,7 +198,7 @@ def cmd_phantom(args):
     with open(args.spec) as fh:
         try:
             gt, pred = generate_phantom(_phantom_spec_from_json(json.load(fh)))
-        # ValueError covers bad JSON, the rest a misshapen part or a label over 255.
+        # ValueError covers bad JSON, the rest a misshapen part or a count too large for C.
         except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{args.spec}: not a phantom spec "
                                   f"({type(exc).__name__}: {exc})") from None

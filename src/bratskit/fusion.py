@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -48,19 +48,34 @@ class StapleResult:
     converged: bool
 
 
-def average_fusion(maps: Sequence[RegionProbVolume]):
+def average_fusion(maps: Iterable[RegionProbVolume]):
     """Channelwise mean of the probability maps, binarized at >= 0.5 and
-    reconstructed into a label volume."""
-    if not maps:
+    reconstructed into a label volume.
+
+    `maps` may be a list or any other iterable, such as a generator of file
+    reads: each map is added into one float64 accumulator as it arrives and
+    released before the next is drawn, so a generator holds one input map at a
+    time whatever the number of maps.
+    """
+    maps = iter(maps)
+    first = next(maps, None)
+    if first is None:
         raise ValidationError("average_fusion needs at least one probability map")
-    geometry = common_geometry(maps)
-    # One float64 accumulator, summed map by map: the same order as np.mean
-    # over the stacked maps, without a float64 copy of each map.
-    mean = maps[0].channels.astype(np.float64)
-    for m in maps[1:]:
+    geometry = first.geometry
+    # Summed map by map: the same order as np.mean over the stacked float64 maps.
+    mean = first.channels.astype(np.float64)
+    del first
+    n = 1
+    # `del m` ends the loop body: the loop variable would otherwise keep the
+    # previous map alive while the iterator reads the next one.
+    for m in maps:
+        geometry.require_compatible(m.geometry)
         mean += m.channels
-    mean /= len(maps)
+        n += 1
+        del m
+    mean /= n
     fused = RegionProbVolume(geometry, mean.astype(np.float32))
+    del mean  # the thresholds below read the float32 map
     masks = [BinaryMask(geometry, fused.channels[c] >= 0.5) for c in range(3)]
     labels = reconstruct_labels(*masks)
     return fused, labels
@@ -153,9 +168,11 @@ def staple_fusion(labels: Sequence[LabelVolume], params: StapleParams = StaplePa
     common_geometry(labels)
     consensus = {}
     for region in REGIONS:
-        masks = [extract_region(lv, region) for lv in labels]
-        result = staple_binary(masks, params)
+        result = staple_binary([extract_region(lv, region) for lv in labels], params)
         if on_region is not None:
             on_region(region, result)
         consensus[region] = result.consensus
+        # Only the consensus is kept: the full-grid weights must not outlive
+        # the region while the next one runs.
+        del result
     return reconstruct_labels(consensus[REGIONS[0]], consensus[REGIONS[1]], consensus[REGIONS[2]])

@@ -91,19 +91,33 @@ def _shift_zero_fill(voxels, offset):
     return out
 
 
+def _label(value, what) -> int:
+    label = integral(value, what, 0)
+    if label > 3:
+        raise ValidationError(f"{what} {label} outside {{0,1,2,3}}")
+    return label
+
+
+def _shell(shell, what) -> tuple:
+    try:
+        label, scale = shell
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be a (label, scale) pair, got {shell!r}") from None
+    return _label(label, f"{what} label"), real(scale, f"{what} scale", 0.0)
+
+
 def _checked(spec: PhantomSpec, geometry: Geometry) -> PhantomSpec:
     """`spec` on `geometry`, each number checked by a `volume` rule whatever the kind."""
     lesions = tuple(
         Lesion(triple(l.center, f"lesion {i} center", real, -np.inf),
                triple(l.radii, f"lesion {i} radii", real, 0.0),
-               tuple((integral(label, f"lesion {i} shell label", 0),
-                      real(scale, f"lesion {i} shell scale", 0.0)) for label, scale in l.shells))
+               tuple(_shell(shell, f"lesion {i} shell") for shell in l.shells))
         for i, l in enumerate(spec.lesions))
     p = spec.perturbation
     pert = Perturbation(p.kind, triple(p.shift, "shift", integral, -np.inf),
                         integral(p.iterations, "iterations", 1),
                         triple(p.fp_center, "fp_center", real, -np.inf),
-                        real(p.fp_radius, "fp_radius", 0.0), integral(p.fp_label, "fp_label", 0),
+                        real(p.fp_radius, "fp_radius", 0.0), _label(p.fp_label, "fp_label"),
                         integral(p.drop_index, "drop_index", 0))
     return PhantomSpec(geometry.dims, lesions, pert, geometry.spacing)
 

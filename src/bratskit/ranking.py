@@ -11,7 +11,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ValidationError
 from .metrics import row_order_mean
@@ -59,6 +58,28 @@ def _is_dsc(table: MetricTable) -> np.ndarray:
     return np.array([metric == "DSC" for _, _, metric in table.keys()])
 
 
+def _average_ranks(keyed: np.ndarray) -> np.ndarray:
+    """The 1-based rank of each entry within its row, ties sharing the mean of
+    their positions: scipy.stats.rankdata(keyed, method="average", axis=1)
+    without importing scipy.stats. The ranks are integers and halves, so exact."""
+    n_rows, p = keyed.shape
+    order = np.argsort(keyed, axis=1, kind="stable")
+    ordered = np.take_along_axis(keyed, order, axis=1).ravel()
+    # A tie group starts at each new value and at the start of every row.
+    starts = np.ones(ordered.size, bool)
+    starts[1:] = ordered[1:] != ordered[:-1]
+    starts[::p] = True
+    bounds = np.append(np.flatnonzero(starts), ordered.size)
+    group = np.cumsum(starts) - 1
+    # A group over flat positions [s, e) holds the 1-based positions s+1..e,
+    # less the flat position of its row's start.
+    row_start = np.repeat(np.arange(n_rows) * p, p)
+    mean_pos = 0.5 * (bounds[group] + bounds[group + 1] + 1) - row_start
+    ranks = np.empty(keyed.shape)
+    np.put_along_axis(ranks, order, mean_pos.reshape(keyed.shape), axis=1)
+    return ranks
+
+
 def rank_solutions(table: MetricTable, normalization: str = "minus_one") -> RankingResult:
     """Aggregate fractional ranks into a normalized score per solution.
 
@@ -75,7 +96,7 @@ def rank_solutions(table: MetricTable, normalization: str = "minus_one") -> Rank
     p = len(table.solutions)
     # lower rank is better: negate DSC so higher DSC ranks first
     keyed = np.where(_is_dsc(table)[:, None], -values, values)
-    ranks = rankdata(keyed, method="average", axis=1)
+    ranks = _average_ranks(keyed)
     per_key_ranks = {(sol, *key): rank for key, row in zip(table.keys(), ranks.tolist())
                      for sol, rank in zip(table.solutions, row)}
     if normalization == "minus_one":

@@ -5,6 +5,7 @@ import inspect
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,28 @@ class TestFuse:
         assert labels.geometry.dims == (6, 6, 6)
         assert probs.channels.shape == (3, 6, 6, 6)
 
+    def test_mean_holds_one_input_map_at_a_time(self, tmp_path):
+        g = Geometry((64, 64, 64))
+        rng = np.random.default_rng(9)
+        paths = []
+        for i in range(5):
+            p = tmp_path / f"prob{i}.nii"
+            write_volume(RegionProbVolume(g, rng.random((3, *g.dims), np.float32)), p)
+            paths.append(str(p))
+        payload_bytes = 3 * 4 * 64 ** 3
+        tracemalloc.start()
+        try:
+            code = main(["fuse", "--method", "mean", "--inputs", *paths,
+                         "--out", str(tmp_path / "fused.nii"),
+                         "--prob-out", str(tmp_path / "fused_prob.nii")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        # One map, the float64 accumulator and the float32 result; the five
+        # maps read into a list need about 8x.
+        assert peak < 4 * payload_bytes
+
     def test_staple(self, tmp_path):
         rng = np.random.default_rng(4)
         vox = rng.integers(0, 4, (6, 6, 6)).astype(np.uint8)
@@ -535,13 +558,17 @@ class TestSynthCommands:
         ' "radii": [3, 3, 3]}]}',
         '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}],'
         ' "perturbation": 5}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3],'
+        ' "shells": [[256, 1.0]]}]}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3],'
+        ' "shells": [[2]]}]}',
     ], ids=["no-lesions", "not-json", "no-radii", "not-object", "zero-radius",
             "negative-radius", "nan-radius", "zero-shell-scale", "erode-0-iterations",
             "zero-fp-radius", "string-radius", "string-center", "string-dim",
             "fractional-dim", "short-center", "string-spacing", "string-shell-scale",
             "fractional-shift", "string-iterations", "bool-fp-center",
             "fractional-fp-label", "infinite-drop-index", "huge-center",
-            "perturbation-not-object"])
+            "perturbation-not-object", "shell-label-256", "one-entry-shell"])
     def test_malformed_phantom_spec_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)

@@ -1,7 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from bratskit.errors import ValidationError
+from bratskit.errors import IncompatibleGeometryError, ValidationError
 from bratskit.fusion import (
     MAX_RATERS,
     PriorKind,
@@ -67,6 +69,40 @@ class TestAverageFusion:
         fused, _ = average_fusion(maps)
         expected = np.mean([m.channels.astype(np.float64) for m in maps], axis=0)
         assert fused.channels.tobytes() == expected.astype(np.float32).tobytes()
+
+    @pytest.mark.parametrize("n_maps", [1, 2, 3, 5])
+    def test_generator_bytes_match_mean_of_stacked_float64_copies(self, rng, n_maps):
+        g = Geometry((9, 7, 5))
+        maps = [prob_volume(rng, g) for _ in range(n_maps)]
+        fused, labels = average_fusion(m for m in maps)
+        expected = np.mean([m.channels.astype(np.float64) for m in maps], axis=0)
+        assert fused.channels.tobytes() == expected.astype(np.float32).tobytes()
+        assert labels == average_fusion(maps)[1]
+
+    def test_generator_map_released_before_the_next_is_read(self, rng):
+        g = Geometry((6, 5, 4))
+        refs = []
+
+        def maps():
+            for _ in range(4):
+                m = prob_volume(rng, g)
+                refs.append(weakref.ref(m))
+                yield m
+                del m
+                assert refs[-1]() is None, f"map {len(refs) - 1} alive while the next is read"
+
+        fused, _ = average_fusion(maps())
+        assert len(refs) == 4 and fused.channels.shape == (3, 6, 5, 4)
+
+    def test_empty_generator_rejected(self):
+        with pytest.raises(ValidationError):
+            average_fusion(m for m in [])
+
+    def test_generator_geometry_mismatch_rejected(self, rng):
+        g, other = Geometry((4, 4, 4)), Geometry((4, 4, 5))
+        maps = (prob_volume(rng, geom) for geom in (g, g, other, g))
+        with pytest.raises(IncompatibleGeometryError):
+            average_fusion(maps)
 
 
 def block_mask(g, lo, hi):

@@ -118,12 +118,17 @@ def test_lesion_outside_dims_rejected():
     (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="add_fp", fp_label=-1)),
     (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="shift", shift=(1.5, 0, 0))),
     (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="erode", iterations=1.5)),
+    (Lesion((8, 8, 8), (3, 3, 3), shells=((256, 1.0),)), Perturbation()),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="add_fp", fp_label=256)),
+    (Lesion((8, 8, 8), (3, 3, 3), shells=((2,),)), Perturbation()),
+    (Lesion((8, 8, 8), (3, 3, 3), shells=((2, 1.0, 0.5),)), Perturbation()),
 ], ids=["zero-radius", "negative-radius", "nan-radius", "inf-radius", "zero-shell-scale",
         "negative-shell-scale", "erode-0-iterations", "erode-negative-iterations",
         "zero-fp-radius", "inf-fp-radius", "short-center", "long-center", "short-radii",
         "short-shift", "short-fp-center", "short-unused-shift", "fractional-drop-index",
         "fractional-fp-label", "fractional-shell-label", "negative-fp-label",
-        "fractional-shift", "fractional-iterations"])
+        "fractional-shift", "fractional-iterations", "shell-label-256", "fp-label-256",
+        "one-entry-shell", "three-entry-shell"])
 def test_degenerate_spec_rejected(lesion, pert):
     # Let through, each would build an empty, mirrored or whole-grid lesion, or
     # (for a vector without 3 entries) one whose missing axes zip drops.

@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
+import bratskit
 from bratskit.errors import ValidationError
 from bratskit.metrics import write_metrics_csv, CSV_COLUMNS
 from bratskit.ranking import (
     METRICS,
     MetricTable,
+    _average_ranks,
     build_table,
     load_metrics_csv,
     rank_solutions,
@@ -61,6 +68,28 @@ def test_equals_per_key_loop_bit_for_bit(rng, n_solutions):
     # The average ranks are exact, and both sum the keys in the same order.
     table = make_table(rng, [f"s{i}" for i in range(n_solutions)], [f"c{i}" for i in range(40)])
     assert rank_solutions(table).normalized_rank == brute_rank(table)
+
+
+@pytest.mark.parametrize("n_solutions", [1, 2, 3, 7, 30])
+def test_average_ranks_equal_scipy_rankdata(rng, n_solutions):
+    # Tie-heavy rows: signed zeros and infinities, which a negated DSC or a
+    # penalty HD95 can produce, mixed with values rounded to one decimal.
+    pool = np.array([0.0, -0.0, np.inf, -np.inf, 0.5, -0.5, 1.0, 374.0])
+    for _ in range(40):
+        shape = (int(rng.integers(1, 60)), n_solutions)
+        keyed = np.where(rng.random(shape) < 0.5, rng.choice(pool, shape),
+                         rng.normal(size=shape).round(1))
+        ranks = _average_ranks(keyed)
+        expected = rankdata(keyed, method="average", axis=1)
+        assert ranks.shape == expected.shape and ranks.tobytes() == expected.tobytes()
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = str(Path(bratskit.__file__).resolve().parents[1])
+    code = "import sys, bratskit.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 def test_ties_get_average_rank(rng):
