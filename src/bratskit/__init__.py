@@ -32,7 +32,7 @@ from .metrics import (
 )
 from .ranking import MetricTable, RankingResult, rank_solutions
 from .postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
-from .fusion import StapleParams, StapleResult, average_fusion, staple_binary, staple_fusion
+from .fusion import StapleResult, average_fusion, staple_binary, staple_fusion
 from .synthprep import (
     CorruptionField,
     LambdaPair,

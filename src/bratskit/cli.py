@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import BratskitError, ValidationError
-from .fusion import StapleParams, average_fusion, staple_fusion
+from .fusion import average_fusion, staple_fusion
 from .metrics import (
     MatchParams,
     case_metrics_legacy,
@@ -142,8 +142,7 @@ def cmd_fuse(args):
             write_volume(fused, args.prob_out)
     else:
         labels_in = [read_volume(p, "label") for p in args.inputs]
-        fused_labels = staple_fusion(labels_in, StapleParams(max_iters=args.max_iters),
-                                     on_region=_warn_unconverged)
+        fused_labels = staple_fusion(labels_in, args.max_iters, on_region=_warn_unconverged)
         write_volume(fused_labels, args.out)
     return EXIT_OK
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -19,24 +18,6 @@ MAX_RATERS = 16
 # every estimate moves by less than _TOL in an iteration.
 _INIT_PERFORMANCE = 0.99
 _TOL = 1e-6
-
-
-class PriorKind(Enum):
-    MeanOfMasks = "mean_of_masks"
-    Fixed = "fixed"
-
-
-@dataclass(frozen=True)
-class StapleParams:
-    max_iters: int = 100
-    prior: PriorKind = PriorKind.MeanOfMasks
-    fixed_prior: Optional[float] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "max_iters", integral(self.max_iters, "max_iters", 1))
-        if self.prior is PriorKind.Fixed:
-            if self.fixed_prior is None or not 0.0 < self.fixed_prior < 1.0:
-                raise ValidationError("fixed prior must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -81,24 +62,22 @@ def average_fusion(maps: Iterable[RegionProbVolume]):
     return fused, labels
 
 
-def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StapleParams()) -> StapleResult:
+def staple_binary(masks: Sequence[BinaryMask], max_iters: int = 100) -> StapleResult:
     """EM estimation of per-rater sensitivity/specificity and the per-voxel
     posterior of the latent true mask.
 
-    With the mean-of-masks or a fixed prior, a voxel's posterior depends only
-    on its pattern of rater decisions. EM therefore runs on the counts of the
-    patterns that occur (at most 2**R), and the posterior is mapped back to
-    the voxels once at the end. The E-step works in the log domain so
+    The prior of a voxel is the share of raters that mark it, so its
+    posterior depends only on its pattern of rater decisions. EM therefore
+    runs on the counts of the patterns that occur (at most 2**R), and the
+    posterior is mapped back to the voxels once at the end. The E-step works in the log domain so
     products over many raters stay stable. Patterns are coded on the raters'
     box only: every voxel outside it has pattern 0.
     """
-    if len(masks) < 2:
-        raise ValidationError("staple_binary needs at least 2 masks")
-    if len(masks) > MAX_RATERS:
-        raise ValidationError(
-            f"staple_binary accepts at most {MAX_RATERS} masks, got {len(masks)}")
-    geometry = common_geometry(masks)
     n_raters = len(masks)
+    if not 2 <= n_raters <= MAX_RATERS:
+        raise ValidationError(f"STAPLE needs 2 to {MAX_RATERS} raters, got {n_raters}")
+    max_iters = integral(max_iters, "max_iters", 1)
+    geometry = common_geometry(masks)
     box = tumour_box(masks)
     if box is None:
         empty = BinaryMask(geometry, np.zeros(geometry.dims, dtype=bool))
@@ -115,11 +94,7 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
     counts = counts[patterns]
     d = ((patterns[:, None] >> np.arange(n_raters)) & 1).astype(bool)  # (patterns, raters)
 
-    if params.prior is PriorKind.MeanOfMasks:
-        prior = d.mean(axis=1)
-    else:
-        prior = np.full(len(patterns), params.fixed_prior)
-    prior = np.clip(prior, _EPS, 1.0 - _EPS)
+    prior = np.clip(d.mean(axis=1), _EPS, 1.0 - _EPS)
     log_prior_t = np.log(prior)
     log_prior_f = np.log1p(-prior)
 
@@ -127,7 +102,7 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
     q = np.full(n_raters, _INIT_PERFORMANCE)  # specificity
 
     converged = False
-    for iterations in range(1, params.max_iters + 1):
+    for iterations in range(1, max_iters + 1):
         # E-step: log P(T, decisions) per pattern, summed over the raters.
         log_a = log_prior_t + np.where(d, np.log(p), np.log1p(-p)).sum(axis=1)
         log_b = log_prior_f + np.where(d, np.log1p(-q), np.log(q)).sum(axis=1)
@@ -157,22 +132,21 @@ def staple_binary(masks: Sequence[BinaryMask], params: StapleParams = StaplePara
     return StapleResult(consensus, weights, perf, iterations, converged)
 
 
-def staple_fusion(labels: Sequence[LabelVolume], params: StapleParams = StapleParams(),
+def staple_fusion(labels: Sequence[LabelVolume], max_iters: int = 100,
                   on_region: Optional[Callable[[Region, StapleResult], None]] = None) -> LabelVolume:
     """Run binary STAPLE independently per region and reconstruct labels.
 
     `on_region`, when given, is called with each region and its STAPLE result.
+    The rater count and geometry are checked by the first region's
+    `staple_binary`: each extracted mask keeps its volume's geometry.
     """
-    if len(labels) < 2:
-        raise ValidationError("staple_fusion needs at least 2 label volumes")
-    common_geometry(labels)
-    consensus = {}
+    consensus = []
     for region in REGIONS:
-        result = staple_binary([extract_region(lv, region) for lv in labels], params)
+        result = staple_binary([extract_region(lv, region) for lv in labels], max_iters)
         if on_region is not None:
             on_region(region, result)
-        consensus[region] = result.consensus
+        consensus.append(result.consensus)
         # Only the consensus is kept: the full-grid weights must not outlive
         # the region while the next one runs.
         del result
-    return reconstruct_labels(consensus[REGIONS[0]], consensus[REGIONS[1]], consensus[REGIONS[2]])
+    return reconstruct_labels(*consensus)

@@ -74,20 +74,12 @@ def _build_labels(dims, lesions):
 
 
 def _shift_zero_fill(voxels, offset):
+    """`voxels` moved by `offset` voxels per axis; what moves in is 0. The
+    clamps leave both slices of an axis empty once |offset| >= its size."""
+    dst = tuple(slice(max(o, 0), max(n + min(o, 0), 0)) for o, n in zip(offset, voxels.shape))
+    src = tuple(slice(max(-o, 0), max(n - max(o, 0), 0)) for o, n in zip(offset, voxels.shape))
     out = np.zeros_like(voxels)
-    src = []
-    dst = []
-    for axis, off in enumerate(offset):
-        n = voxels.shape[axis]
-        if abs(off) >= n:
-            return out
-        if off >= 0:
-            src.append(slice(0, n - off))
-            dst.append(slice(off, n))
-        else:
-            src.append(slice(-off, n))
-            dst.append(slice(0, n + off))
-    out[tuple(dst)] = voxels[tuple(src)]
+    out[dst] = voxels[src]
     return out
 
 
@@ -107,18 +99,22 @@ def _shell(shell, what) -> tuple:
 
 
 def _checked(spec: PhantomSpec, geometry: Geometry) -> PhantomSpec:
-    """`spec` on `geometry`, each number checked by a `volume` rule whatever the kind."""
-    lesions = tuple(
-        Lesion(triple(l.center, f"lesion {i} center", real, -np.inf),
-               triple(l.radii, f"lesion {i} radii", real, 0.0),
-               tuple(_shell(shell, f"lesion {i} shell") for shell in l.shells))
-        for i, l in enumerate(spec.lesions))
-    p = spec.perturbation
-    pert = Perturbation(p.kind, triple(p.shift, "shift", integral, -np.inf),
-                        integral(p.iterations, "iterations", 1),
-                        triple(p.fp_center, "fp_center", real, -np.inf),
-                        real(p.fp_radius, "fp_radius", 0.0), _label(p.fp_label, "fp_label"),
-                        integral(p.drop_index, "drop_index", 0))
+    """`spec` on `geometry`, each number checked by a `volume` rule whatever the
+    kind; a part that is not a sequence or lacks a field is refused too."""
+    try:
+        lesions = tuple(
+            Lesion(triple(l.center, f"lesion {i} center", real, -np.inf),
+                   triple(l.radii, f"lesion {i} radii", real, 0.0),
+                   tuple(_shell(shell, f"lesion {i} shell") for shell in l.shells))
+            for i, l in enumerate(spec.lesions))
+        p = spec.perturbation
+        pert = Perturbation(p.kind, triple(p.shift, "shift", integral, -np.inf),
+                            integral(p.iterations, "iterations", 1),
+                            triple(p.fp_center, "fp_center", real, -np.inf),
+                            real(p.fp_radius, "fp_radius", 0.0), _label(p.fp_label, "fp_label"),
+                            integral(p.drop_index, "drop_index", 0))
+    except (AttributeError, TypeError) as exc:
+        raise ValidationError(f"not a phantom spec ({type(exc).__name__}: {exc})") from None
     return PhantomSpec(geometry.dims, lesions, pert, geometry.spacing)
 
 
@@ -140,7 +136,8 @@ def generate_phantom(spec: PhantomSpec):
     elif pert.kind == "erode":
         keep = ndimage.binary_erosion(
             gt_voxels > 0, structure=ndimage.generate_binary_structure(3, 1),
-            iterations=pert.iterations, border_value=0,
+            # Past max(dims) iterations nothing is left to erode.
+            iterations=min(pert.iterations, max(spec.dims)), border_value=0,
         )
         pred_voxels = np.where(keep, gt_voxels, 0).astype(np.uint8)
     elif pert.kind == "add_fp":

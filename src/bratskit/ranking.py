@@ -121,6 +121,9 @@ def load_metrics_csv(path, solution_id):
                 cases.setdefault(case)
                 modes.add(row["mode"])
                 region = row["region"]
+                if (solution_id, case, region, "DSC") in entries:
+                    raise ValidationError(f"{path} line {reader.line_num}: second row for "
+                                          f"case {case!r} region {region!r}")
                 entries[(solution_id, case, region, "DSC")] = float(row["dsc"])
                 entries[(solution_id, case, region, "HD95")] = float(row["hd95"])
         except (KeyError, TypeError, ValueError) as exc:  # a short row reads None

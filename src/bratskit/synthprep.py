@@ -12,15 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, PlacementError, ValidationError
+from .errors import DegenerateInputError, IncompatibleGeometryError, PlacementError, ValidationError
 from .volume import (BinaryMask, Geometry, LabelVolume, ScalarVolume, common_geometry, integral,
                      tumour_box)
 
 CROP_SIZE = 96
-# First training step runs with fixed weights before the linear ramp.
-FIRST_STEP_LAMBDA1 = 1.0
-FIRST_STEP_LAMBDA2 = 5.0
-FIRST_STEP_ITERATIONS = 200_000
 
 
 @dataclass(frozen=True)
@@ -136,10 +132,14 @@ def place_label(target_labels: LabelVolume, brain_mask: BinaryMask,
     """Place a candidate tumour label crop into a healthy part of the target.
 
     Crop origins are sampled uniformly; a placement is valid when every nonzero
-    candidate voxel lands on brain tissue that is still label 0. Returns the
-    updated volume and the chosen origin, or raises after max_attempts.
+    candidate voxel lands on brain tissue that is still label 0. The candidate
+    must have the target's spacing. Returns the updated volume and the chosen
+    origin, or raises after max_attempts.
     """
     target_labels.geometry.require_compatible(brain_mask.geometry)
+    if not target_labels.geometry.same_spacing(candidate.geometry):
+        raise IncompatibleGeometryError(f"candidate spacing {candidate.geometry.spacing} differs "
+                                        f"from target spacing {target_labels.geometry.spacing}")
     rng_seed = integral(rng_seed, "rng_seed", 0)
     max_attempts = integral(max_attempts, "max_attempts", 1)
     tdims = target_labels.geometry.dims

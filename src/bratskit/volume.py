@@ -65,13 +65,14 @@ class Geometry:
         nx, ny, nz = self.dims
         return nx * ny * nz
 
-    def compatible(self, other: "Geometry") -> bool:
-        if self.dims != other.dims:
-            return False
+    def same_spacing(self, other: "Geometry") -> bool:
         return all(
             abs(a - b) <= SPACING_RTOL * max(abs(a), abs(b))
             for a, b in zip(self.spacing, other.spacing)
         )
+
+    def compatible(self, other: "Geometry") -> bool:
+        return self.dims == other.dims and self.same_spacing(other)
 
     def require_compatible(self, other: "Geometry"):
         if not self.compatible(other):

@@ -13,7 +13,7 @@ import pytest
 
 import bratskit.cli
 from bratskit.cli import build_parser, main
-from bratskit.fusion import StapleParams, staple_fusion
+from bratskit.fusion import staple_fusion
 from bratskit.nifti import read_volume, write_volume
 from bratskit.phantom import (
     Lesion,
@@ -346,6 +346,17 @@ class TestFuse:
         assert "Traceback" not in err
         assert not (tmp_path / "staple.nii").exists()
 
+    def test_staple_rejects_one_input(self, tmp_path, capsys):
+        vox = np.zeros((4, 4, 4), np.uint8)
+        vox[1:3, 1:3, 1:3] = 2
+        paths = self.write_labels(tmp_path, [labels_from_array(vox)])
+        code = main(["fuse", "--method", "staple", "--inputs", *paths,
+                     "--out", str(tmp_path / "staple.nii")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: STAPLE needs 2 to 16 raters, got 1"]
+        assert not (tmp_path / "staple.nii").exists()
+
     def test_staple_warns_when_not_converged(self, tmp_path, capsys):
         rng = np.random.default_rng(7)
         vox = rng.integers(0, 4, (6, 6, 6)).astype(np.uint8)
@@ -359,7 +370,7 @@ class TestFuse:
         assert lines == [f"warning: STAPLE for {r} stopped after 1 iterations without converging"
                          for r in ("WT", "TC", "ET")]
         expected = tmp_path / "expected.nii"
-        write_volume(staple_fusion(inputs, StapleParams(max_iters=1)), expected)
+        write_volume(staple_fusion(inputs, max_iters=1), expected)
         assert out.read_bytes() == expected.read_bytes()
 
         assert main(["fuse", "--method", "staple", "--inputs", *paths,
@@ -469,6 +480,21 @@ class TestSynthCommands:
                      "--seed", "1", "--out", str(out)]) == 0
         placed = read_volume(out, "label")
         assert int((placed.voxels != 0).sum()) == 1
+
+    def test_place_refuses_candidate_of_other_spacing(self, tmp_path, capsys):
+        write_volume(labels_from_array(np.zeros((16, 16, 16))), tmp_path / "t.nii")
+        write_volume(labels_from_array(np.ones((16, 16, 16))), tmp_path / "b.nii")
+        write_volume(labels_from_array(np.full((3, 3, 3), 3), spacing=(3.0, 3.0, 3.0)),
+                     tmp_path / "c.nii")
+        out = tmp_path / "placed.nii"
+        code = main(["place", "--target", str(tmp_path / "t.nii"),
+                     "--brain-mask", str(tmp_path / "b.nii"),
+                     "--candidate", str(tmp_path / "c.nii"),
+                     "--seed", "1", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error:") and "spacing" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["corrupt", "place"])
     def test_negative_seed_config_error(self, tmp_path, capsys, command):

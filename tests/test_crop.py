@@ -8,7 +8,7 @@ order in which components are first met.
 import numpy as np
 import pytest
 
-from bratskit.fusion import PriorKind, StapleParams, staple_binary
+from bratskit.fusion import staple_binary
 from bratskit.metrics import (
     MatchParams,
     MetricPair,
@@ -105,13 +105,11 @@ class TestEmbeddedCase:
         assert big.voxels.sum() == own.voxels.sum()  # zero outside the embedding
         assert own != pred  # the spec removed something
 
-    @pytest.mark.parametrize("prior", list(PriorKind))
-    def test_staple_binary(self, case, spacing, prior):
+    def test_staple_binary(self, case, spacing):
         # Raters placed at the grid origin, inside and at the far corner of one
         # grid: the pattern counts are the same, so EM runs on the same numbers.
         gt, pred = CASES[case]()
         third = np.roll(gt, 1, axis=1)
-        params = StapleParams(prior=prior, fixed_prior=0.3 if prior is PriorKind.Fixed else None)
         results = []
         for offset in ((0, 0, 0), OFFSET, MARGIN):
             masks = [extract_region(labels_from_array(embed(v, offset), spacing), Region.WT)
@@ -119,7 +117,7 @@ class TestEmbeddedCase:
             inside = tuple(slice(o, o + n) for o, n in zip(offset, gt.shape))
             outside = np.ones(masks[0].geometry.dims, bool)
             outside[inside] = False
-            res = staple_binary(masks, params)
+            res = staple_binary(masks)
             results.append((res.weights[inside], np.unique(res.weights[outside]),
                             res.consensus.bits[inside], res.consensus.count(),
                             res.rater_performance, res.iterations_run, res.converged))

@@ -6,8 +6,6 @@ import pytest
 from bratskit.errors import IncompatibleGeometryError, ValidationError
 from bratskit.fusion import (
     MAX_RATERS,
-    PriorKind,
-    StapleParams,
     average_fusion,
     staple_binary,
     staple_fusion,
@@ -111,12 +109,10 @@ def block_mask(g, lo, hi):
     return BinaryMask(g, bits)
 
 
-def staple_and_oracle(masks, prior, fixed_prior=0.3):
+def staple_and_oracle(masks):
     """staple_binary's result and the per-voxel oracle's, under the same prior."""
-    params = StapleParams(prior=prior, fixed_prior=fixed_prior if prior is PriorKind.Fixed else None)
     d = np.stack([m.bits.ravel() for m in masks]).astype(float)
-    oracle_prior = d.mean(axis=0) if prior is PriorKind.MeanOfMasks else np.full(d.shape[1], fixed_prior)
-    return staple_binary(masks, params), staple_em_oracle(d, oracle_prior)
+    return staple_binary(masks), staple_em_oracle(d, d.mean(axis=0))
 
 
 class TestStapleBinary:
@@ -135,20 +131,24 @@ class TestStapleBinary:
         assert np.isfinite(res.weights).all()
 
     def test_max_iters_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            StapleParams(max_iters=0)
+        g = Geometry((3, 3, 3))
+        m = block_mask(g, (0, 0, 0), (1, 1, 1))
+        with pytest.raises(ValidationError, match="max_iters"):
+            staple_binary([m, m], max_iters=0)
 
     @pytest.mark.parametrize("max_iters", [2.5, float("nan"), float("inf")])
     def test_max_iters_must_be_an_integer(self, max_iters):
-        with pytest.raises(ValidationError):
-            StapleParams(max_iters=max_iters)
+        g = Geometry((3, 3, 3))
+        m = block_mask(g, (0, 0, 0), (1, 1, 1))
+        with pytest.raises(ValidationError, match="max_iters"):
+            staple_binary([m, m], max_iters=max_iters)
 
-    def test_integral_max_iters_stored_as_int(self, rng):
-        params = StapleParams(max_iters=3.0)
-        assert type(params.max_iters) is int
+    def test_integral_max_iters_accepted(self, rng):
         g = Geometry((6, 5, 4))
         masks = [BinaryMask(g, rng.random(g.dims) < 0.4) for _ in range(3)]
-        assert staple_binary(masks, params).iterations_run <= 3
+        res = staple_binary(masks, max_iters=3.0)
+        assert type(res.iterations_run) is int
+        assert res.iterations_run <= 3
 
     def test_unanimous_raters(self):
         g = Geometry((6, 6, 6))
@@ -203,26 +203,24 @@ class TestStapleBinary:
         assert np.allclose(res.weights.ravel(), w, atol=1e-6)
 
     @pytest.mark.parametrize("n_raters", [2, 3, 4, 5, 6])
-    @pytest.mark.parametrize("prior", [PriorKind.MeanOfMasks, PriorKind.Fixed])
-    def test_pattern_histogram_matches_per_voxel_oracle(self, rng, n_raters, prior):
+    def test_pattern_histogram_matches_per_voxel_oracle(self, rng, n_raters):
         g = Geometry((9, 8, 7))
         for _ in range(4):
             truth = rng.random(g.dims) < rng.uniform(0.1, 0.6)
             masks = [BinaryMask(g, truth ^ (rng.random(g.dims) < rng.uniform(0.0, 0.2)))
                      for _ in range(n_raters)]
-            res, (w, p, q, iterations) = staple_and_oracle(masks, prior)
+            res, (w, p, q, iterations) = staple_and_oracle(masks)
             assert res.iterations_run == iterations
             assert np.allclose(res.weights.ravel(), w, rtol=0, atol=1e-6)
             assert np.allclose(np.array(res.rater_performance), np.stack([p, q], axis=1),
                                rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("decisions", [(1, 1), (1, 1, 1), (1, 0), (0, 1, 1)])
-    @pytest.mark.parametrize("prior", [PriorKind.MeanOfMasks, PriorKind.Fixed])
-    def test_single_pattern_matches_oracle(self, decisions, prior):
+    def test_single_pattern_matches_oracle(self, decisions):
         # every voxel carries the same decision pattern
         g = Geometry((4, 3, 2))
         masks = [BinaryMask(g, np.full(g.dims, bool(v))) for v in decisions]
-        res, (w, _, _, iterations) = staple_and_oracle(masks, prior)
+        res, (w, _, _, iterations) = staple_and_oracle(masks)
         assert res.iterations_run == iterations
         assert np.allclose(res.weights.ravel(), w, rtol=0, atol=1e-6)
         assert np.ptp(res.weights) == 0.0
@@ -244,15 +242,7 @@ class TestStapleBinary:
         assert np.isfinite(res.weights).all()
         assert res.weights.min() >= 0.0 and res.weights.max() <= 1.0
 
-    def test_fixed_prior(self, rng):
-        g = Geometry((4, 4, 4))
-        m = block_mask(g, (1, 1, 1), (3, 3, 3))
-        params = StapleParams(prior=PriorKind.Fixed, fixed_prior=0.5)
-        res = staple_binary([m, m, m], params)
-        assert res.consensus == m
-
-    @pytest.mark.parametrize("prior", [PriorKind.MeanOfMasks, PriorKind.Fixed])
-    def test_raters_box_is_the_whole_grid(self, rng, prior):
+    def test_raters_box_is_the_whole_grid(self, rng):
         # Opposite corners are marked, so no voxel lies outside the raters' box.
         g = Geometry((9, 8, 7))
         truth = rng.random(g.dims) < 0.3
@@ -260,7 +250,7 @@ class TestStapleBinary:
         bits[0][0, 0, 0] = bits[0][-1, -1, -1] = True
         masks = [BinaryMask(g, b) for b in bits]
         assert tumour_box(masks) == tuple(slice(0, n) for n in g.dims)
-        res, (w, p, q, iterations) = staple_and_oracle(masks, prior)
+        res, (w, p, q, iterations) = staple_and_oracle(masks)
         assert res.iterations_run == iterations
         assert np.allclose(res.weights.ravel(), w, rtol=0, atol=1e-6)
         assert np.allclose(np.array(res.rater_performance), np.stack([p, q], axis=1),
@@ -280,6 +270,12 @@ class TestStapleBinary:
 
 
 class TestStapleFusion:
+    @pytest.mark.parametrize("n", [0, 1, MAX_RATERS + 1])
+    def test_refuses_rater_count_outside_2_to_16(self, n):
+        labels = [labels_from_array(np.zeros((3, 3, 3), np.uint8))] * n
+        with pytest.raises(ValidationError, match=f"STAPLE needs 2 to {MAX_RATERS} raters, got {n}"):
+            staple_fusion(labels)
+
     def test_identical_inputs(self, rng):
         vox = rng.integers(0, 4, (6, 6, 6)).astype(np.uint8)
         labels = labels_from_array(vox)

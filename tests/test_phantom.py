@@ -136,6 +136,29 @@ def test_degenerate_spec_rejected(lesion, pert):
         generate_phantom(PhantomSpec((16, 16, 16), (lesion,), pert))
 
 
+@pytest.mark.parametrize("spec", [
+    PhantomSpec((16, 16, 16), (Lesion((8, 8, 8), (3, 3, 3), shells=5),)),
+    PhantomSpec((16, 16, 16), 5),
+    PhantomSpec((16, 16, 16), [5]),
+    PhantomSpec((16, 16, 16), (Lesion((8, 8, 8), (3, 3, 3)),), perturbation=5),
+], ids=["shells-not-a-sequence", "lesions-not-a-sequence", "lesion-not-a-lesion",
+        "perturbation-not-a-perturbation"])
+def test_malformed_spec_rejected(spec):
+    with pytest.raises(ValidationError):
+        generate_phantom(spec)
+
+
+def test_erosion_past_the_grid_leaves_nothing():
+    # 6-connected erosion with a zero border empties any grid within max(dims)
+    # iterations, so a huge count gives the same empty prediction.
+    lesions = (Lesion((8, 8, 8), (6, 6, 6)),)
+    for iterations in (16, 10**30):
+        gt, pred = generate_phantom(PhantomSpec((16, 16, 16), lesions,
+                                                Perturbation("erode", iterations=iterations)))
+        assert gt.voxels.any()
+        assert not pred.voxels.any()
+
+
 # NIfTI digests (sha256, first 16 hex digits) of gt and pred, recorded before
 # generate_phantom's checks moved into the shared volume rules; the benchmark
 # corpus is built from these bytes.

@@ -219,12 +219,23 @@ def test_mixed_modes_rejected(tmp_path):
 
 
 def test_load_keeps_first_appearance_case_order(tmp_path):
-    # cases interleaved and repeated; the order is that of their first row
-    order = ["c9", "c1", "c5", "c1", "c9", "c2", "c5"]
+    # cases interleaved, each (case, region) once; the order is that of their first row
+    order = [("c9", "ET"), ("c1", "ET"), ("c5", "ET"), ("c1", "TC"), ("c9", "TC"),
+             ("c2", "ET"), ("c5", "TC"), ("c2", "TC")]
     rows = [[case, "legacy", region, "0.500000", "1.000000", "", "", ""]
-            for case in order for region in ("ET", "TC")]
+            for case, region in order]
     path = tmp_path / "m.csv"
     write_metrics_csv(path, rows)
     cases, entries, modes = load_metrics_csv(path, "s")
     assert cases == ["c9", "c1", "c5", "c2"]
     assert len(entries) == 4 * 2 * 2 and modes == {"legacy"}
+
+
+def test_second_row_for_a_case_region_rejected(tmp_path):
+    rows = [["c1", "legacy", "WT", "0.900000", "1.000000", "", "", ""],
+            ["c1", "legacy", "TC", "0.800000", "1.000000", "", "", ""],
+            ["c1", "legacy", "WT", "0.100000", "9.000000", "", "", ""]]
+    path = tmp_path / "m.csv"
+    write_metrics_csv(path, rows)
+    with pytest.raises(ValidationError, match=r"m\.csv line 4: second row for case 'c1' region 'WT'"):
+        load_metrics_csv(path, "s")

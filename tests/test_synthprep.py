@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bratskit.errors import DegenerateInputError, PlacementError, ValidationError
+from bratskit.errors import (DegenerateInputError, IncompatibleGeometryError, PlacementError,
+                             ValidationError)
 from bratskit.synthprep import (
     CROP_SIZE,
     LambdaPair,
@@ -269,6 +270,16 @@ class TestPlaceLabel:
         cand = labels_from_array(np.full((2, 2, 2), 3, np.uint8))
         with pytest.raises(ValidationError, match="max_attempts"):
             place_label(target, brain, cand, 0, max_attempts=max_attempts)
+
+    def test_candidate_spacing_must_match(self):
+        target = labels_from_array(np.zeros((8, 8, 8)))
+        brain = BinaryMask(target.geometry, np.ones((8, 8, 8), bool))
+        cand = labels_from_array(np.full((2, 2, 2), 3, np.uint8), spacing=(3.0, 3.0, 3.0))
+        with pytest.raises(IncompatibleGeometryError, match="spacing"):
+            place_label(target, brain, cand, 0)
+        # Within the shared spacing tolerance the candidate is placed.
+        close = labels_from_array(np.full((2, 2, 2), 3, np.uint8), spacing=(1.0, 1.0, 1.000001))
+        place_label(target, brain, close, 0)
 
     def test_candidate_too_big(self):
         target = labels_from_array(np.zeros((4, 4, 4)))

@@ -1,10 +1,20 @@
 """The benchmark's traced pass wraps package functions by module and name
-(`perfbench/spans.py`). Each of them must exist, or only a traced benchmark
-run would notice that one was deleted or renamed."""
+(`perfbench/spans.py`), and some of the wrappers read the result with a
+counter. Each wrapped function must exist and each counter must read a real
+result of its function, or only a traced benchmark run would notice that one
+was deleted or renamed."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from bratskit.nifti import write_volume
+from bratskit.phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
+from bratskit.postprocess import ThresholdSpec
+from bratskit.ranking import MetricTable
+from bratskit.regions import REGIONS, Region, extract_region
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -23,3 +33,66 @@ def test_every_traced_layer_is_a_package_function():
     missing = [f"bratskit.{m}.{f}" for m, f in layers
                if not callable(getattr(importlib.import_module(f"bratskit.{m}"), f, None))]
     assert missing == []
+
+
+def _phantom():
+    spec = PhantomSpec((16, 16, 16), (Lesion((5, 5, 5), (3, 3, 3)), Lesion((11, 11, 11), (2, 2, 2))),
+                       Perturbation("add_fp", fp_center=(12, 3, 12), fp_radius=1.5, fp_label=2))
+    return generate_phantom(spec)
+
+
+def _gt_file(tmp_path):
+    gt, _ = _phantom()
+    path = tmp_path / "gt.nii"
+    write_volume(gt, path)
+    return path
+
+
+def _table():
+    rng = np.random.default_rng(0)
+    solutions, cases = ["a", "b"], ["c1"]
+    entries = {(s, c, r.value, m): float(rng.random())
+               for s in solutions for c in cases for r in REGIONS for m in ("DSC", "HD95")}
+    return MetricTable(solutions, cases, entries)
+
+
+# (args, kwargs) of a small real call for each layer whose wrapper has a counter.
+COUNTER_CALLS = {
+    ("nifti", "read_volume"): lambda tmp_path: ((_gt_file(tmp_path), "label"), {}),
+    ("nifti", "write_volume"): lambda tmp_path: ((_phantom()[0], tmp_path / "out.nii"), {}),
+    ("fusion", "staple_binary"): lambda tmp_path: (
+        ([extract_region(v, Region.WT) for v in _phantom() * 2],), {}),
+    ("metrics", "case_metrics_lesionwise"): lambda tmp_path: (_phantom(), {}),
+    ("postprocess", "apply_thresholds"): lambda tmp_path: ((_phantom()[1], ThresholdSpec(wt=20)), {}),
+    ("ranking", "rank_solutions"): lambda tmp_path: ((_table(),), {}),
+}
+
+
+class WriteLog(dict):
+    """The counter dict of a traced pass, noting each key a counter writes. A
+    counter that adds to a name COUNTERS does not list fails on the read."""
+
+    def __init__(self, names):
+        super().__init__(dict.fromkeys(names, 0))
+        self.written = set()
+
+    def __setitem__(self, key, value):
+        self.written.add(key)
+        super().__setitem__(key, value)
+
+
+def test_every_counter_reads_a_real_result(tmp_path):
+    spans = load_spans()
+    counted = [(m, f, c) for m, f, c in spans.PASS_LAYERS + spans.SETUP_LAYERS if c is not None]
+    assert [(m, f) for m, f, _ in counted if (m, f) not in COUNTER_CALLS] == []
+    recorder = spans.Recorder()
+    recorder.counters = WriteLog(spans.COUNTERS)
+    for module_name, func_name, counter in counted:
+        original = getattr(importlib.import_module(f"bratskit.{module_name}"), func_name)
+        args, kwargs = COUNTER_CALLS[module_name, func_name](tmp_path)
+        recorder.wrap(f"{module_name}.{func_name}", original, counter)(*args, **kwargs)
+    assert recorder.counters.written == set(spans.COUNTERS)
+    assert all(recorder.counters[name] > 0 for name in
+               ("nifti.read_volume.bytes", "nifti.write_volume.bytes", "metrics.lesions.matched",
+                "metrics.lesions.fp", "fusion.staple_binary.iterations", "ranking.keys",
+                "postprocess.voxels_changed"))
