@@ -276,6 +276,23 @@ class TestStapleFusion:
         with pytest.raises(ValidationError, match=f"STAPLE needs 2 to {MAX_RATERS} raters, got {n}"):
             staple_fusion(labels)
 
+    @pytest.mark.parametrize("shape, spacing", [((6, 6, 7), (1.0, 1.0, 1.0)),
+                                                ((6, 6, 6), (1.0, 1.0, 3.0))],
+                             ids=["dims", "spacing"])
+    def test_refuses_mismatched_geometry(self, rng, shape, spacing):
+        # The geometry check lives in staple_binary; each extracted region
+        # keeps its volume's geometry, so the mismatch still surfaces here.
+        vox = rng.integers(0, 4, (6, 6, 6)).astype(np.uint8)
+        other = labels_from_array(rng.integers(0, 4, shape).astype(np.uint8), spacing)
+        with pytest.raises(IncompatibleGeometryError):
+            staple_fusion([labels_from_array(vox), labels_from_array(vox), other])
+
+    @pytest.mark.parametrize("max_iters", [0, 2.5])
+    def test_max_iters_checked_when_every_region_is_empty(self, max_iters):
+        labels = [labels_from_array(np.zeros((3, 3, 3), np.uint8))] * 2
+        with pytest.raises(ValidationError, match="max_iters"):
+            staple_fusion(labels, max_iters=max_iters)
+
     def test_identical_inputs(self, rng):
         vox = rng.integers(0, 4, (6, 6, 6)).astype(np.uint8)
         labels = labels_from_array(vox)
