@@ -22,7 +22,6 @@ from .metrics import (
     CaseMetrics,
     LesionMatchReport,
     MatchParams,
-    MetricMode,
     MetricPair,
     case_metrics_legacy,
     case_metrics_lesionwise,

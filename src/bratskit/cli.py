@@ -40,10 +40,6 @@ EXIT_PARTIAL = 1
 EXIT_CONFIG = 2
 
 
-def _connectivity(name):
-    return Connectivity.Face6 if name == "6" else Connectivity.Full26
-
-
 def _case_stems(directory):
     return {p.stem: p for p in sorted(Path(directory).iterdir()) if p.is_file()}
 
@@ -74,7 +70,7 @@ def cmd_evaluate(args):
     pred_files = _case_stems(pred_dir)
     paired = sorted(set(gt_files) & set(pred_files))
     unpaired = sorted(set(gt_files) ^ set(pred_files))
-    params = MatchParams(args.dilation_iterations, _connectivity(args.connectivity))
+    params = MatchParams(args.dilation_iterations, Connectivity(int(args.connectivity)))
     jobs = [(cid, gt_files[cid], pred_files[cid]) for cid in paired]
 
     # A pool starts all its processes at its first submit: no more than there are jobs.
@@ -151,7 +147,7 @@ def cmd_postprocess(args):
     pred = read_volume(args.input, "label")
     spec = ThresholdSpec(args.wt, args.tc, args.et,
                          ThresholdScope(args.scope))
-    out = apply_thresholds(pred, spec, _connectivity(args.connectivity))
+    out = apply_thresholds(pred, spec, Connectivity(int(args.connectivity)))
     if args.legacy_et_threshold is not None:
         legacy = ThresholdSpec(et=args.legacy_et_threshold, scope=ThresholdScope.WholeRegion)
         out = apply_thresholds(out, legacy)

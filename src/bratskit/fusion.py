@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .regions import REGIONS, Region, extract_region, reconstruct_labels
-from .volume import BinaryMask, LabelVolume, RegionProbVolume, common_geometry, integral, tumour_box
+from .volume import BinaryMask, LabelVolume, RegionProbVolume, integral, tumour_box
 
 _EPS = 1e-7
 # staple_binary counts decision patterns in a histogram of 2**R bins.
@@ -77,8 +77,8 @@ def staple_binary(masks: Sequence[BinaryMask], max_iters: int = 100) -> StapleRe
     if not 2 <= n_raters <= MAX_RATERS:
         raise ValidationError(f"STAPLE needs 2 to {MAX_RATERS} raters, got {n_raters}")
     max_iters = integral(max_iters, "max_iters", 1)
-    geometry = common_geometry(masks)
-    box = tumour_box(masks)
+    geometry = masks[0].geometry
+    box = tumour_box(masks)  # refuses a mask on another grid
     if box is None:
         empty = BinaryMask(geometry, np.zeros(geometry.dims, dtype=bool))
         perf = [(1.0, 1.0)] * n_raters

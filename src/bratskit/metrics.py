@@ -8,8 +8,7 @@ lesion-wise mode.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -22,11 +21,6 @@ from .volume import BinaryMask, LabelVolume, boxed_mask, crop, hull, integral, t
 HD95_PENALTY = 374.0
 
 
-class MetricMode(Enum):
-    Legacy = "legacy"
-    LesionWise = "lesionwise"
-
-
 @dataclass(frozen=True)
 class MetricPair:
     dsc: float
@@ -37,7 +31,7 @@ class MetricPair:
 class CaseMetrics:
     case_id: str
     per_region: dict[Region, MetricPair]
-    mode: MetricMode
+    mode: str  # "legacy" or "lesionwise", as in the CSV mode column
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,6 @@ def _cropped(gt, pred, pad):
     lies in the box, and restricting the x-fastest order to a box keeps the
     order in which components are first met, so every metric and lesion id is
     that of the whole grid."""
-    gt.geometry.require_compatible(pred.geometry)
     box = tumour_box((gt, pred), pad)
     return crop(gt, box), crop(pred, box)
 
@@ -140,7 +133,7 @@ def case_metrics_legacy(gt: LabelVolume, pred: LabelVolume, case_id: str = "") -
     masks = {region: (extract_region(gt, region), extract_region(pred, region))
              for region in REGIONS}
     per_region = {region: MetricPair(dice(*pair), hd95(*pair)) for region, pair in masks.items()}
-    return CaseMetrics(case_id, per_region, MetricMode.Legacy)
+    return CaseMetrics(case_id, per_region, "legacy")
 
 
 def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
@@ -226,7 +219,7 @@ def case_metrics_lesionwise(gt: LabelVolume, pred: LabelVolume,
         )
         per_region[region] = pair
         reports[region] = report
-    return CaseMetrics(case_id, per_region, MetricMode.LesionWise), reports
+    return CaseMetrics(case_id, per_region, "lesionwise"), reports
 
 
 CSV_COLUMNS = ["case_id", "mode", "region", "dsc", "hd95", "n_matched", "n_fp", "n_fn"]
@@ -243,7 +236,7 @@ def metrics_rows(case: CaseMetrics, reports=None):
                       str(len(rep.false_negatives)))
         else:
             counts = ("", "", "")
-        rows.append([case.case_id, case.mode.value, region.value,
+        rows.append([case.case_id, case.mode, region.value,
                      f"{pair.dsc:.6f}", f"{pair.hd95:.6f}", *counts])
     return rows
 

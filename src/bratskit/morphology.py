@@ -8,8 +8,7 @@ from enum import Enum
 import numpy as np
 from scipy import ndimage
 
-from .errors import ValidationError
-from .volume import BinaryMask, Geometry
+from .volume import BinaryMask, Geometry, integral
 
 
 # Built once and shared by every call, so read-only.
@@ -56,9 +55,10 @@ def surface_voxels(mask: BinaryMask) -> BinaryMask:
 
 
 def dilate(mask: BinaryMask, iterations: int, conn: Connectivity = Connectivity.Full26) -> BinaryMask:
-    """Union of the mask with all voxels within `iterations` adjacency steps."""
-    if iterations < 0:
-        raise ValidationError("iterations must be >= 0")
+    """Union of the mask with all voxels within `iterations` adjacency steps.
+    A non-empty mask fills its grid within sum(dims) - 3 steps, so a larger
+    count is cut to sum(dims) and gives the same mask."""
+    iterations = min(integral(iterations, "iterations", 0), sum(mask.geometry.dims))
     if iterations == 0 or not mask.bits.any():
         return mask
     grown = ndimage.binary_dilation(mask.bits, structure=conn.structure, iterations=iterations)

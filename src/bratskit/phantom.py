@@ -8,7 +8,7 @@ code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -98,10 +98,11 @@ def _shell(shell, what) -> tuple:
     return _label(label, f"{what} label"), real(scale, f"{what} scale", 0.0)
 
 
-def _checked(spec: PhantomSpec, geometry: Geometry) -> PhantomSpec:
-    """`spec` on `geometry`, each number checked by a `volume` rule whatever the
-    kind; a part that is not a sequence or lacks a field is refused too."""
+def _checked(spec: PhantomSpec):
+    """(geometry, spec) with each number checked by a `volume` rule whatever
+    the kind; a spec or part that is not a sequence or lacks a field is refused too."""
     try:
+        geometry = Geometry(spec.dims, spec.spacing)
         lesions = tuple(
             Lesion(triple(l.center, f"lesion {i} center", real, -np.inf),
                    triple(l.radii, f"lesion {i} radii", real, 0.0),
@@ -115,13 +116,12 @@ def _checked(spec: PhantomSpec, geometry: Geometry) -> PhantomSpec:
                             integral(p.drop_index, "drop_index", 0))
     except (AttributeError, TypeError) as exc:
         raise ValidationError(f"not a phantom spec ({type(exc).__name__}: {exc})") from None
-    return PhantomSpec(geometry.dims, lesions, pert, geometry.spacing)
+    return geometry, PhantomSpec(geometry.dims, lesions, pert, geometry.spacing)
 
 
 def generate_phantom(spec: PhantomSpec):
     """Return (gt, pred) label volumes; pred is gt under the perturbation."""
-    geometry = Geometry(spec.dims, spec.spacing)
-    spec = _checked(spec, geometry)
+    geometry, spec = _checked(spec)
     pert = spec.perturbation
     for i, lesion in enumerate(spec.lesions):
         for c, r, n in zip(lesion.center, lesion.radii, spec.dims):

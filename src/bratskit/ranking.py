@@ -61,22 +61,12 @@ def _is_dsc(table: MetricTable) -> np.ndarray:
 def _average_ranks(keyed: np.ndarray) -> np.ndarray:
     """The 1-based rank of each entry within its row, ties sharing the mean of
     their positions: scipy.stats.rankdata(keyed, method="average", axis=1)
-    without importing scipy.stats. The ranks are integers and halves, so exact."""
-    n_rows, p = keyed.shape
-    order = np.argsort(keyed, axis=1, kind="stable")
-    ordered = np.take_along_axis(keyed, order, axis=1).ravel()
-    # A tie group starts at each new value and at the start of every row.
-    starts = np.ones(ordered.size, bool)
-    starts[1:] = ordered[1:] != ordered[:-1]
-    starts[::p] = True
-    bounds = np.append(np.flatnonzero(starts), ordered.size)
-    group = np.cumsum(starts) - 1
-    # A group over flat positions [s, e) holds the 1-based positions s+1..e,
-    # less the flat position of its row's start.
-    row_start = np.repeat(np.arange(n_rows) * p, p)
-    mean_pos = 0.5 * (bounds[group] + bounds[group + 1] + 1) - row_start
+    without importing scipy.stats. In a sorted row the ties of x fill the
+    positions after the entries below x, up to the entries not above x. The
+    ranks are integers and halves, so exact."""
     ranks = np.empty(keyed.shape)
-    np.put_along_axis(ranks, order, mean_pos.reshape(keyed.shape), axis=1)
+    for row, ordered, out in zip(keyed, np.sort(keyed, axis=1), ranks):
+        out[:] = (ordered.searchsorted(row, "left") + ordered.searchsorted(row, "right") + 1) / 2
     return ranks
 
 

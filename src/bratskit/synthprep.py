@@ -172,17 +172,18 @@ def generator_loss(d_scores, recon: ScalarVolume, target: ScalarVolume,
                    lambdas: LambdaPair) -> float:
     """Adversarial term plus weighted mean absolute reconstruction error."""
     recon.geometry.require_compatible(target.geometry)
-    d_scores = np.asarray(d_scores, dtype=np.float64)
-    if d_scores.size == 0 or (d_scores <= 0).any():
-        raise ValidationError("discriminator scores must be nonempty and > 0")
     mae = float(np.abs(target.voxels.astype(np.float64) - recon.voxels).mean())
-    return float(-lambdas.lambda1 * np.log(d_scores).mean() + lambdas.lambda2 * mae)
+    return float(-lambdas.lambda1 * _mean_log(d_scores) + lambdas.lambda2 * mae)
 
 
 def discriminator_loss(d_fake, d_real) -> float:
-    d_fake = np.asarray(d_fake, dtype=np.float64)
-    d_real = np.asarray(d_real, dtype=np.float64)
-    for arr in (d_fake, d_real):
-        if arr.size == 0 or (arr <= 0).any():
-            raise ValidationError("discriminator scores must be nonempty and > 0")
-    return float(np.log(d_fake).mean() - np.log(d_real).mean())
+    return _mean_log(d_fake) - _mean_log(d_real)
+
+
+def _mean_log(scores) -> float:
+    """Mean log of discriminator scores, which must be nonempty, finite and > 0."""
+    scores = np.asarray(scores, dtype=np.float64)
+    # Written so that NaN, which fails every comparison, is refused too.
+    if not (scores.size and ((0 < scores) & (scores < np.inf)).all()):
+        raise ValidationError("discriminator scores must be nonempty, finite and > 0")
+    return float(np.log(scores).mean())

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import IncompatibleGeometryError, ValidationError
 
 SPACING_RTOL = 1e-5
+# NIfTI-1 stores each dim in an int16, and every volume is read from or written to NIfTI-1.
+MAX_DIM = 32767
 
 
 def _as_float(value) -> float:
@@ -58,6 +60,8 @@ class Geometry:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", triple(self.dims, "dims", integral, 1))
+        if max(self.dims) > MAX_DIM:
+            raise ValidationError(f"dims must be at most {MAX_DIM} (NIfTI-1), got {self.dims}")
         object.__setattr__(self, "spacing", triple(self.spacing, "spacing", real, 0.0))
 
     @property
@@ -193,7 +197,8 @@ def hull(boxes, pad, dims):
 def tumour_box(volumes, pad=0):
     """Box of the nonzero voxels of every volume, grown by `pad` voxels and
     clipped to the grid; None when every volume is empty. The volumes are
-    label volumes or masks on one grid."""
+    label volumes or masks on one grid; IncompatibleGeometryError if not."""
+    geometry = common_geometry(volumes)
     nonzero = volumes[0].payload != 0
     for v in volumes[1:]:
         nonzero |= v.payload != 0
@@ -204,7 +209,7 @@ def tumour_box(volumes, pad=0):
         at = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(3) if a != axis)))
         return slice(int(at[0]), int(at[-1]) + 1)
 
-    return hull([tuple(span(axis) for axis in range(3))], pad, volumes[0].geometry.dims)
+    return hull([tuple(span(axis) for axis in range(3))], pad, geometry.dims)
 
 
 def boxed_mask(bits, spacing) -> BinaryMask:

@@ -122,6 +122,22 @@ class TestEvaluate:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    def test_huge_dilation_count_scores_as_the_grid_fill(self, tmp_path):
+        # On a 16^3 grid, 48 steps already fill the grid from any lesion.
+        gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+        lesions = (Lesion((5, 5, 5), (2, 2, 2)), Lesion((11, 11, 11), (2, 2, 2)))
+        pair = generate_phantom(PhantomSpec((16, 16, 16), lesions, Perturbation("shift", (1, 0, 0))))
+        for directory, volume in zip((gt_dir, pred_dir), pair):
+            directory.mkdir()
+            write_volume(volume, directory / "case.nii")
+        outputs = []
+        for count in ("48", "100000000000000000000"):
+            out = tmp_path / f"m{len(outputs)}.csv"
+            assert main(["evaluate", "--gt-dir", str(gt_dir), "--pred-dir", str(pred_dir),
+                         "--out", str(out), "--dilation-iterations", count]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_pool_is_no_larger_than_the_job_list(self, tmp_path, monkeypatch):
         # A real pool starts all its processes at the first submit; this one
         # records its size and maps in this process.
@@ -588,13 +604,16 @@ class TestSynthCommands:
         ' "shells": [[256, 1.0]]}]}',
         '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3],'
         ' "shells": [[2]]}]}',
+        '{"dims": [40000, 4, 4], "lesions": [{"center": [8, 2, 2], "radii": [1, 1, 1]}]}',
+        '{"dims": [1000000000000, 4, 4], "lesions": [{"center": [8, 2, 2], "radii": [1, 1, 1]}]}',
     ], ids=["no-lesions", "not-json", "no-radii", "not-object", "zero-radius",
             "negative-radius", "nan-radius", "zero-shell-scale", "erode-0-iterations",
             "zero-fp-radius", "string-radius", "string-center", "string-dim",
             "fractional-dim", "short-center", "string-spacing", "string-shell-scale",
             "fractional-shift", "string-iterations", "bool-fp-center",
             "fractional-fp-label", "infinite-drop-index", "huge-center",
-            "perturbation-not-object", "shell-label-256", "one-entry-shell"])
+            "perturbation-not-object", "shell-label-256", "one-entry-shell",
+            "dim-past-nifti-limit", "dim-past-memory"])
     def test_malformed_phantom_spec_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)

@@ -8,6 +8,7 @@ order in which components are first met.
 import numpy as np
 import pytest
 
+from bratskit.errors import IncompatibleGeometryError
 from bratskit.fusion import staple_binary
 from bratskit.metrics import (
     MatchParams,
@@ -203,6 +204,13 @@ class TestTumourBox:
         nz = np.nonzero(a.bits | (vox != 0))
         expected = tuple(slice(int(i.min()), int(i.max()) + 1) for i in nz) if nz[0].size else None
         assert tumour_box((a, labels_from_array(vox))) == expected
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["larger-first", "smaller-first"])
+    def test_refuses_volumes_on_two_grids(self, order):
+        # numpy would broadcast the (1, 5, 5) grid over the (4, 5, 5) one.
+        volumes = (self.mask((4, 5, 5), (1, 2, 3)), self.mask((1, 5, 5), (0, 1, 1)))
+        with pytest.raises(IncompatibleGeometryError):
+            tumour_box(volumes[::order])
 
     def test_bounds_are_python_ints(self):
         box = tumour_box((self.mask((4, 5, 6), (1, 2, 3)),), pad=1)

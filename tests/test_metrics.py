@@ -7,7 +7,6 @@ from bratskit import metrics
 from bratskit.metrics import (
     HD95_PENALTY,
     MatchParams,
-    MetricMode,
     _directed_p95,
     case_metrics_legacy,
     case_metrics_lesionwise,
@@ -450,7 +449,7 @@ def test_metrics_rows_schema():
     case, reports = case_metrics_lesionwise(labels_from_array(vox), labels_from_array(vox))
     rows = metrics_rows(case, reports)
     assert [r[2] for r in rows] == ["ET", "TC", "WT"]
-    assert all(r[1] == MetricMode.LesionWise.value for r in rows)
+    assert all(r[1] == "lesionwise" for r in rows)
     assert rows[0][3] == "1.000000" and rows[0][4] == "0.000000"
 
 

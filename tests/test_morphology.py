@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from bratskit.morphology import (
     Connectivity,
@@ -124,3 +125,21 @@ class TestDilate:
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValidationError):
             dilate(mask_from_coords((3, 3, 3), [(1, 1, 1)]), -1)
+
+    @pytest.mark.parametrize("bad", [2.5, True, np.nan, "2"])
+    def test_non_integral_iterations_rejected(self, bad):
+        with pytest.raises(ValidationError, match="iterations"):
+            dilate(mask_from_coords((3, 3, 3), [(1, 1, 1)]), bad)
+
+    @pytest.mark.parametrize("conn", list(Connectivity))
+    def test_any_count_equals_scipy(self, rng, conn):
+        # A non-empty mask fills its grid within sum(dims) - 3 steps, so a
+        # count past that, however large, gives the full grid as scipy would.
+        # scipy cannot take 10**20; 64 steps exceed every sum(dims) here.
+        for _ in range(10):
+            dims = tuple(int(n) for n in rng.integers(1, 6, 3))
+            mask = random_mask(rng, dims, rng.uniform(0.0, 0.1))
+            for n in [*range(sum(dims) + 2), 10**20]:
+                expected = (ndimage.binary_dilation(mask.bits, conn.structure, min(n, 64))
+                            if n and mask.any() else mask.bits)
+                assert np.array_equal(dilate(mask, n, conn).bits, expected)

@@ -141,8 +141,10 @@ def test_degenerate_spec_rejected(lesion, pert):
     PhantomSpec((16, 16, 16), 5),
     PhantomSpec((16, 16, 16), [5]),
     PhantomSpec((16, 16, 16), (Lesion((8, 8, 8), (3, 3, 3)),), perturbation=5),
+    5,
+    PhantomSpec((10**12, 4, 4), (Lesion((8, 2, 2), (1, 1, 1)),)),
 ], ids=["shells-not-a-sequence", "lesions-not-a-sequence", "lesion-not-a-lesion",
-        "perturbation-not-a-perturbation"])
+        "perturbation-not-a-perturbation", "spec-not-a-spec", "dim-past-nifti-limit"])
 def test_malformed_spec_rejected(spec):
     with pytest.raises(ValidationError):
         generate_phantom(spec)

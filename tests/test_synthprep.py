@@ -338,6 +338,19 @@ class TestLosses:
         with pytest.raises(ValidationError):
             generator_loss([0.0], target, target, LambdaPair(1.0, 1.0))
 
+    @pytest.mark.parametrize("bad", [[], [np.nan], [np.inf], [0.5, -0.1]])
+    def test_generator_refuses_bad_scores(self, bad):
+        target = self.vol([0.0])
+        with pytest.raises(ValidationError, match="discriminator scores"):
+            generator_loss(bad, target, target, LambdaPair(1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [[], [np.nan], [np.inf], [0.5, 0.0]])
+    @pytest.mark.parametrize("side", ["fake", "real"])
+    def test_discriminator_refuses_bad_scores(self, bad, side):
+        scores = {"fake": [0.5], "real": [0.5], side: bad}
+        with pytest.raises(ValidationError, match="discriminator scores"):
+            discriminator_loss(scores["fake"], scores["real"])
+
     def test_discriminator_balanced(self):
         assert discriminator_loss([0.4, 0.6], [0.4, 0.6]) == pytest.approx(0.0)
 

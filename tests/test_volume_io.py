@@ -20,6 +20,7 @@ from bratskit.nifti import read_volume, write_volume
 from bratskit.regions import reconstruct_labels
 from bratskit.synthprep import CROP_SIZE, CorruptionField, corrupt_crop
 from bratskit.volume import (
+    MAX_DIM,
     BinaryMask,
     Geometry,
     LabelVolume,
@@ -64,6 +65,20 @@ class TestGeometry:
     def test_rejects_fractional_dim(self, bad):
         with pytest.raises(ValidationError, match="dims"):
             Geometry((16, bad, 16))
+
+    def test_dims_within_the_nifti_limit(self):
+        assert Geometry((MAX_DIM, 1, MAX_DIM)).dims == (MAX_DIM, 1, MAX_DIM)
+        for dims in [(MAX_DIM + 1, 1, 1), (1, 40000, 1), (1, 1, 10**12)]:
+            with pytest.raises(ValidationError, match=str(MAX_DIM)):
+                Geometry(dims)
+
+    def test_volume_past_the_nifti_limit_writes_nothing(self, tmp_path):
+        # A dim past the int16 header field cannot be written, so no such volume is built.
+        path = tmp_path / "big.nii"
+        with pytest.raises(ValidationError):
+            write_volume(LabelVolume(Geometry((40000, 4, 4)), np.zeros((40000, 4, 4), np.uint8)),
+                         path)
+        assert not path.exists()
 
     def test_accepts_integral_dims_of_any_type(self):
         dims = Geometry((16.0, np.int64(16), np.float32(16))).dims
