@@ -27,7 +27,6 @@ from .metrics import (
     metrics_rows,
     write_metrics_csv,
 )
-from .morphology import Connectivity
 from .nifti import read_volume, write_volume
 from .phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
 from .postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
@@ -70,7 +69,7 @@ def cmd_evaluate(args):
     pred_files = _case_stems(pred_dir)
     paired = sorted(set(gt_files) & set(pred_files))
     unpaired = sorted(set(gt_files) ^ set(pred_files))
-    params = MatchParams(args.dilation_iterations, Connectivity(int(args.connectivity)))
+    params = MatchParams(args.dilation_iterations, int(args.connectivity))
     jobs = [(cid, gt_files[cid], pred_files[cid]) for cid in paired]
 
     # A pool starts all its processes at its first submit: no more than there are jobs.
@@ -145,9 +144,8 @@ def cmd_fuse(args):
 
 def cmd_postprocess(args):
     pred = read_volume(args.input, "label")
-    spec = ThresholdSpec(args.wt, args.tc, args.et,
-                         ThresholdScope(args.scope))
-    out = apply_thresholds(pred, spec, Connectivity(int(args.connectivity)))
+    spec = ThresholdSpec(args.wt, args.tc, args.et, args.scope)
+    out = apply_thresholds(pred, spec, int(args.connectivity))
     if args.legacy_et_threshold is not None:
         legacy = ThresholdSpec(et=args.legacy_et_threshold, scope=ThresholdScope.WholeRegion)
         out = apply_thresholds(out, legacy)

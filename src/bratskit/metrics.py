@@ -16,7 +16,7 @@ from scipy.spatial import cKDTree
 
 from .morphology import Connectivity, connected_components, dilate, surface_voxels
 from .regions import REGIONS, Region, extract_region
-from .volume import BinaryMask, LabelVolume, boxed_mask, crop, hull, integral, tumour_box
+from .volume import BinaryMask, LabelVolume, boxed_mask, crop, hull, integral, member, tumour_box
 
 HD95_PENALTY = 374.0
 
@@ -44,6 +44,8 @@ class MatchParams:
     def __post_init__(self):
         for name in ("dilation_iterations", "min_gt_lesion_size"):
             object.__setattr__(self, name, integral(getattr(self, name), name, 0))
+        object.__setattr__(self, "connectivity",
+                           member(Connectivity, self.connectivity, "connectivity"))
 
 
 @dataclass(frozen=True)
@@ -98,10 +100,10 @@ def _directed_p95(src, dst, spacing):
 
 
 def hd95(a: BinaryMask, b: BinaryMask) -> float:
-    # Work in the joint box. It holds every true voxel and the erosion treats
-    # off-grid voxels as false, so the surfaces and their distances are those
-    # of the full grid.
-    a, b = _cropped(a, b, 0)
+    # Callers may pass whole grids, so work in the joint box. It holds every true
+    # voxel and the erosion treats off-grid voxels as false, so the surfaces and
+    # their distances are those of the full grid.
+    a, b = _cropped(a, b)
     na = a.bits.any()
     nb = b.bits.any()
     if not na and not nb:
@@ -119,20 +121,26 @@ def _surface_hd95(a: BinaryMask, b: BinaryMask) -> float:
     return max(_directed_p95(sa, sb, spacing), _directed_p95(sb, sa, spacing))
 
 
-def _cropped(gt, pred, pad):
-    """gt and pred cut to their joint tumour box grown by `pad`. Every lesion
-    lies in the box, and restricting the x-fastest order to a box keeps the
-    order in which components are first met, so every metric and lesion id is
-    that of the whole grid."""
-    box = tumour_box((gt, pred), pad)
+def _cropped(gt, pred):
+    """gt and pred cut to their joint tumour box. Every lesion lies in the box, and
+    restricting the x-fastest order to a box keeps the order in which components
+    are first met, so every metric and lesion id is that of the whole grid."""
+    box = tumour_box((gt, pred))
     return crop(gt, box), crop(pred, box)
 
 
+def _region_masks(gt: LabelVolume, pred: LabelVolume):
+    """(region, gt mask, pred mask) per region, each pair cut to its own box with
+    no pad: clamped into a box, a path of adjacency steps is still one, so the
+    dilation on a box that holds both masks is the whole-grid dilation cut to it."""
+    gt, pred = _cropped(gt, pred)
+    for region in REGIONS:
+        yield (region, *_cropped(extract_region(gt, region), extract_region(pred, region)))
+
+
 def case_metrics_legacy(gt: LabelVolume, pred: LabelVolume, case_id: str = "") -> CaseMetrics:
-    gt, pred = _cropped(gt, pred, 0)
-    masks = {region: (extract_region(gt, region), extract_region(pred, region))
-             for region in REGIONS}
-    per_region = {region: MetricPair(dice(*pair), hd95(*pair)) for region, pair in masks.items()}
+    per_region = {region: MetricPair(dice(a, b), hd95(a, b))
+                  for region, a, b in _region_masks(gt, pred)}
     return CaseMetrics(case_id, per_region, "legacy")
 
 
@@ -208,17 +216,11 @@ def case_metrics_lesionwise(gt: LabelVolume, pred: LabelVolume,
                             case_id: str = ""):
     """Lesion-wise metrics: per matched gt lesion a MetricPair against the
     union of its predictions; each FP/FN contributes (0, 374); region score is
-    the arithmetic mean over all contributions. The case is cut to its tumour
-    box grown by the dilation, which then runs as on the whole grid."""
-    gt, pred = _cropped(gt, pred, params.dilation_iterations)
-    per_region = {}
-    reports = {}
-    for region in REGIONS:
-        pair, report = _lesionwise_region(
-            extract_region(gt, region), extract_region(pred, region), params
-        )
-        per_region[region] = pair
-        reports[region] = report
+    the arithmetic mean over all contributions. Each region pair is scored on
+    its own box (`_region_masks`)."""
+    per_region, reports = {}, {}
+    for region, gt_mask, pred_mask in _region_masks(gt, pred):
+        per_region[region], reports[region] = _lesionwise_region(gt_mask, pred_mask, params)
     return CaseMetrics(case_id, per_region, "lesionwise"), reports
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 
 from .morphology import Connectivity, connected_components
 from .regions import REGIONS, Region, extract_region, reconstruct_labels
-from .volume import BinaryMask, LabelVolume, crop, integral, tumour_box
+from .volume import BinaryMask, LabelVolume, crop, integral, member, tumour_box
 
 
 class ThresholdScope(Enum):
@@ -34,6 +34,7 @@ class ThresholdSpec:
     def __post_init__(self):
         for name in ("wt", "tc", "et"):
             object.__setattr__(self, name, integral(getattr(self, name), name, 0))
+        object.__setattr__(self, "scope", member(ThresholdScope, self.scope, "scope"))
 
     def threshold(self, region: Region) -> int:
         return {Region.WT: self.wt, Region.TC: self.tc, Region.ET: self.et}[region]
@@ -44,6 +45,7 @@ def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
     """Remove sub-threshold lesions per region (strict `< threshold`).
 
     Every lesion lies in the tumour box, so the thresholds run on the box."""
+    conn = member(Connectivity, conn, "connectivity")
     box = tumour_box((pred,))
     if box is None:  # no lesion to remove
         return pred

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, IncompatibleGeometryError, PlacementError, ValidationError
 from .volume import (BinaryMask, Geometry, LabelVolume, ScalarVolume, common_geometry, integral,
-                     tumour_box)
+                     real, tumour_box)
 
 CROP_SIZE = 96
 
@@ -58,7 +58,7 @@ def tumour_geometry(labels: LabelVolume) -> TumourGeometry:
 
 def decay_exponent(max_size: int) -> float:
     """Affine decay exponent in the tumour size; equals 1.1 at size 96."""
-    if not 1 <= max_size <= CROP_SIZE:
+    if integral(max_size, "max_size", 1) > CROP_SIZE:
         raise ValidationError(f"max_size must be in [1, {CROP_SIZE}], got {max_size}")
     slope = -0.2 / 68.0
     return slope * max_size + 1.1 - CROP_SIZE * slope
@@ -67,7 +67,8 @@ def decay_exponent(max_size: int) -> float:
 def replacement_probability(distance, exponent: float):
     """Probability of replacing a voxel at the given distance from the centre;
     `distance` is a number or an array, and the result has its shape."""
-    if not exponent >= 1.0:  # NaN fails it too
+    exponent = real(exponent, "exponent", 0.0)
+    if exponent < 1.0:
         raise ValidationError(f"exponent must be >= 1, got {exponent}")
     # numpy's array and scalar powers can differ in the last bit, so a number
     # is raised as a one-element array and gets the value the field holds.
@@ -162,7 +163,7 @@ def place_label(target_labels: LabelVolume, brain_mask: BinaryMask,
 def lambda_schedule(epoch: int) -> LambdaPair:
     """Second-training-step loss weights: the reconstruction weight ramps
     linearly from 1 to 100 over 1000 epochs, with lambda1 = 1 / lambda2."""
-    if not 0 <= epoch <= 1000:
+    if integral(epoch, "epoch", 0) > 1000:
         raise ValidationError(f"epoch must be in [0, 1000], got {epoch}")
     lambda2 = (100.0 - 1.0) / 1000.0 * epoch + 1.0
     return LambdaPair(1.0 / lambda2, lambda2)
@@ -181,9 +182,13 @@ def discriminator_loss(d_fake, d_real) -> float:
 
 
 def _mean_log(scores) -> float:
-    """Mean log of discriminator scores, which must be nonempty, finite and > 0."""
-    scores = np.asarray(scores, dtype=np.float64)
+    """Mean log of discriminator scores: a nonempty numeric array, finite and > 0."""
+    try:
+        scores = np.asarray(scores)
+    except ValueError:  # a ragged list
+        scores = np.asarray(None)
     # Written so that NaN, which fails every comparison, is refused too.
-    if not (scores.size and ((0 < scores) & (scores < np.inf)).all()):
+    numeric = scores.dtype.kind in "iuf" and scores.size
+    if not (numeric and ((0 < scores) & (scores < np.inf)).all()):
         raise ValidationError("discriminator scores must be nonempty, finite and > 0")
-    return float(np.log(scores).mean())
+    return float(np.log(scores.astype(np.float64)).mean())

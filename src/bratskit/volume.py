@@ -44,6 +44,15 @@ def real(value, what, lower) -> float:
     return number
 
 
+def member(kind, value, what):
+    """The member of the enum `kind` that `value` is, or whose value it is."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        allowed = ", ".join(repr(m.value) for m in kind)
+        raise ValidationError(f"{what} must be one of {allowed}, got {value!r}") from None
+
+
 def triple(values, what, rule, bound) -> tuple:
     """`rule(v, what, bound)` of each entry of a 3-entry sequence that is not a string."""
     if isinstance(values, str) or not hasattr(values, "__len__") or len(values) != 3:
@@ -194,11 +203,11 @@ def hull(boxes, pad, dims):
                  for i, n in enumerate(dims))
 
 
-def tumour_box(volumes, pad=0):
-    """Box of the nonzero voxels of every volume, grown by `pad` voxels and
-    clipped to the grid; None when every volume is empty. The volumes are
-    label volumes or masks on one grid; IncompatibleGeometryError if not."""
-    geometry = common_geometry(volumes)
+def tumour_box(volumes):
+    """Box of the nonzero voxels of every volume; None when every volume is
+    empty. The volumes are label volumes or masks on one grid;
+    IncompatibleGeometryError if not."""
+    common_geometry(volumes)
     nonzero = volumes[0].payload != 0
     for v in volumes[1:]:
         nonzero |= v.payload != 0
@@ -209,7 +218,7 @@ def tumour_box(volumes, pad=0):
         at = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(3) if a != axis)))
         return slice(int(at[0]), int(at[-1]) + 1)
 
-    return hull([tuple(span(axis) for axis in range(3))], pad, geometry.dims)
+    return tuple(span(axis) for axis in range(3))
 
 
 def boxed_mask(bits, spacing) -> BinaryMask:

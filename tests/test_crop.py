@@ -16,13 +16,14 @@ from bratskit.metrics import (
     case_metrics_legacy,
     case_metrics_lesionwise,
 )
-from bratskit.morphology import Connectivity
+from bratskit.morphology import Connectivity, dilate
 from bratskit.phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
 from bratskit.postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
 from bratskit.regions import REGIONS, Region, extract_region
 from bratskit.volume import BinaryMask, Geometry, LabelVolume, boxed_mask, crop, hull, tumour_box
 
 from conftest import labels_from_array
+from oracles import NEIGHBOURS_6, NEIGHBOURS_26, brute_dice, brute_lesion_match, edt_hd95
 
 SPACINGS = [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)]
 OFFSET = (4, 2, 6)
@@ -130,12 +131,63 @@ class TestEmbeddedCase:
             assert other[3:] == results[0][3:]
 
 
+@pytest.mark.parametrize("spacing", SPACINGS)
+@pytest.mark.parametrize("case", sorted(CASES))
+class TestWholeGrid:
+    """The embedded cases scored as the oracles score their whole grids. Unlike
+    two runs cut to one box, this fails when a box is too tight."""
+
+    def test_legacy_metrics(self, case, spacing):
+        gt, pred = label_pair(case, spacing, True)
+        per_region = case_metrics_legacy(gt, pred).per_region
+        for region in REGIONS:
+            a, b = extract_region(gt, region).bits, extract_region(pred, region).bits
+            assert per_region[region] == MetricPair(brute_dice(a, b), edt_hd95(a, b, spacing))
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 5])
+    @pytest.mark.parametrize("conn,neighbours", [(Connectivity.Face6, NEIGHBOURS_6),
+                                                 (Connectivity.Full26, NEIGHBOURS_26)])
+    def test_lesionwise_reports(self, case, spacing, conn, neighbours, k):
+        gt, pred = label_pair(case, spacing, True)
+        _, reports = case_metrics_lesionwise(gt, pred, MatchParams(k, conn))
+        for region in REGIONS:
+            matched, fps, fns = brute_lesion_match(extract_region(gt, region).bits,
+                                                   extract_region(pred, region).bits,
+                                                   neighbours, k, spacing=spacing)
+            report = reports[region]
+            assert (report.false_positives, report.false_negatives) == (fps, fns)
+            assert [m[:2] for m in report.matched] == [m[:2] for m in matched]
+            for (_, _, pair), (_, _, (dsc, hd)) in zip(report.matched, matched):
+                assert pair.dsc == pytest.approx(dsc)
+                assert pair.hd95 == pytest.approx(hd, abs=1e-5)
+
+
+@pytest.mark.parametrize("k", range(6))
+@pytest.mark.parametrize("conn", list(Connectivity))
+def test_dilation_on_a_box_is_the_whole_grid_dilation_cut_to_it(conn, k):
+    # Why a box that holds both masks needs no pad: clamped into the box, a
+    # path of adjacency steps is still one, so no dilated voxel of the box is lost.
+    rng = np.random.default_rng(100 * k + conn.value)
+    for _ in range(30):
+        dims = tuple(int(n) for n in rng.integers(2, 16, 3))
+        lo = [int(rng.integers(0, n)) for n in dims]
+        hi = [int(rng.integers(a, n)) + 1 for a, n in zip(lo, dims)]
+        inner = tuple(slice(a, b) for a, b in zip(lo, hi))
+        bits = np.zeros(dims, bool)
+        bits[inner] = rng.random(bits[inner].shape) < 0.2
+        box = tuple(slice(max(a - int(rng.integers(0, 4)), 0), min(b + int(rng.integers(0, 4)), n))
+                    for a, b, n in zip(lo, hi, dims))
+        whole = dilate(BinaryMask(Geometry(dims), bits), k, conn)
+        assert np.array_equal(dilate(boxed_mask(bits[box], (1.0, 1.0, 1.0)), k, conn).bits,
+                              whole.bits[box])
+
+
 class TestAllEmpty:
     g = Geometry((7, 8, 9), (0.7, 1.3, 2.1))
     zero = LabelVolume(g, np.zeros(g.dims, np.uint8))
 
     def test_tumour_box_is_none(self):
-        assert tumour_box((self.zero, self.zero), pad=3) is None
+        assert tumour_box((self.zero, self.zero)) is None
 
     def test_legacy(self):
         case = case_metrics_legacy(self.zero, self.zero)
@@ -186,14 +238,8 @@ class TestTumourBox:
         vox[2, 5, 2] = 2
         assert tumour_box((labels_from_array(vox),)) == (slice(1, 5), slice(2, 6), slice(1, 4))
 
-    def test_pad_grows_and_clips_to_the_grid(self):
-        m = self.mask((10, 11, 12), (1, 5, 10))
-        assert tumour_box((m,), pad=2) == (slice(0, 4), slice(3, 8), slice(8, 12))
-        assert tumour_box((m,), pad=50) == (slice(0, 10), slice(0, 11), slice(0, 12))
-
     def test_empty(self):
         assert tumour_box((self.mask((4, 5, 6)),)) is None
-        assert tumour_box((self.mask((4, 5, 6)),), pad=2) is None
 
     @pytest.mark.parametrize("seed", range(20))
     def test_equals_the_extent_of_the_nonzero_voxels(self, seed):
@@ -213,7 +259,7 @@ class TestTumourBox:
             tumour_box(volumes[::order])
 
     def test_bounds_are_python_ints(self):
-        box = tumour_box((self.mask((4, 5, 6), (1, 2, 3)),), pad=1)
+        box = tumour_box((self.mask((4, 5, 6), (1, 2, 3)),))
         assert all(type(s.start) is int and type(s.stop) is int for s in box)
 
     def test_hull(self):

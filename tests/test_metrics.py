@@ -467,6 +467,25 @@ def test_match_params_reject_non_integral(kwargs):
         MatchParams(**kwargs)
 
 
+@pytest.mark.parametrize("connectivity", [3, "26", None, True, "Full26"])
+def test_match_params_refuse_other_connectivities(connectivity):
+    # Refused when the params are built, not as an AttributeError in the matching.
+    with pytest.raises(ValidationError, match="one of 6, 26"):
+        MatchParams(3, connectivity)
+
+
+def test_match_params_take_a_connectivity_by_its_value():
+    vox = np.zeros((8, 8, 8), np.uint8)
+    vox[2:4, 2:4, 2:4] = 2
+    vox[5, 5, 5] = 3
+    labels = labels_from_array(vox)
+    for value, member in ((6, Connectivity.Face6), (np.int64(26), Connectivity.Full26)):
+        params = MatchParams(3, value)
+        assert params.connectivity is member
+        assert case_metrics_lesionwise(labels, labels, params) == \
+            case_metrics_lesionwise(labels, labels, MatchParams(3, member))
+
+
 def test_fractional_dilation_refused_before_matching():
     # Refused when the params are built, not as a TypeError from slicing a box.
     vox = np.zeros((8, 8, 8), np.uint8)

@@ -138,6 +138,34 @@ def test_non_integral_threshold_rejected(spec):
         ThresholdSpec(**spec)
 
 
+@pytest.mark.parametrize("scope", ["bogus", "WholeRegion", None, 1])
+def test_unknown_scope_rejected(scope):
+    with pytest.raises(ValidationError, match="'per_component', 'whole_region'"):
+        ThresholdSpec(et=30, scope=scope)
+
+
+@pytest.mark.parametrize("conn", [3, "6", None, ThresholdScope.WholeRegion])
+def test_unknown_connectivity_rejected(conn):
+    with pytest.raises(ValidationError, match="one of 6, 26"):
+        apply_thresholds(labels_from_array(np.ones((3, 3, 3), np.uint8)), ThresholdSpec(), conn)
+
+
+def test_settings_taken_by_their_values():
+    # ET lesions of 8 and 27 voxels: 35 ET voxels in the case, fewer than 30
+    # in each lesion. The whole-region rule keeps them, the per-component one not.
+    vox = np.zeros((20, 20, 20), np.uint8)
+    cube(vox, (2, 2, 2), 2, 3)
+    cube(vox, (10, 10, 10), 3, 3)
+    labels = labels_from_array(vox)
+    spec = ThresholdSpec(et=30, scope="whole_region")
+    assert spec == ThresholdSpec(et=30, scope=ThresholdScope.WholeRegion)
+    assert apply_thresholds(labels, spec) == labels
+    assert not (apply_thresholds(labels, ThresholdSpec(et=30)).voxels == 3).any()
+    per_component = ThresholdSpec(et=9)
+    assert apply_thresholds(labels, per_component, 6) == \
+        apply_thresholds(labels, per_component, Connectivity.Face6)
+
+
 def test_integral_threshold_stored_as_int():
     spec = ThresholdSpec(wt=250.0, tc=np.int64(150), et=100)
     assert (spec.wt, spec.tc, spec.et) == (250, 150, 100)

@@ -25,6 +25,8 @@ from bratskit.volume import BinaryMask, Geometry, LabelVolume, ScalarVolume
 from conftest import labels_from_array
 
 CROP_GEOM = Geometry((CROP_SIZE,) * 3)
+# Not a numeric array: a string, a ragged list, a dict, a complex number, bools, no number.
+NOT_SCORES = [["a"], [[0.5], [0.5, 0.4]], {0: 0.5}, [1 + 2j], [True], None]
 
 
 class TestTumourGeometry:
@@ -65,7 +67,7 @@ class TestDecayExponent:
         d2 = decay_exponent(20) - decay_exponent(30)
         assert d1 == pytest.approx(d2, abs=1e-12)
 
-    @pytest.mark.parametrize("bad", [0, 97, -5])
+    @pytest.mark.parametrize("bad", [0, 97, -5, 2.5, None, "5", True])
     def test_domain(self, bad):
         with pytest.raises(ValidationError):
             decay_exponent(bad)
@@ -85,7 +87,7 @@ class TestReplacementProbability:
         for d in (0.0, 5.0, 100.0):
             assert replacement_probability(d, 1.0) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("bad", [0.5, float("nan"), -float("inf")])
+    @pytest.mark.parametrize("bad", [0.5, float("nan"), -float("inf"), "1.1", None, True])
     def test_exponent_below_one_or_nan_refused(self, bad):
         with pytest.raises(ValidationError, match="exponent"):
             replacement_probability(3.0, bad)
@@ -305,7 +307,7 @@ class TestLambdaSchedule:
         pair = lambda_schedule(epoch)
         assert pair.lambda1 * pair.lambda2 == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("epoch", [-1, 1001])
+    @pytest.mark.parametrize("epoch", [-1, 1001, "5", True, 2.5, None])
     def test_domain(self, epoch):
         with pytest.raises(ValidationError):
             lambda_schedule(epoch)
@@ -338,13 +340,13 @@ class TestLosses:
         with pytest.raises(ValidationError):
             generator_loss([0.0], target, target, LambdaPair(1.0, 1.0))
 
-    @pytest.mark.parametrize("bad", [[], [np.nan], [np.inf], [0.5, -0.1]])
+    @pytest.mark.parametrize("bad", [[], [np.nan], [np.inf], [0.5, -0.1]] + NOT_SCORES)
     def test_generator_refuses_bad_scores(self, bad):
         target = self.vol([0.0])
         with pytest.raises(ValidationError, match="discriminator scores"):
             generator_loss(bad, target, target, LambdaPair(1.0, 1.0))
 
-    @pytest.mark.parametrize("bad", [[], [np.nan], [np.inf], [0.5, 0.0]])
+    @pytest.mark.parametrize("bad", [[], [np.nan], [np.inf], [0.5, 0.0]] + NOT_SCORES)
     @pytest.mark.parametrize("side", ["fake", "real"])
     def test_discriminator_refuses_bad_scores(self, bad, side):
         scores = {"fake": [0.5], "real": [0.5], side: bad}
