@@ -80,15 +80,16 @@ def staple_binary(masks: Sequence[BinaryMask], max_iters: int = 100) -> StapleRe
     geometry = masks[0].geometry
     box = tumour_box(masks)  # refuses a mask on another grid
     if box is None:
-        empty = BinaryMask(geometry, np.zeros(geometry.dims, dtype=bool))
+        empty = BinaryMask(geometry, np.zeros_like(masks[0].bits))
         perf = [(1.0, 1.0)] * n_raters
-        return StapleResult(empty, np.zeros(geometry.dims), perf, 0, True)
+        return StapleResult(empty, np.zeros_like(masks[0].bits, dtype=np.float64), perf, 0, True)
 
-    # Bit j of a voxel's code is rater j's decision.
-    code = np.zeros(tuple(s.stop - s.start for s in box), dtype=np.uint16)
+    # Bit j of a voxel's code is rater j's decision. Every array below keeps the
+    # first mask's memory order, so no step copies F-ordered masks into C order.
+    code = np.zeros_like(masks[0].bits[box], dtype=np.uint16)
     for j, m in enumerate(masks):
         code |= m.bits[box].astype(np.uint16) << j
-    counts = np.bincount(code.ravel())
+    counts = np.bincount(code.ravel(order="K"))
     counts[0] += geometry.n_voxels - code.size
     patterns = np.flatnonzero(counts)
     counts = counts[patterns]
@@ -125,7 +126,7 @@ def staple_binary(masks: Sequence[BinaryMask], max_iters: int = 100) -> StapleRe
 
     lut = np.zeros(1 << n_raters)
     lut[patterns] = w
-    weights = np.full(geometry.dims, lut[0])
+    weights = np.full_like(masks[0].bits, lut[0], dtype=np.float64)
     weights[box] = lut[code]
     consensus = BinaryMask(geometry, weights >= 0.5)
     perf = [(float(pi), float(qi)) for pi, qi in zip(p, q)]

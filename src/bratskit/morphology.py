@@ -38,8 +38,9 @@ class ComponentMap:
 def connected_components(mask: BinaryMask, conn: Connectivity = Connectivity.Full26) -> ComponentMap:
     """Label connected components, ids 1..count assigned by first encounter
     in x-fastest linear order."""
-    # ndimage.label numbers components in the C order of its input; a C copy of
-    # the transposed (z, y, x) view is x-fastest and labels faster than the view.
+    # ndimage.label numbers components in the C order of its input, so it labels
+    # the x-fastest (z, y, x) view: uncopied for an F-ordered mask, else a C copy,
+    # which labels faster than a strided view.
     # Count on the C-ordered output: ravel() of the transposed result would copy.
     labeled, count = ndimage.label(np.ascontiguousarray(mask.bits.T), structure=conn.structure)
     sizes = np.bincount(labeled.ravel(), minlength=count + 1)
@@ -48,10 +49,13 @@ def connected_components(mask: BinaryMask, conn: Connectivity = Connectivity.Ful
 
 def surface_voxels(mask: BinaryMask) -> BinaryMask:
     """Mask voxels with at least one Face6 neighbour that is false or off-grid."""
-    interior = ndimage.binary_erosion(
-        mask.bits, structure=Connectivity.Face6.structure, border_value=0
-    )
-    return BinaryMask(mask.geometry, mask.bits & ~interior)
+    # The erosion runs fastest on the last axis varying fastest in memory, so an
+    # x-fastest mask is eroded as its transpose, which Face6 leaves unchanged.
+    flip = mask.bits.strides[0] < mask.bits.strides[2]
+    bits = mask.bits.T if flip else mask.bits
+    surface = bits & ~ndimage.binary_erosion(bits, structure=Connectivity.Face6.structure,
+                                             border_value=0)
+    return BinaryMask(mask.geometry, surface.T if flip else surface)
 
 
 def dilate(mask: BinaryMask, iterations: int, conn: Connectivity = Connectivity.Full26) -> BinaryMask:

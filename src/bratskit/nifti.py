@@ -5,6 +5,8 @@ sizeof_hdr 348, magic "n+1", datatype 2 (uint8) or 16 (float32), vox_offset 352
 (any finite value >= 352 on read).
 Label volumes are 3D uint8; scalar volumes 3D float32; region-probability
 volumes 4D float32 with the 4th dimension of size 3 (channel order WT, TC, ET).
+Every payload is read as a read-only view of the file bytes, in the file's
+x-fastest (F) order; only the remap of legacy label 4 copies.
 """
 
 from __future__ import annotations
@@ -122,8 +124,9 @@ def _parse_header(raw):
 def read_volume(path, kind):
     """Read a volume of the given kind: 'label', 'scalar' or 'region_prob'.
 
-    Scalar and region_prob payloads are read-only views of the file bytes, in
-    file order; label payloads are a C-ordered copy.
+    Every payload is a read-only view of the file bytes, in file (x-fastest, F)
+    order. A label file that holds legacy label 4 is read as a copy in the same
+    order, with 4 remapped to 3 and `legacy_remapped` set.
     """
     spec = _KINDS.get(kind)
     if spec is None:
@@ -147,12 +150,10 @@ def read_volume(path, kind):
     payload = payload if dim4 > 1 else payload[0]
 
     if kind == "label":
-        # The legacy remap below writes, and every label consumer (np.isin,
-        # find_objects, STAPLE's ravel) runs faster on C order than on F.
-        vox = payload.copy()
-        if vox.max(initial=0) > 4:
-            raise ValidationError(f"label value {int(vox.max())} outside {{0,1,2,3,4}}")
-        legacy = vox == 4
-        vox[legacy] = 3
-        return LabelVolume(geometry, vox, legacy_remapped=bool(legacy.any()))
+        top = int(payload.max(initial=0))
+        if top > 4:
+            raise ValidationError(f"label value {top} outside {{0,1,2,3,4}}")
+        legacy = top == 4
+        return LabelVolume(geometry, np.minimum(payload, 3) if legacy else payload,
+                           legacy_remapped=legacy)
     return spec.volume(geometry, payload)

@@ -65,6 +65,6 @@ def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
                 bits = bits & ~small[comps.ids]
         masks.append(BinaryMask(case.geometry, bits))
         kept = bits
-    voxels = pred.voxels.copy()
+    voxels = pred.voxels.copy(order="K")
     voxels[box] = reconstruct_labels(*masks).voxels
     return LabelVolume(pred.geometry, voxels)

@@ -7,6 +7,7 @@ WT = {1,2,3}, TC = {1,3}, ET = {3}.
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -38,7 +39,9 @@ LABEL_ET = 3
 
 def extract_region(labels: LabelVolume, region: Region) -> BinaryMask:
     """Binary mask of the voxels whose label belongs to the region's label set."""
-    bits = np.isin(labels.voxels, sorted(region.labels))
+    # One comparison per label keeps the payload's memory order; np.isin ravels
+    # its input in C order and so copies an F-ordered label whole.
+    bits = reduce(np.logical_or, (labels.voxels == label for label in sorted(region.labels)))
     return BinaryMask(labels.geometry, bits)
 
 
@@ -49,7 +52,7 @@ def reconstruct_labels(wt: BinaryMask, tc: BinaryMask, et: BinaryMask) -> LabelV
     non-nested inputs still produce a valid, nested label volume.
     """
     geometry = common_geometry((wt, tc, et))
-    # Masks from a file-order probability map are F-ordered and scatter slowly into C order.
+    # In the masks' memory order: masks from a file are F-ordered and scatter slowly into C order.
     out = np.zeros_like(wt.bits, dtype=np.uint8)
     out[wt.bits] = LABEL_ED
     out[tc.bits] = LABEL_NCR

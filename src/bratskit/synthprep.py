@@ -116,11 +116,14 @@ def corrupt_crop(image: ScalarVolume, labels: LabelVolume, field: CorruptionFiel
     if image.geometry.dims != (CROP_SIZE, CROP_SIZE, CROP_SIZE):
         raise ValidationError(f"crop inputs must be {CROP_SIZE}^3")
     rng = np.random.default_rng(rng_seed)
-    base = _minmax_to_unit_range(image.voxels.astype(np.float64))
+    # The draws are C-ordered, and arithmetic on mixed orders is several times
+    # slower, so the image is copied into C order and the draws lead the mask:
+    # every array below is C-ordered whatever the inputs' order.
+    base = _minmax_to_unit_range(image.voxels.astype(np.float64, order="C"))
     base = _minmax_to_unit_range(base + rng.standard_normal(base.shape))
     uniforms = rng.random(base.shape)
     noise = rng.standard_normal(base.shape)
-    replaced = (labels.voxels != 0) | (uniforms < field.probs)
+    replaced = (uniforms < field.probs) | (labels.voxels != 0)
     out = np.where(replaced, noise, base)
     result = ScalarVolume(image.geometry, out.astype(np.float32))
     if return_mask:
@@ -148,14 +151,18 @@ def place_label(target_labels: LabelVolume, brain_mask: BinaryMask,
     if any(c > t for c, t in zip(cdims, tdims)):
         raise ValidationError(f"candidate {cdims} does not fit in target {tdims}")
     rng = np.random.default_rng(rng_seed)
-    cand_nz = candidate.voxels != 0
+    # Only the box of the candidate's tumour is checked and pasted (an empty
+    # one for an empty candidate). Elementwise checks and a masked paste run
+    # in any memory order; boolean indexing walks an F-ordered box in C order.
+    inner = tumour_box((candidate,)) or (slice(0, 0),) * 3
+    tumour = candidate.voxels[inner]
+    cand_nz = tumour != 0
     for _ in range(max_attempts):
         origin = tuple(int(rng.integers(0, t - c + 1)) for t, c in zip(tdims, cdims))
-        box = tuple(slice(o, o + c) for o, c in zip(origin, cdims))
-        ok = brain_mask.bits[box][cand_nz].all() and (target_labels.voxels[box][cand_nz] == 0).all()
-        if ok:
-            out = target_labels.voxels.copy()
-            out[box][cand_nz] = candidate.voxels[cand_nz]
+        box = tuple(slice(o + s.start, o + s.stop) for o, s in zip(origin, inner))
+        if not (cand_nz & ~(brain_mask.bits[box] & (target_labels.voxels[box] == 0))).any():
+            out = target_labels.voxels.copy(order="K")
+            np.copyto(out[box], tumour, where=cand_nz)
             return LabelVolume(target_labels.geometry, out), origin
     raise PlacementError(f"no valid placement found in {max_attempts} attempts")
 

@@ -2,8 +2,9 @@
 
 All voxel data is stored as numpy arrays of shape ``dims`` indexed ``[x, y, z]``.
 The linear order contract is on indices, x-fastest: voxel (x, y, z) has flat index
-``x + nx * (y + ny * z)``. In memory an array may be C- or F-ordered; float maps
-read from a file keep the file's F order.
+``x + nx * (y + ny * z)``. In memory an array may be C- or F-ordered; every
+payload read from a file keeps the file's F order, and arrays derived from a
+label volume keep its order.
 """
 
 from __future__ import annotations
@@ -208,17 +209,20 @@ def tumour_box(volumes):
     empty. The volumes are label volumes or masks on one grid;
     IncompatibleGeometryError if not."""
     common_geometry(volumes)
-    nonzero = volumes[0].payload != 0
-    for v in volumes[1:]:
-        nonzero |= v.payload != 0
-    if not nonzero.any():
+    # Two passes per volume, each streaming memory in its own order with no
+    # grid-sized temporary: the profile along the axis that varies slowest in
+    # memory, and the plane of the other two axes.
+    hits = [np.zeros(n, dtype=bool) for n in volumes[0].geometry.dims]
+    for v in volumes:
+        slow = int(np.argmax(v.payload.strides))
+        a, b = (axis for axis in range(3) if axis != slow)
+        hits[slow] |= v.payload.any(axis=(a, b))
+        plane = v.payload.any(axis=slow)
+        hits[a] |= plane.any(axis=1)
+        hits[b] |= plane.any(axis=0)
+    if not hits[0].any():
         return None
-
-    def span(axis):
-        at = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(3) if a != axis)))
-        return slice(int(at[0]), int(at[-1]) + 1)
-
-    return tuple(span(axis) for axis in range(3))
+    return tuple(slice(int(at[0]), int(at[-1]) + 1) for at in map(np.flatnonzero, hits))
 
 
 def boxed_mask(bits, spacing) -> BinaryMask:

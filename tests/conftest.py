@@ -16,6 +16,22 @@ def labels_from_array(array, spacing=(1.0, 1.0, 1.0)):
     return LabelVolume(Geometry(array.shape, spacing), array)
 
 
+# Memory layouts a caller may hand a volume type: C order, F order, the first
+# axis slowest and the rest in F order (for region_prob, the file order) and a
+# strided view that is contiguous in neither order.
+LAYOUTS = {
+    "C": np.ascontiguousarray,
+    "F": np.asfortranarray,
+    "first-axis-slowest": lambda a: np.moveaxis(np.asfortranarray(np.moveaxis(a, 0, -1)), -1, 0),
+    "strided": lambda a: np.stack([a, a], axis=-1)[..., 0],
+}
+
+
+def relaid(volume, layout):
+    """The volume with a copy of its payload in the given layout of LAYOUTS."""
+    return type(volume)(volume.geometry, LAYOUTS[layout](np.array(volume.payload)))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -225,6 +225,21 @@ class TestCorruptCrop:
         assert abs(n_replaced - n_draws * p_expected) <= 3 * sigma
 
 
+def brute_place(target, brain, candidate, seed, max_attempts=100):
+    """The placement rule voxel by voxel on the whole candidate crop: the
+    placed labels and origin, or None when every attempt fails."""
+    rng = np.random.default_rng(seed)
+    nz = candidate != 0
+    for _ in range(max_attempts):
+        origin = tuple(int(rng.integers(0, t - c + 1)) for t, c in zip(target.shape, candidate.shape))
+        box = tuple(slice(o, o + c) for o, c in zip(origin, candidate.shape))
+        if brain[box][nz].all() and (target[box][nz] == 0).all():
+            out = target.copy()
+            out[box][nz] = candidate[nz]
+            return out, origin
+    return None
+
+
 class TestPlaceLabel:
     def test_trivial_placement(self, rng):
         target = labels_from_array(np.zeros((20, 20, 20)))
@@ -256,6 +271,33 @@ class TestPlaceLabel:
         outside = np.ones((24, 24, 24), bool)
         outside[box] = False
         assert np.array_equal(placed.voxels[outside], vox[outside])
+
+    @pytest.mark.parametrize("tumour", [np.s_[5:8, 1:5, 5:9], np.s_[0:0, 0:0, 0:0]],
+                             ids=["off-corner", "empty"])
+    def test_equals_the_voxelwise_rule(self, rng, tumour):
+        # Only the candidate's tumour box is checked and pasted; the origins,
+        # labels and failures are those of the rule applied to the whole crop.
+        # With 3 attempts the off-corner tumour fails on some seeds, is placed at
+        # the first attempt on some and at a later attempt on the rest.
+        vox = np.zeros((20, 18, 16), np.uint8)
+        vox[3:9, 4:12, 2:7] = 2
+        vox[12:16, 10:15, 9:14] = 1
+        grid = np.indices(vox.shape)
+        brain = sum((g - n / 2) ** 2 / (n / 2) ** 2 for g, n in zip(grid, vox.shape)) <= 1.0
+        cand_vox = np.zeros((8, 7, 9), np.uint8)
+        cand_vox[tumour] = rng.integers(1, 4, cand_vox[tumour].shape)
+        target = labels_from_array(vox)
+        mask = BinaryMask(target.geometry, brain)
+        for seed in range(30):
+            expected = brute_place(vox, brain, cand_vox, seed, max_attempts=3)
+            if expected is None:
+                with pytest.raises(PlacementError):
+                    place_label(target, mask, labels_from_array(cand_vox), seed, max_attempts=3)
+                continue
+            placed, origin = place_label(target, mask, labels_from_array(cand_vox), seed,
+                                         max_attempts=3)
+            assert origin == expected[1]
+            assert np.array_equal(placed.voxels, expected[0])
 
     @pytest.mark.parametrize("seed", [-1, 2.5, "3", False, None])
     def test_seed_must_be_non_negative_integer(self, seed):

@@ -28,6 +28,8 @@ from bratskit.volume import (
     ScalarVolume,
 )
 
+from conftest import LAYOUTS, relaid
+
 
 def random_label(rng, dims, spacing=(1.0, 1.0, 1.0)):
     return LabelVolume(Geometry(dims, spacing), rng.integers(0, 4, dims).astype(np.uint8))
@@ -256,6 +258,45 @@ class TestRoundTrip:
         assert sum(payload) == 3
 
 
+def write_raw_label(path, values):
+    """A label file whose payload holds `values` as they are, 4 and 5 included."""
+    write_volume(LabelVolume(Geometry(values.shape), np.zeros(values.shape, np.uint8)), path)
+    path.write_bytes(path.read_bytes()[:352] + values.tobytes(order="F"))
+
+
+def root_buffer(array):
+    """The object at the end of an array's chain of bases."""
+    while isinstance(array, np.ndarray) and array.base is not None:
+        array = array.base
+    return array
+
+
+class TestLegacyRemap:
+    def test_mixed_payload_reads_4_as_3(self, rng, tmp_path):
+        values = rng.integers(0, 5, (6, 5, 4)).astype(np.uint8)
+        values[:5, 0, 0] = [0, 1, 2, 3, 4]
+        write_raw_label(tmp_path / "l.nii", values)
+        back = read_volume(tmp_path / "l.nii", "label")
+        assert back.legacy_remapped
+        assert np.array_equal(back.voxels, np.where(values == 4, 3, values))
+        assert back.voxels.flags.f_contiguous
+
+    def test_payload_without_4_is_the_file_view(self, rng, tmp_path):
+        values = rng.integers(0, 4, (6, 5, 4)).astype(np.uint8)
+        write_raw_label(tmp_path / "l.nii", values)
+        back = read_volume(tmp_path / "l.nii", "label")
+        assert not back.legacy_remapped
+        assert np.array_equal(back.voxels, values)
+        assert isinstance(root_buffer(back.voxels), bytes)
+
+    def test_label_5_refused(self, rng, tmp_path):
+        values = rng.integers(0, 5, (6, 5, 4)).astype(np.uint8)
+        values[3, 2, 1] = 5
+        write_raw_label(tmp_path / "l.nii", values)
+        with pytest.raises(ValidationError, match=r"^label value 5 outside \{0,1,2,3,4\}$"):
+            read_volume(tmp_path / "l.nii", "label")
+
+
 class TestHeaderErrors:
     def test_legacy_label_remap(self, tmp_path):
         dims = (4, 4, 4)
@@ -416,17 +457,6 @@ def test_header_mutation_gives_volume_or_toolkit_error(tmp_path, kind, mutations
     assert all(0.0 < s < np.inf for s in vol.geometry.spacing)
 
 
-# Memory layouts a caller may hand a volume type: C order, F order, the first
-# axis slowest and the rest in F order (for region_prob, the file order) and a
-# strided view that is contiguous in neither order.
-LAYOUTS = {
-    "C": np.ascontiguousarray,
-    "F": np.asfortranarray,
-    "first-axis-slowest": lambda a: np.moveaxis(np.asfortranarray(np.moveaxis(a, 0, -1)), -1, 0),
-    "strided": lambda a: np.stack([a, a], axis=-1)[..., 0],
-}
-
-
 class TestPayloadLayout:
     @pytest.mark.parametrize("kind", ["scalar", "region_prob"])
     def test_float_payloads_are_read_only_file_views(self, rng, tmp_path, kind):
@@ -438,19 +468,20 @@ class TestPayloadLayout:
         for channel in payload.reshape((-1, 5, 4, 3)):
             assert channel.flags.f_contiguous
 
-    def test_label_payload_is_c_ordered(self, rng, tmp_path):
+    def test_label_payload_is_a_read_only_file_view(self, rng, tmp_path):
         path = tmp_path / "label.nii"
         write_volume(random_label(rng, (5, 4, 3)), path)
-        assert read_volume(path, "label").voxels.flags.c_contiguous
+        voxels = read_volume(path, "label").voxels
+        assert not voxels.flags.writeable and not voxels.flags.owndata
+        assert voxels.flags.f_contiguous
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("kind", sorted(MUTATED_KINDS))
     def test_written_bytes_do_not_depend_on_layout(self, rng, tmp_path, kind, layout):
-        make, volume_type = MUTATED_KINDS[kind]
+        make, _ = MUTATED_KINDS[kind]
         vol = make(rng, (5, 4, 3), (1.5, 1.0, 2.0))
-        relaid = volume_type(vol.geometry, LAYOUTS[layout](np.array(vol.payload)))
         write_volume(vol, tmp_path / "c.nii")
-        write_volume(relaid, tmp_path / "relaid.nii")
+        write_volume(relaid(vol, layout), tmp_path / "relaid.nii")
         assert (tmp_path / "relaid.nii").read_bytes() == (tmp_path / "c.nii").read_bytes()
         assert read_volume(tmp_path / "relaid.nii", kind) == vol
 
@@ -458,11 +489,22 @@ class TestPayloadLayout:
         path = tmp_path / "p.nii"
         write_volume(random_prob(rng, (64, 64, 64)), path)
         payload_bytes = 3 * 4 * 64 ** 3
-        tracemalloc.start()
-        try:
-            read_volume(path, "region_prob")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * payload_bytes
+        assert read_peak(path, "region_prob") < 1.5 * payload_bytes
 
+    def test_label_read_peak_memory(self, rng, tmp_path):
+        # Without legacy label 4 the file bytes are the only payload-sized
+        # allocation: the label payload is viewed, not copied.
+        path = tmp_path / "l.nii"
+        write_volume(random_label(rng, (64, 64, 64)), path)
+        payload_bytes = 64 ** 3
+        assert read_peak(path, "label") < 1.5 * payload_bytes
+
+
+def read_peak(path, kind):
+    """Peak traced allocation, in bytes, of one read_volume call."""
+    tracemalloc.start()
+    try:
+        read_volume(path, kind)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
