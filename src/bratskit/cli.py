@@ -40,7 +40,12 @@ EXIT_CONFIG = 2
 
 
 def _case_stems(directory):
-    return {p.stem: p for p in sorted(Path(directory).iterdir()) if p.is_file()}
+    """Each stem of the files in `directory` with the files it names, in sorted order."""
+    stems = {}
+    for p in sorted(Path(directory).iterdir()):
+        if p.is_file():
+            stems.setdefault(p.stem, []).append(p)
+    return stems
 
 
 def _evaluate_case(pair, mode, params):
@@ -67,10 +72,15 @@ def cmd_evaluate(args):
         raise ValidationError("gt and pred directories must exist")
     gt_files = _case_stems(gt_dir)
     pred_files = _case_stems(pred_dir)
-    paired = sorted(set(gt_files) & set(pred_files))
-    unpaired = sorted(set(gt_files) ^ set(pred_files))
+    # A stem that names two files in one directory does not say which one is the case.
+    clashes = {cid: [p for files in (gt_files, pred_files) if len(files.get(cid, ())) > 1
+                     for p in files[cid]] for cid in {*gt_files, *pred_files}}
+    ambiguous = {cid: "stem names " + " and ".join(map(str, paths))
+                 for cid, paths in clashes.items() if paths}
+    paired = sorted((set(gt_files) & set(pred_files)) - set(ambiguous))
+    unpaired = sorted((set(gt_files) ^ set(pred_files)) - set(ambiguous))
     params = MatchParams(args.dilation_iterations, int(args.connectivity))
-    jobs = [(cid, gt_files[cid], pred_files[cid]) for cid in paired]
+    jobs = [(cid, gt_files[cid][0], pred_files[cid][0]) for cid in paired]
 
     # A pool starts all its processes at its first submit: no more than there are jobs.
     workers = min(integral(args.workers, "workers", 1), len(jobs))
@@ -81,7 +91,7 @@ def cmd_evaluate(args):
     else:
         results = [worker(job) for job in jobs]
 
-    failed = {cid: err for cid, _, err in results if err}
+    failed = {**ambiguous, **{cid: err for cid, _, err in results if err}}
     rows = [row for _, case_rows, err in results if not err for row in case_rows]
     write_metrics_csv(args.out, rows + mean_rows(rows, args.mode))
 

@@ -45,28 +45,20 @@ class PhantomSpec:
 
 
 def _ellipsoid_mask(dims, center, radii):
+    # Each axis term broadcasts along the other two axes; only the sum has the grid's shape.
     grids = np.ogrid[0 : dims[0], 0 : dims[1], 0 : dims[2]]
-    acc = np.zeros(dims, dtype=np.float64)
-    for g, c, r in zip(grids, center, radii):
-        acc = acc + ((g - c) / r) ** 2
-    return acc <= 1.0
-
-
-def _paint_lesion(voxels, dims, lesion):
-    mask_total = np.zeros(dims, dtype=bool)
-    for label, scale in lesion.shells:
-        radii = tuple(r * scale for r in lesion.radii)
-        shell = _ellipsoid_mask(dims, lesion.center, radii)
-        voxels[shell] = label
-        mask_total |= shell
-    return mask_total
+    return sum(((g - c) / r) ** 2 for g, c, r in zip(grids, center, radii)) <= 1.0
 
 
 def _build_labels(dims, lesions):
     voxels = np.zeros(dims, dtype=np.uint8)
     occupied = np.zeros(dims, dtype=bool)
     for i, lesion in enumerate(lesions):
-        mask = _paint_lesion(voxels, dims, lesion)
+        mask = np.zeros(dims, dtype=bool)
+        for label, scale in lesion.shells:
+            shell = _ellipsoid_mask(dims, lesion.center, tuple(r * scale for r in lesion.radii))
+            voxels[shell] = label
+            mask |= shell
         if (occupied & mask).any():
             raise ValidationError(f"lesion {i} overlaps an earlier lesion")
         occupied |= mask
@@ -127,30 +119,33 @@ def generate_phantom(spec: PhantomSpec):
         for c, r, n in zip(lesion.center, lesion.radii, spec.dims):
             if c - r < -0.5 or c + r > n - 0.5:
                 raise ValidationError(f"lesion {i} does not fit inside dims {spec.dims}")
-    gt_voxels = _build_labels(spec.dims, spec.lesions)
+    try:
+        gt_voxels = _build_labels(spec.dims, spec.lesions)
 
-    if pert.kind == "none":
-        pred_voxels = gt_voxels.copy()
-    elif pert.kind == "shift":
-        pred_voxels = _shift_zero_fill(gt_voxels, pert.shift)
-    elif pert.kind == "erode":
-        keep = ndimage.binary_erosion(
-            gt_voxels > 0, structure=ndimage.generate_binary_structure(3, 1),
-            # Past max(dims) iterations nothing is left to erode.
-            iterations=min(pert.iterations, max(spec.dims)), border_value=0,
-        )
-        pred_voxels = np.where(keep, gt_voxels, 0).astype(np.uint8)
-    elif pert.kind == "add_fp":
-        pred_voxels = gt_voxels.copy()
-        fp = _ellipsoid_mask(spec.dims, pert.fp_center, (pert.fp_radius,) * 3)
-        pred_voxels[fp] = pert.fp_label
-    elif pert.kind == "drop_lesion":
-        if pert.drop_index >= len(spec.lesions):
-            raise ValidationError(f"drop_index {pert.drop_index} out of range")
-        kept = [l for i, l in enumerate(spec.lesions) if i != pert.drop_index]
-        pred_voxels = _build_labels(spec.dims, kept)
-    else:
-        raise ValidationError(f"unknown perturbation kind {pert.kind!r}")
+        if pert.kind == "none":
+            pred_voxels = gt_voxels.copy()
+        elif pert.kind == "shift":
+            pred_voxels = _shift_zero_fill(gt_voxels, pert.shift)
+        elif pert.kind == "erode":
+            keep = ndimage.binary_erosion(
+                gt_voxels > 0, structure=ndimage.generate_binary_structure(3, 1),
+                # Past max(dims) iterations nothing is left to erode.
+                iterations=min(pert.iterations, max(spec.dims)), border_value=0,
+            )
+            pred_voxels = np.where(keep, gt_voxels, 0)
+        elif pert.kind == "add_fp":
+            pred_voxels = gt_voxels.copy()
+            fp = _ellipsoid_mask(spec.dims, pert.fp_center, (pert.fp_radius,) * 3)
+            pred_voxels[fp] = pert.fp_label
+        elif pert.kind == "drop_lesion":
+            if pert.drop_index >= len(spec.lesions):
+                raise ValidationError(f"drop_index {pert.drop_index} out of range")
+            kept = [l for i, l in enumerate(spec.lesions) if i != pert.drop_index]
+            pred_voxels = _build_labels(spec.dims, kept)
+        else:
+            raise ValidationError(f"unknown perturbation kind {pert.kind!r}")
+    except MemoryError:
+        raise ValidationError(f"dims {spec.dims} are too large to allocate") from None
 
     return LabelVolume(geometry, gt_voxels), LabelVolume(geometry, pred_voxels)
 

@@ -114,8 +114,13 @@ def load_metrics_csv(path, solution_id):
                 if (solution_id, case, region, "DSC") in entries:
                     raise ValidationError(f"{path} line {reader.line_num}: second row for "
                                           f"case {case!r} region {region!r}")
-                entries[(solution_id, case, region, "DSC")] = float(row["dsc"])
-                entries[(solution_id, case, region, "HD95")] = float(row["hd95"])
+                dsc, hd95 = float(row["dsc"]), float(row["hd95"])
+                # NaN fails every comparison, so it is refused too.
+                if not (0.0 <= dsc <= 1.0 and 0.0 <= hd95 < np.inf):
+                    raise ValidationError(f"{path} line {reader.line_num}: DSC {dsc} not in "
+                                          f"[0, 1] or HD95 {hd95} not a finite distance >= 0")
+                entries[(solution_id, case, region, "DSC")] = dsc
+                entries[(solution_id, case, region, "HD95")] = hd95
         except (KeyError, TypeError, ValueError) as exc:  # a short row reads None
             raise ValidationError(f"{path} line {reader.line_num}: not a metrics row "
                                   f"({type(exc).__name__}: {exc})") from None

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import bratskit.cli
+import bratskit.phantom
 from bratskit.cli import build_parser, main
 from bratskit.fusion import staple_fusion
 from bratskit.nifti import read_volume, write_volume
@@ -110,6 +111,22 @@ class TestEvaluate:
         assert cases == {"case000", "case002", "__mean__"}
         report = out.with_suffix(".skipped.txt").read_text()
         assert report.startswith("case001\t") and "Permission denied" in report
+
+    def test_stem_naming_two_files_skipped(self, tmp_path):
+        # Keyed by stem, pred/case001 would silently replace pred/case001.nii.
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=3)
+        (tmp_path / "pred" / "case001").write_bytes(
+            (tmp_path / "pred" / "case000.nii").read_bytes())
+        out = tmp_path / "m.csv"
+        code = main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
+                     "--pred-dir", str(tmp_path / "pred"), "--out", str(out)])
+        assert code == 1
+        cases = {r["case_id"] for r in csv.DictReader(out.open())}
+        assert cases == {"case000", "case002", "__mean__"}
+        report = out.with_suffix(".skipped.txt").read_text().splitlines()
+        assert len(report) == 1 and report[0].startswith("case001\t")
+        assert str(tmp_path / "pred" / "case001") in report[0]
+        assert str(tmp_path / "pred" / "case001.nii") in report[0]
 
     def test_negative_dilation_iterations_config_error(self, tmp_path, capsys):
         write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=1)
@@ -213,7 +230,12 @@ class TestRank:
         "case_id,mode,region,dsc\nc0,legacy,WT,1.0\n",  # no hd95 column
         "case_id,mode,region,dsc,hd95\nc0,legacy,WT,high,0.0\n",  # non-numeric dsc
         "case_id,mode,region,dsc,hd95\nc0,legacy,WT\n",  # short row
-    ], ids=["no-hd95", "non-numeric-dsc", "short-row"])
+        # A complete table whose WT row holds an impossible DSC or HD95.
+        *("case_id,mode,region,dsc,hd95\nc0,legacy,ET,0.5,1.0\nc0,legacy,TC,0.5,1.0\n"
+          f"c0,legacy,WT,{wt}\n"
+          for wt in ("1.5,0.0", "-0.2,0.0", "inf,0.0", "nan,0.0", "0.5,-4.0", "0.5,inf", "0.5,nan")),
+    ], ids=["no-hd95", "non-numeric-dsc", "short-row", "dsc-above-1", "negative-dsc", "inf-dsc",
+            "nan-dsc", "negative-hd95", "inf-hd95", "nan-hd95"])
     def test_malformed_metrics_csv_config_error(self, tmp_path, capsys, body):
         src = tmp_path / "sol.csv"
         src.write_text(body)
@@ -222,6 +244,7 @@ class TestRank:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+        assert "sol.csv line" in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
@@ -622,6 +645,23 @@ class TestSynthCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_phantom_grid_too_large_to_allocate_config_error(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def build_labels(dims, lesions):
+            raise MemoryError(f"Unable to allocate array with shape {dims}")
+
+        monkeypatch.setattr(bratskit.phantom, "_build_labels", build_labels)
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text('{"dims": [4000, 4000, 4000], '
+                             '"lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}]}')
+        out_dir = tmp_path / "out"
+        code = main(["phantom", "--spec", str(spec_path), "--out", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and "(4000, 4000, 4000)" in err
         assert len(err.strip().splitlines()) == 1
         assert not out_dir.exists()
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,8 +163,9 @@ def test_erosion_past_the_grid_leaves_nothing():
 
 
 # NIfTI digests (sha256, first 16 hex digits) of gt and pred, recorded before
-# generate_phantom's checks moved into the shared volume rules; the benchmark
-# corpus is built from these bytes.
+# generate_phantom's checks moved into the shared volume rules (the first six)
+# and before ellipsoids became sums of broadcast axis terms (the last three);
+# the benchmark corpus is built from these bytes.
 @pytest.mark.parametrize("spec,digests", [
     (PhantomSpec((20, 18, 16), (Lesion((10, 9, 8), (5, 4, 3)),)),
      ("cae1587f14352c46", "cae1587f14352c46")),
@@ -183,7 +185,19 @@ def test_erosion_past_the_grid_leaves_nothing():
                  (Lesion((10.5, 9.25, 8.0), (4.3, 3.7, 2.9), shells=((2, 1.0), (3, 0.5))),),
                  Perturbation("shift", shift=(0, 1, -2)), spacing=(0.8, 1.2, 2.5)),
      ("670f6e362a686b86", "543cbd3095655c22")),
-], ids=["none", "shift", "erode", "add_fp", "drop_lesion", "float-lesion-and-spacing"])
+    (PhantomSpec((240, 240, 155),
+                 (Lesion((80, 80, 70), (22, 18, 16)), Lesion((170, 160, 90), (14, 14, 12))),
+                 Perturbation("shift", shift=(2, 1, 0))),
+     ("31e4215ed4498381", "169e790cadb0bc99")),
+    # Shells paint in their given order, a label-0 shell included.
+    (PhantomSpec((24, 24, 24),
+                 (Lesion((12, 12, 12), (6, 5, 4), shells=((3, 0.3), (0, 0.6), (2, 1.0))),)),
+     ("3967313e81cf4381", "3967313e81cf4381")),
+    (PhantomSpec((16, 16, 16), (Lesion((3, 3, 3), (3.5, 3.5, 3.5)),),
+                 Perturbation("erode", iterations=1)),
+     ("60a9ad910d133a1f", "730a7867c9171f6f")),
+], ids=["none", "shift", "erode", "add_fp", "drop_lesion", "float-lesion-and-spacing",
+        "criterion-10", "unordered-shells-with-label-0", "lesion-on-three-faces"])
 def test_phantom_bytes_pinned(tmp_path, spec, digests):
     for volume, name, digest in zip(generate_phantom(spec), ("gt", "pred"), digests):
         write_volume(volume, tmp_path / f"{name}.nii")
@@ -196,3 +210,18 @@ def test_random_specs_always_generate(rng):
         gt, pred = generate_phantom(spec)
         assert (gt.voxels != 0).any()
         assert gt.geometry == pred.geometry
+
+
+def test_peak_memory_below_two_float_grids():
+    # Each ellipsoid is a sum of three broadcast axis terms, so only that sum
+    # has the grid's shape; a full-grid accumulator plus one full-grid add per
+    # axis peaks at about 2.5 float64 grids.
+    spec = PhantomSpec((96, 96, 96), (Lesion((48, 48, 48), (20, 16, 12)),))
+    generate_phantom(spec)
+    tracemalloc.start()
+    try:
+        generate_phantom(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * 96 ** 3
