@@ -73,30 +73,51 @@ def dice(a: BinaryMask, b: BinaryMask) -> float:
 
 
 # Up to this many (src, dst) point pairs, scoring every pair costs less than
-# building and searching a k-d tree; above it the tree costs less.
+# building and searching a k-d tree; above it the tree costs less. Measured on
+# ball surfaces: without the tie search the tree wins from 8,100 pairs (50
+# against 54 us, 1 mm); with it the tree still loses at 61,716 (387 against 327
+# us, (0.9375, 0.9375, 1.5) mm).
+_ALL_PAIRS_MAX_EXACT = 1 << 13
 _ALL_PAIRS_MAX = 1 << 16
 
 
+def _p95(x):
+    """np.percentile(x, 95, method="linear"): the two ranks around numpy's
+    virtual index, partitioned out and mixed as numpy's `_lerp` mixes them."""
+    at = (len(x) - 1) * 0.95
+    k = [int(at), min(int(at) + 1, len(x) - 1)]
+    a, b = np.partition(x, k)[k]
+    t = at - k[0]
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+
+
 def _directed_p95(src, dst, spacing):
-    """95th percentile (linear interpolation) of the distances (mm) from each
-    src point to its nearest dst point; points are voxel coordinates.
+    """95th percentile (linear interpolation, `_p95`) of the distances (mm)
+    from each src point to its nearest dst point; points are voxel coordinates.
 
     Squared distances are summed in axis order from the voxel offsets scaled
-    per axis, as the exact EDT sums them. Offsets of equal length can round
-    one bit apart and the EDT keeps the lesser, so the least sum over every
-    tied dst point is kept."""
-    if len(src) * len(dst) <= _ALL_PAIRS_MAX:
+    per axis, as the exact EDT sums them. On an exact grid, each spacing an
+    integer of at most 512 mm, every coordinate stays below
+    volume.MAX_DIM * 512 < 2**24 mm, so every sum is an exact integer: tied
+    offsets have equal sums and the tree's distance is the correctly rounded
+    root of the sum the EDT takes. On other grids offsets of equal length can round one bit apart and
+    the EDT keeps the lesser, so the tree path searches every dst point tied
+    with the nearest and keeps the least sum."""
+    exact = all(float(s).is_integer() and s <= 512 for s in spacing)
+    if len(src) * len(dst) <= (_ALL_PAIRS_MAX_EXACT if exact else _ALL_PAIRS_MAX):
         # one (src x dst) plane per axis keeps the temporaries small
         sq = sum(((src[:, None, i] - dst[None, :, i]) * s) ** 2 for i, s in enumerate(spacing))
         sq = sq.min(axis=1)
     else:
         tree = cKDTree(dst * spacing)
         near, _ = tree.query(src * spacing)
+        if exact:
+            return _p95(near)
         ties = tree.query_ball_point(src * spacing, near * (1 + 1e-9), return_sorted=False)
         counts = [len(t) for t in ties]
         offsets = src.repeat(counts, axis=0) - dst[np.concatenate(ties)]
         sq = np.minimum.reduceat(((offsets * spacing) ** 2).sum(axis=1), np.cumsum(counts) - counts)
-    return float(np.percentile(np.sqrt(sq), 95, method="linear"))
+    return _p95(np.sqrt(sq))
 
 
 def hd95(a: BinaryMask, b: BinaryMask) -> float:

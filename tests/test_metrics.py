@@ -8,6 +8,7 @@ from bratskit.metrics import (
     HD95_PENALTY,
     MatchParams,
     _directed_p95,
+    _p95,
     case_metrics_legacy,
     case_metrics_lesionwise,
     dice,
@@ -124,6 +125,40 @@ def region_pairs(gt, pred, spacing):
                BinaryMask(g, extract_region(pred, region).bits))
 
 
+def force_tree(monkeypatch):
+    """Score through the k-d tree on every grid, whatever the point counts."""
+    for name in ("_ALL_PAIRS_MAX", "_ALL_PAIRS_MAX_EXACT"):
+        monkeypatch.setattr(metrics, name, 0)
+
+
+SPACINGS = [(1.0, 1.0, 1.0), (2.0, 1.0, 3.0), (0.7, 1.3, 2.1), (1.2, 0.8, 3.0), (1.0, 0.5, 1.0)]
+
+
+class TestP95:
+    """`_p95` equals np.percentile(..., method="linear") under ==, so a numpy
+    that moves its virtual index or changes `_lerp` fails here."""
+
+    @staticmethod
+    def arrays(rng, n):
+        yield rng.random(n) * 100
+        yield np.sqrt(rng.integers(0, 30, n).astype(np.float64))  # integer-square ties
+        yield np.full(n, 3.0)
+
+    def check(self, x):
+        assert _p95(x) == np.percentile(x, 95, method="linear")
+
+    @pytest.mark.parametrize("n", [1, 2, 21, 41, 101, 1000, 11226])
+    def test_named_lengths(self, rng, n):
+        for _ in range(20):
+            for x in self.arrays(rng, n):
+                self.check(x)
+
+    def test_every_short_length(self, rng):
+        for n in range(1, 300):
+            for x in self.arrays(rng, n):
+                self.check(x)
+
+
 class TestHD95EqualsEDT:
     """HD95 from nearest surface points equals, under ==, HD95 from the exact
     EDT of the joint box, so the 6-decimal CSV strings cannot move."""
@@ -132,9 +167,9 @@ class TestHD95EqualsEDT:
     def scoring(self, request, monkeypatch):
         """Score small point sets pair by pair, as usual, or through the tree."""
         if request.param == "tree":
-            monkeypatch.setattr(metrics, "_ALL_PAIRS_MAX", 0)
+            force_tree(monkeypatch)
 
-    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1), (1.2, 0.8, 3.0)])
+    @pytest.mark.parametrize("spacing", SPACINGS)
     def test_random_phantoms(self, spacing, scoring):
         rng = np.random.default_rng(606)
         for _ in range(50):
@@ -143,7 +178,7 @@ class TestHD95EqualsEDT:
                 got, want = hd95(a, b), edt_hd95(a.bits, b.bits, spacing)
                 assert got == want
 
-    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1), (1.2, 0.8, 3.0)])
+    @pytest.mark.parametrize("spacing", SPACINGS)
     def test_sparse_noise(self, spacing, scoring):
         # scattered voxels give many nearest points at equal distances
         rng = np.random.default_rng(7)
@@ -174,6 +209,47 @@ class TestHD95EqualsEDT:
         for a, b in region_pairs(*generate_phantom(spec), spacing):
             got, want = hd95(a, b), edt_hd95(a.bits, b.bits, spacing)
             assert got == want
+
+
+class TestTiePath:
+    """The tree searches for tied nearest points only where spacings are not
+    all integers of at most 512 mm; elsewhere its distance is already exact."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts, per method, the calls on every tree that metrics builds."""
+        counts = {"query": 0, "query_ball_point": 0}
+
+        class CountingTree(metrics.cKDTree):
+            def query(self, *args, **kwargs):
+                counts["query"] += 1
+                return super().query(*args, **kwargs)
+
+            def query_ball_point(self, *args, **kwargs):
+                counts["query_ball_point"] += 1
+                return super().query_ball_point(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "cKDTree", CountingTree)
+        force_tree(monkeypatch)
+        return counts
+
+    def score_phantoms(self, spacing):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            gt, pred = generate_phantom(random_phantom_spec(rng))
+            for a, b in region_pairs(gt, pred, spacing):
+                assert hd95(a, b) == edt_hd95(a.bits, b.bits, spacing)
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (2.0, 1.0, 3.0), (512.0, 1.0, 1.0)])
+    def test_exact_grid_skips_tie_search(self, spacing, calls):
+        self.score_phantoms(spacing)
+        assert calls["query"] > 0
+        assert calls["query_ball_point"] == 0
+
+    @pytest.mark.parametrize("spacing", [(0.7, 1.3, 2.1), (1024.0, 1.0, 1.0)])
+    def test_other_grid_searches_ties(self, spacing, calls):
+        self.score_phantoms(spacing)
+        assert calls["query_ball_point"] == calls["query"] > 0
 
 
 class TestLegacyCaseMetrics:
