@@ -8,7 +8,7 @@ from .volume import (
     RegionProbVolume,
     ScalarVolume,
 )
-from .nifti import read_volume, write_volume
+from .nifti import open_region_prob, read_volume, write_volume
 from .regions import REGIONS, Region, extract_region, reconstruct_labels
 from .morphology import (
     ComponentMap,
@@ -31,7 +31,7 @@ from .metrics import (
 )
 from .ranking import MetricTable, RankingResult, rank_solutions
 from .postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
-from .fusion import StapleResult, average_fusion, staple_binary, staple_fusion
+from .fusion import StapleFit, StapleResult, average_fusion, staple_binary, staple_fusion
 from .synthprep import (
     CorruptionField,
     LambdaPair,

@@ -27,7 +27,7 @@ from .metrics import (
     metrics_rows,
     write_metrics_csv,
 )
-from .nifti import read_volume, write_volume
+from .nifti import open_region_prob, read_volume, write_volume
 from .phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
 from .postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
 from .ranking import build_table, rank_solutions, write_ranking_csv
@@ -139,15 +139,23 @@ def _warn_unconverged(region, result):
 
 
 def cmd_fuse(args):
+    # An option the method would ignore is refused, not dropped in silence.
+    option, value = {"mean": ("--max-iters", args.max_iters),
+                     "staple": ("--prob-out", args.prob_out)}[args.method]
+    if value is not None:
+        raise ValidationError(f"{option} does not apply to --method {args.method}")
     if args.method == "mean":
-        # A generator: average_fusion reads one map at a time.
-        fused, labels = average_fusion(read_volume(p, "region_prob") for p in args.inputs)
+        # Every header is checked before any channel is read, and every channel
+        # is read before anything is written, so an output may name an input.
+        maps = [open_region_prob(p) for p in args.inputs]
+        fused, labels = average_fusion(maps)
         write_volume(labels, args.out)
         if args.prob_out:
             write_volume(fused, args.prob_out)
     else:
         labels_in = [read_volume(p, "label") for p in args.inputs]
-        fused_labels = staple_fusion(labels_in, args.max_iters, on_region=_warn_unconverged)
+        iters = {} if args.max_iters is None else {"max_iters": args.max_iters}
+        fused_labels = staple_fusion(labels_in, **iters, on_region=_warn_unconverged)
         write_volume(fused_labels, args.out)
     return EXIT_OK
 
@@ -239,7 +247,7 @@ def build_parser():
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--prob-out", help="also write the averaged probability map")
-    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--max-iters", type=int, help="STAPLE's EM iteration cap (default 100)")
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("postprocess", help="suppress small lesions per region")

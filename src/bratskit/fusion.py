@@ -3,13 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .regions import REGIONS, Region, extract_region, reconstruct_labels
-from .volume import BinaryMask, LabelVolume, RegionProbVolume, integral, tumour_box
+from .volume import (
+    BinaryMask,
+    LabelVolume,
+    RegionProbVolume,
+    boxed_mask,
+    common_geometry,
+    crop,
+    integral,
+    tumour_box,
+)
 
 _EPS = 1e-7
 # staple_binary counts decision patterns in a histogram of 2**R bins.
@@ -29,68 +38,75 @@ class StapleResult:
     converged: bool
 
 
+class StapleFit(NamedTuple):
+    """What EM found from the decision-pattern counts alone."""
+
+    posterior: np.ndarray  # posterior of each R-bit pattern code, 2**R entries
+    rater_performance: list  # (sensitivity, specificity) per input
+    iterations_run: int
+    converged: bool
+
+
 def average_fusion(maps: Iterable[RegionProbVolume]):
     """Channelwise mean of the probability maps, binarized at >= 0.5 and
     reconstructed into a label volume.
 
-    `maps` may be a list or any other iterable, such as a generator of file
-    reads: each map is added into one float64 accumulator as it arrives and
-    released before the next is drawn, so a generator holds one input map at a
-    time whatever the number of maps.
+    A map is a RegionProbVolume or anything with its `geometry` and indexable
+    `channels`, such as `nifti.RegionProbFile`, which reads a channel from disk
+    when it is indexed. The mean is built one channel at a time: the maps'
+    channels are summed in input order into one float64 channel accumulator,
+    divided once and cast once into the float32 result, so file-backed maps
+    hold one input channel in memory, whatever their number.
     """
-    maps = iter(maps)
-    first = next(maps, None)
-    if first is None:
+    maps = list(maps)
+    if not maps:
         raise ValidationError("average_fusion needs at least one probability map")
-    geometry = first.geometry
-    # Summed map by map: the same order as np.mean over the stacked float64 maps.
-    mean = first.channels.astype(np.float64)
-    del first
-    n = 1
-    # `del m` ends the loop body: the loop variable would otherwise keep the
-    # previous map alive while the iterator reads the next one.
-    for m in maps:
-        geometry.require_compatible(m.geometry)
-        mean += m.channels
-        n += 1
-        del m
-    mean /= n
-    fused = RegionProbVolume(geometry, mean.astype(np.float32))
-    del mean  # the thresholds below read the float32 map
-    masks = [BinaryMask(geometry, fused.channels[c] >= 0.5) for c in range(3)]
-    labels = reconstruct_labels(*masks)
-    return fused, labels
+    geometry = common_geometry(maps)
+    # The result in file order: x fastest, channel slowest.
+    fused = np.moveaxis(np.empty(geometry.dims + (3,), np.float32, order="F"), 3, 0)
+    acc = np.empty(geometry.dims, np.float64, order="F")
+    for c in range(3):
+        # The same sums, in the same order, as np.mean over the stacked float64
+        # maps. The first map is copied, not added to zeros, which would turn -0.0 into 0.0.
+        np.copyto(acc, maps[0].channels[c])
+        for m in maps[1:]:
+            acc += m.channels[c]
+        acc /= len(maps)
+        fused[c] = acc
+    del acc  # the thresholds below read the float32 result
+    masks = [BinaryMask(geometry, fused[c] >= 0.5) for c in range(3)]
+    return RegionProbVolume(geometry, fused), reconstruct_labels(*masks)
 
 
-def staple_binary(masks: Sequence[BinaryMask], max_iters: int = 100) -> StapleResult:
-    """EM estimation of per-rater sensitivity/specificity and the per-voxel
-    posterior of the latent true mask.
+def _checked_max_iters(n_raters, max_iters) -> int:
+    """`max_iters` as an int, once the rater count and `max_iters` pass STAPLE's checks."""
+    if not 2 <= n_raters <= MAX_RATERS:
+        raise ValidationError(f"STAPLE needs 2 to {MAX_RATERS} raters, got {n_raters}")
+    return integral(max_iters, "max_iters", 1)
+
+
+def _pattern_codes(bits) -> np.ndarray:
+    """Each voxel's decision pattern: bit j is rater j's decision. The codes
+    keep the first array's memory order, so F-ordered masks are not copied into C order."""
+    code = np.zeros_like(bits[0], dtype=np.uint16)
+    for j, b in enumerate(bits):
+        code |= b.astype(np.uint16) << j
+    return code
+
+
+def _staple_em(code, outside, n_raters, max_iters) -> StapleFit:
+    """EM on the pattern codes of a box, with `outside` more voxels of pattern 0.
 
     The prior of a voxel is the share of raters that mark it, so its
     posterior depends only on its pattern of rater decisions. EM therefore
-    runs on the counts of the patterns that occur (at most 2**R), and the
-    posterior is mapped back to the voxels once at the end. The E-step works in the log domain so
-    products over many raters stay stable. Patterns are coded on the raters'
-    box only: every voxel outside it has pattern 0.
+    runs on the counts of the patterns that occur (at most 2**R). The E-step
+    works in the log domain so products over many raters stay stable.
     """
-    n_raters = len(masks)
-    if not 2 <= n_raters <= MAX_RATERS:
-        raise ValidationError(f"STAPLE needs 2 to {MAX_RATERS} raters, got {n_raters}")
-    max_iters = integral(max_iters, "max_iters", 1)
-    geometry = masks[0].geometry
-    box = tumour_box(masks)  # refuses a mask on another grid
-    if box is None:
-        empty = BinaryMask(geometry, np.zeros_like(masks[0].bits))
-        perf = [(1.0, 1.0)] * n_raters
-        return StapleResult(empty, np.zeros_like(masks[0].bits, dtype=np.float64), perf, 0, True)
-
-    # Bit j of a voxel's code is rater j's decision. Every array below keeps the
-    # first mask's memory order, so no step copies F-ordered masks into C order.
-    code = np.zeros_like(masks[0].bits[box], dtype=np.uint16)
-    for j, m in enumerate(masks):
-        code |= m.bits[box].astype(np.uint16) << j
-    counts = np.bincount(code.ravel(order="K"))
-    counts[0] += geometry.n_voxels - code.size
+    counts = np.bincount(code.ravel(order="K"), minlength=1)
+    counts[0] += outside
+    lut = np.zeros(1 << n_raters)
+    if counts.size == 1:  # no rater marks a voxel
+        return StapleFit(lut, [(1.0, 1.0)] * n_raters, 0, True)
     patterns = np.flatnonzero(counts)
     counts = counts[patterns]
     d = ((patterns[:, None] >> np.arange(n_raters)) & 1).astype(bool)  # (patterns, raters)
@@ -124,30 +140,55 @@ def staple_binary(masks: Sequence[BinaryMask], max_iters: int = 100) -> StapleRe
             converged = True
             break
 
-    lut = np.zeros(1 << n_raters)
     lut[patterns] = w
-    weights = np.full_like(masks[0].bits, lut[0], dtype=np.float64)
-    weights[box] = lut[code]
-    consensus = BinaryMask(geometry, weights >= 0.5)
-    perf = [(float(pi), float(qi)) for pi, qi in zip(p, q)]
-    return StapleResult(consensus, weights, perf, iterations, converged)
+    return StapleFit(lut, [(float(pi), float(qi)) for pi, qi in zip(p, q)], iterations, converged)
+
+
+# The box of raters that mark nothing: one voxel, which like every other has pattern 0.
+_CORNER = (slice(0, 1),) * 3
+
+
+def staple_binary(masks: Sequence[BinaryMask], max_iters: int = 100) -> StapleResult:
+    """EM estimation of per-rater sensitivity/specificity and the per-voxel
+    posterior of the latent true mask.
+
+    Patterns are coded on the raters' box only: every voxel outside it has
+    pattern 0, and the posterior is mapped back to the voxels once at the end.
+    """
+    max_iters = _checked_max_iters(len(masks), max_iters)
+    geometry = masks[0].geometry
+    box = tumour_box(masks) or _CORNER  # refuses a mask on another grid
+    code = _pattern_codes([m.bits[box] for m in masks])
+    fit = _staple_em(code, geometry.n_voxels - code.size, len(masks), max_iters)
+    weights = np.full_like(masks[0].bits, fit.posterior[0], dtype=np.float64)
+    weights[box] = fit.posterior[code]
+    return StapleResult(BinaryMask(geometry, weights >= 0.5), weights, fit.rater_performance,
+                        fit.iterations_run, fit.converged)
 
 
 def staple_fusion(labels: Sequence[LabelVolume], max_iters: int = 100,
-                  on_region: Optional[Callable[[Region, StapleResult], None]] = None) -> LabelVolume:
-    """Run binary STAPLE independently per region and reconstruct labels.
+                  on_region: Optional[Callable[[Region, StapleFit], None]] = None) -> LabelVolume:
+    """Run binary STAPLE independently per region and reconstruct labels; the
+    same labels as `reconstruct_labels` of each region's `staple_binary` consensus.
 
-    `on_region`, when given, is called with each region and its STAPLE result.
-    The rater count and geometry are checked by the first region's
-    `staple_binary`: each extracted mask keeps its volume's geometry.
+    The labels are cut once to their joint box, and each region is coded,
+    thresholded and rebuilt there. Every voxel outside the box has pattern 0 in
+    each region, so it takes the label rebuilt from the three regions' pattern-0
+    decisions. `on_region`, when given, is called with each region and its fit.
     """
-    consensus = []
+    max_iters = _checked_max_iters(len(labels), max_iters)
+    geometry = labels[0].geometry
+    box = tumour_box(labels) or _CORNER  # refuses a volume on another grid
+    cut = [crop(lv, box) for lv in labels]
+    inside, outside = [], []
     for region in REGIONS:
-        result = staple_binary([extract_region(lv, region) for lv in labels], max_iters)
+        code = _pattern_codes([extract_region(lv, region).bits for lv in cut])
+        fit = _staple_em(code, geometry.n_voxels - code.size, len(labels), max_iters)
         if on_region is not None:
-            on_region(region, result)
-        consensus.append(result.consensus)
-        # Only the consensus is kept: the full-grid weights must not outlive
-        # the region while the next one runs.
-        del result
-    return reconstruct_labels(*consensus)
+            on_region(region, fit)
+        marked = fit.posterior >= 0.5
+        inside.append(boxed_mask(marked[code], geometry.spacing))
+        outside.append(boxed_mask(marked[:1].reshape(1, 1, 1), geometry.spacing))
+    voxels = np.full_like(labels[0].voxels, reconstruct_labels(*outside).voxels.item())
+    voxels[box] = reconstruct_labels(*inside).voxels
+    return LabelVolume(geometry, voxels)

@@ -6,12 +6,15 @@ sizeof_hdr 348, magic "n+1", datatype 2 (uint8) or 16 (float32), vox_offset 352
 Label volumes are 3D uint8; scalar volumes 3D float32; region-probability
 volumes 4D float32 with the 4th dimension of size 3 (channel order WT, TC, ET).
 Every payload is read as a read-only view of the file bytes, in the file's
-x-fastest (F) order; only the remap of legacy label 4 copies.
+x-fastest (F) order; only the remap of legacy label 4 copies. A region-probability
+file can also be opened and read one channel at a time (`open_region_prob`).
+A payload already in file order is written without a copy.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from pathlib import Path
 from typing import NamedTuple
@@ -24,7 +27,7 @@ from .errors import (
     UnsupportedDatatypeError,
     ValidationError,
 )
-from .volume import Geometry, LabelVolume, RegionProbVolume, ScalarVolume
+from .volume import Geometry, LabelVolume, RegionProbVolume, ScalarVolume, require_probabilities
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
@@ -81,12 +84,13 @@ def write_volume(volume, path):
         raise ValidationError(f"unsupported volume type {type(volume).__name__}")
     dims = volume.geometry.dims
     # File order (x fastest, 4th dim slowest) is F order with the channel axis
-    # last; a payload that already lies in file order is written with one copy.
+    # last. The F ravel of a payload already in file order is a view, written
+    # through its buffer with no copy; any other layout is copied once.
     payload = np.moveaxis(volume.payload.reshape((kind.dim4,) + dims), 0, 3)
     with open(path, "wb") as fh:
         fh.write(_build_header(dims, volume.geometry.spacing, kind))
         fh.write(b"\x00" * (VOX_OFFSET - HEADER_SIZE))
-        fh.write(payload.astype(kind.dtype, copy=False).tobytes(order="F"))
+        fh.write(memoryview(payload.astype(kind.dtype, copy=False).ravel(order="F")))
 
 
 def _parse_header(raw):
@@ -121,17 +125,13 @@ def _parse_header(raw):
     return dims, dim4, spacing, datatype, int(vox_offset)
 
 
-def read_volume(path, kind):
-    """Read a volume of the given kind: 'label', 'scalar' or 'region_prob'.
-
-    Every payload is a read-only view of the file bytes, in file (x-fastest, F)
-    order. A label file that holds legacy label 4 is read as a copy in the same
-    order, with 4 remapped to 3 and `legacy_remapped` set.
-    """
+def _checked_header(raw, size, kind):
+    """The kind's table entry, the geometry and the payload offset of a file of
+    `size` bytes that starts with `raw`. Refuses a header, datatype, 4th dim
+    or payload length that does not fit the kind."""
     spec = _KINDS.get(kind)
     if spec is None:
         raise ValidationError(f"unknown kind {kind!r}")
-    raw = Path(path).read_bytes()
     dims, dim4, spacing, datatype, vox_offset = _parse_header(raw)
     geometry = Geometry(dims, spacing)
     if datatype != spec.datatype:
@@ -140,14 +140,30 @@ def read_volume(path, kind):
     if dim4 != spec.dim4:
         raise FormatError(f"{kind} volume must have 4th dim {spec.dim4}, got {dim4}",
                           offset=_OFF_DIM)
-    count = geometry.n_voxels * dim4
-    nbytes, have = count * spec.dtype.itemsize, max(len(raw) - vox_offset, 0)
+    nbytes = geometry.n_voxels * dim4 * spec.dtype.itemsize
+    _require_payload(nbytes, size - vox_offset, vox_offset)
+    return spec, geometry, vox_offset
+
+
+def _require_payload(nbytes, have, offset):
     if have < nbytes:
-        raise FormatError(f"payload truncated: need {nbytes} bytes, have {have}", offset=vox_offset)
+        raise FormatError(f"payload truncated: need {nbytes} bytes, have {max(have, 0)}",
+                          offset=offset)
+
+
+def read_volume(path, kind):
+    """Read a volume of the given kind: 'label', 'scalar' or 'region_prob'.
+
+    Every payload is a read-only view of the file bytes, in file (x-fastest, F)
+    order. A label file that holds legacy label 4 is read as a copy in the same
+    order, with 4 remapped to 3 and `legacy_remapped` set.
+    """
+    raw = Path(path).read_bytes()
+    spec, geometry, vox_offset = _checked_header(raw, len(raw), kind)
     # frombuffer at an offset views the file bytes; slicing `raw` would copy them.
-    flat = np.frombuffer(raw, spec.dtype, count, offset=vox_offset)
-    payload = np.moveaxis(flat.reshape(dims + (dim4,), order="F"), 3, 0)
-    payload = payload if dim4 > 1 else payload[0]
+    flat = np.frombuffer(raw, spec.dtype, geometry.n_voxels * spec.dim4, offset=vox_offset)
+    payload = np.moveaxis(flat.reshape(geometry.dims + (spec.dim4,), order="F"), 3, 0)
+    payload = payload if spec.dim4 > 1 else payload[0]
 
     if kind == "label":
         top = int(payload.max(initial=0))
@@ -157,3 +173,39 @@ def read_volume(path, kind):
         return LabelVolume(geometry, np.minimum(payload, 3) if legacy else payload,
                            legacy_remapped=legacy)
     return spec.volume(geometry, payload)
+
+
+class _FileChannels:
+    """The channels of a region-probability file, indexed like
+    `RegionProbVolume.channels`: `[c]` reads channel c from the file, in file
+    order, and checks it against the [0, 1] rule."""
+
+    def __init__(self, path, geometry, offset):
+        self.path, self.geometry, self.offset = path, geometry, offset
+
+    def __getitem__(self, c):
+        dtype, n = _KINDS["region_prob"].dtype, self.geometry.n_voxels
+        offset = self.offset + c * n * dtype.itemsize
+        flat = np.fromfile(self.path, dtype, n, offset=offset)
+        # The length was checked on open; this catches a file cut short since.
+        _require_payload(n * dtype.itemsize, flat.nbytes, offset)
+        return require_probabilities(flat.reshape(self.geometry.dims, order="F"))
+
+
+class RegionProbFile(NamedTuple):
+    """A region-probability file with a checked header and length. It has the
+    `geometry` and `channels` of a RegionProbVolume, but holds no voxels: each
+    `channels[c]` is read from the file when indexed."""
+
+    geometry: Geometry
+    channels: _FileChannels
+
+
+def open_region_prob(path):
+    """Check a region-probability file's header and length, as `read_volume`
+    does, reading only the header; its channels are read when indexed."""
+    with open(path, "rb") as fh:
+        raw = fh.read(HEADER_SIZE)
+        size = os.fstat(fh.fileno()).st_size
+    _, geometry, offset = _checked_header(raw, size, "region_prob")
+    return RegionProbFile(geometry, _FileChannels(path, geometry, offset))

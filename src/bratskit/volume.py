@@ -171,10 +171,15 @@ class RegionProbVolume(_Volume):
     _payload = "channels"
 
     def __post_init__(self):
-        ch = self._freeze(np.float32, (3,) + self.geometry.dims, "channels")
-        # Written so that NaN, which fails every comparison, is rejected too.
-        if ch.size and not (ch.min() >= 0.0 and ch.max() <= 1.0):
-            raise ValidationError("region probabilities must lie in [0, 1]")
+        require_probabilities(self._freeze(np.float32, (3,) + self.geometry.dims, "channels"))
+
+
+def require_probabilities(array):
+    """Refuse region probabilities outside [0, 1], NaN included; return the array."""
+    # Written so that NaN, which fails every comparison, is rejected too.
+    if array.size and not (array.min() >= 0.0 and array.max() <= 1.0):
+        raise ValidationError("region probabilities must lie in [0, 1]")
+    return array
 
 
 @dataclass(frozen=True, eq=False)

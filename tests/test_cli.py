@@ -361,6 +361,99 @@ class TestFuse:
         # maps read into a list need about 8x.
         assert peak < 4 * payload_bytes
 
+    @staticmethod
+    def write_probs(tmp_path, n, dims=(6, 5, 4), seed=3):
+        rng = np.random.default_rng(seed)
+        paths = []
+        for i in range(n):
+            p = tmp_path / f"prob{i}.nii"
+            write_volume(RegionProbVolume(Geometry(dims), rng.random((3, *dims), np.float32)), p)
+            paths.append(str(p))
+        return paths
+
+    def test_mean_peak_does_not_grow_with_the_map_count(self, tmp_path):
+        # One input channel, the float64 channel accumulator and the float32
+        # result: about 2x one map's payload, whatever the number of maps.
+        paths = self.write_probs(tmp_path, 5, (64, 64, 64), seed=9)
+        payload_bytes = 3 * 4 * 64 ** 3
+        peaks = []
+        for n in (2, 5):
+            tracemalloc.start()
+            try:
+                code = main(["fuse", "--method", "mean", "--inputs", *paths[:n],
+                             "--out", str(tmp_path / "fused.nii"),
+                             "--prob-out", str(tmp_path / "fused_prob.nii")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert max(peaks) < 2.5 * payload_bytes
+        assert abs(peaks[1] - peaks[0]) < 0.1 * payload_bytes
+
+    @pytest.mark.parametrize("method, option", [("staple", ["--prob-out", "p.nii"]),
+                                                ("mean", ["--max-iters", "0"]),
+                                                ("mean", ["--max-iters", "100"])])
+    def test_refuses_an_option_its_method_ignores(self, tmp_path, capsys, method, option):
+        if method == "mean":
+            paths = self.write_probs(tmp_path, 2)
+        else:
+            paths = self.write_labels(tmp_path, [labels_from_array(np.ones((4, 4, 4), np.uint8))] * 2)
+        option = [str(tmp_path / v) if v.endswith(".nii") else v for v in option]
+        out = tmp_path / "fused.nii"
+        code = main(["fuse", "--method", method, "--inputs", *paths, "--out", str(out), *option])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert option[0] in err and method in err
+        assert not out.exists() and not (tmp_path / "p.nii").exists()
+
+    @staticmethod
+    def _truncate_last_channel(path):
+        path.write_bytes(path.read_bytes()[:-4])
+
+    @staticmethod
+    def _nan_in_last_channel(path):
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.float32(np.nan).tobytes()
+        path.write_bytes(bytes(raw))
+
+    @staticmethod
+    def _uint8(path):
+        write_volume(labels_from_array(np.ones((6, 5, 4), np.uint8)), path)
+
+    @staticmethod
+    def _three_d(path):
+        write_volume(ScalarVolume(Geometry((6, 5, 4)), np.full((6, 5, 4), 0.5, np.float32)), path)
+
+    @staticmethod
+    def _other_grid(path):
+        rng = np.random.default_rng(1)
+        write_volume(RegionProbVolume(Geometry((6, 5, 5)), rng.random((3, 6, 5, 5), np.float32)),
+                     path)
+
+    @pytest.mark.parametrize("damage", ["_truncate_last_channel", "_nan_in_last_channel",
+                                        "_uint8", "_three_d", "_other_grid"])
+    def test_mean_refuses_a_bad_last_map(self, tmp_path, capsys, damage):
+        paths = self.write_probs(tmp_path, 3)
+        getattr(self, damage)(Path(paths[-1]))
+        out, prob_out = tmp_path / "fused.nii", tmp_path / "fused_prob.nii"
+        code = main(["fuse", "--method", "mean", "--inputs", *paths,
+                     "--out", str(out), "--prob-out", str(prob_out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert not out.exists() and not prob_out.exists()
+
+    def test_mean_prob_out_may_name_an_input(self, tmp_path):
+        paths = self.write_probs(tmp_path, 3)
+        fresh = tmp_path / "fresh.nii"
+        assert main(["fuse", "--method", "mean", "--inputs", *paths,
+                     "--out", str(tmp_path / "a.nii"), "--prob-out", str(fresh)]) == 0
+        assert main(["fuse", "--method", "mean", "--inputs", *paths,
+                     "--out", str(tmp_path / "b.nii"), "--prob-out", paths[-1]]) == 0
+        assert Path(paths[-1]).read_bytes() == fresh.read_bytes()
+        assert (tmp_path / "a.nii").read_bytes() == (tmp_path / "b.nii").read_bytes()
+
     def test_staple(self, tmp_path):
         rng = np.random.default_rng(4)
         vox = rng.integers(0, 4, (6, 6, 6)).astype(np.uint8)

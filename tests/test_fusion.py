@@ -1,19 +1,20 @@
-import weakref
-
 import numpy as np
 import pytest
 
 from bratskit.errors import IncompatibleGeometryError, ValidationError
+import bratskit.fusion
 from bratskit.fusion import (
     MAX_RATERS,
+    StapleFit,
     average_fusion,
     staple_binary,
     staple_fusion,
 )
+from bratskit.nifti import open_region_prob, write_volume
 from bratskit.regions import REGIONS, Region, extract_region, reconstruct_labels
 from bratskit.volume import BinaryMask, Geometry, LabelVolume, RegionProbVolume, tumour_box
 
-from conftest import labels_from_array
+from conftest import LAYOUTS, labels_from_array, relaid
 from oracles import staple_em_oracle
 
 
@@ -77,20 +78,32 @@ class TestAverageFusion:
         assert fused.channels.tobytes() == expected.astype(np.float32).tobytes()
         assert labels == average_fusion(maps)[1]
 
-    def test_generator_map_released_before_the_next_is_read(self, rng):
-        g = Geometry((6, 5, 4))
-        refs = []
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_file_maps_and_any_layout_give_the_same_bytes(self, rng, tmp_path, layout):
+        g = Geometry((9, 7, 5), (1.0, 1.5, 2.0))
+        maps = [prob_volume(rng, g) for _ in range(3)]
+        paths = [tmp_path / f"p{i}.nii" for i in range(3)]
+        for m, path in zip(maps, paths):
+            write_volume(m, path)
+        fused, labels = average_fusion(maps)
+        for other in (average_fusion([relaid(m, layout) for m in maps]),
+                      average_fusion([open_region_prob(path) for path in paths])):
+            assert other[0].channels.tobytes() == fused.channels.tobytes()
+            assert other[1] == labels
 
-        def maps():
-            for _ in range(4):
-                m = prob_volume(rng, g)
-                refs.append(weakref.ref(m))
-                yield m
-                del m
-                assert refs[-1]() is None, f"map {len(refs) - 1} alive while the next is read"
+    def test_result_in_file_order(self, rng):
+        fused, labels = average_fusion([prob_volume(rng, Geometry((9, 7, 5)))] * 2)
+        assert np.moveaxis(fused.channels, 0, 3).flags.f_contiguous
+        assert labels.voxels.flags.f_contiguous
 
-        fused, _ = average_fusion(maps())
-        assert len(refs) == 4 and fused.channels.shape == (3, 6, 5, 4)
+    def test_negative_zero_kept(self, rng):
+        # -0.0 lies in [0, 1]; the mean of stacked copies keeps its sign bit.
+        g = Geometry((4, 3, 2))
+        a, b = np.zeros((3, *g.dims), np.float32), np.zeros((3, *g.dims), np.float32)
+        a[1, 2, 1, 0] = b[1, 2, 1, 0] = -0.0
+        fused, _ = average_fusion([RegionProbVolume(g, a), RegionProbVolume(g, b)])
+        assert np.signbit(fused.channels[1, 2, 1, 0])
+        assert np.signbit(fused.channels).sum() == 1
 
     def test_empty_generator_rejected(self):
         with pytest.raises(ValidationError):
@@ -314,3 +327,91 @@ class TestStapleFusion:
         et = extract_region(fused, Region.ET).bits
         assert not (et & ~tc).any()
         assert not (tc & ~wt).any()
+
+
+def region_consensus(labels, max_iters=100):
+    """reconstruct_labels of each region's staple_binary consensus on the full grid."""
+    results = [staple_binary([extract_region(lv, r) for lv in labels], max_iters) for r in REGIONS]
+    return reconstruct_labels(*(res.consensus for res in results)), results
+
+
+def noisy_raters(rng, dims, n_raters, box):
+    """Label volumes that mark only `box`: a shared truth with per-rater flips."""
+    truth = rng.integers(0, 4, dims).astype(np.uint8)
+    raters = []
+    for _ in range(n_raters):
+        vox = np.where(rng.random(dims) < 0.15, rng.integers(0, 4, dims), truth).astype(np.uint8)
+        out = np.zeros(vox.shape, np.uint8)
+        out[box] = vox[box]
+        raters.append(out)
+    return raters
+
+
+class TestStapleFusionPaste:
+    """staple_fusion runs on the labels' box and fills the rest of the grid;
+    it must give the labels of the full-grid per-region STAPLE."""
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_full_grid_region_consensus(self, seed, layout):
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(n) for n in rng.integers(5, 11, 3))
+        lo = [int(rng.integers(0, n - 2)) for n in dims]
+        box = tuple(slice(a, int(rng.integers(a + 1, n + 1))) for a, n in zip(lo, dims))
+        raters = noisy_raters(rng, dims, int(rng.integers(2, 6)), box)
+        labels = [labels_from_array(LAYOUTS[layout](v)) for v in raters]
+        expected, _ = region_consensus(labels)
+        assert staple_fusion(labels) == expected
+
+    def test_all_empty_raters(self):
+        labels = [labels_from_array(np.zeros((4, 5, 6), np.uint8))] * 3
+        fits = []
+        fused = staple_fusion(labels, on_region=lambda region, fit: fits.append(fit))
+        assert fused == labels[0]
+        assert [(f.iterations_run, f.converged) for f in fits] == [(0, True)] * 3
+
+    def test_box_is_the_whole_grid(self, rng):
+        dims = (7, 6, 5)
+        raters = noisy_raters(rng, dims, 3, tuple(slice(0, n) for n in dims))
+        raters[0][0, 0, 0] = raters[0][-1, -1, -1] = 2
+        labels = [labels_from_array(v) for v in raters]
+        assert tumour_box(labels) == tuple(slice(0, n) for n in dims)
+        assert staple_fusion(labels) == region_consensus(labels)[0]
+
+    def test_on_region_reports_the_full_grid_fit(self, rng):
+        raters = noisy_raters(rng, (8, 7, 6), 3, (slice(1, 6), slice(2, 5), slice(0, 4)))
+        labels = [labels_from_array(v) for v in raters]
+        fits = {}
+        staple_fusion(labels, max_iters=3, on_region=fits.__setitem__)
+        _, results = region_consensus(labels, max_iters=3)
+        assert list(fits) == list(REGIONS)
+        for fit, res in zip(fits.values(), results):
+            assert isinstance(fit, StapleFit)
+            assert fit.rater_performance == res.rater_performance
+            assert (fit.iterations_run, fit.converged) == (res.iterations_run, res.converged)
+
+    @pytest.mark.parametrize("marks_outside, fill", [
+        ((True, False, False), 2), ((True, True, False), 1),
+        ((True, True, True), 3), ((False, False, True), 3), ((False, True, False), 1)])
+    def test_outside_takes_the_reconstructed_fill(self, rng, monkeypatch, marks_outside, fill):
+        # EM keeps pattern 0's posterior far below 0.5 on real raters, but no
+        # bound holds it there: a core whose pattern-0 posterior is raised to
+        # 0.9 for the chosen regions must fill every voxel outside the box.
+        core = bratskit.fusion._staple_em
+        calls = iter(marks_outside * 2)
+
+        def raised(*args):
+            fit = core(*args)
+            posterior = fit.posterior.copy()
+            if next(calls):
+                posterior[0] = 0.9
+            return fit._replace(posterior=posterior)
+
+        monkeypatch.setattr(bratskit.fusion, "_staple_em", raised)
+        box = (slice(2, 5), slice(1, 4), slice(3, 6))
+        labels = [labels_from_array(v) for v in noisy_raters(rng, (8, 7, 9), 3, box)]
+        fused = staple_fusion(labels)
+        outside = np.ones(fused.geometry.dims, bool)
+        outside[tumour_box(labels)] = False
+        assert outside.any() and (fused.voxels[outside] == fill).all()
+        assert fused == region_consensus(labels)[0]

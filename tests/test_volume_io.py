@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 import tracemalloc
 
@@ -16,7 +17,7 @@ from bratskit.errors import (
     ValidationError,
 )
 from bratskit.fusion import average_fusion, staple_binary, staple_fusion
-from bratskit.nifti import read_volume, write_volume
+from bratskit.nifti import open_region_prob, read_volume, write_volume
 from bratskit.regions import reconstruct_labels
 from bratskit.synthprep import CROP_SIZE, CorruptionField, corrupt_crop
 from bratskit.volume import (
@@ -500,6 +501,23 @@ class TestPayloadLayout:
         assert read_peak(path, "label") < 1.5 * payload_bytes
 
 
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_write_copies_only_a_payload_out_of_file_order(self, rng, tmp_path, layout):
+        # The file order of a region-prob map is the first-axis-slowest layout:
+        # written through a buffer view, with no payload-sized allocation.
+        vol = relaid(random_prob(rng, (64, 64, 64)), layout)
+        payload_bytes = 3 * 4 * 64 ** 3
+        tracemalloc.start()
+        try:
+            write_volume(vol, tmp_path / "relaid.nii")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (0.25 if layout == "first-axis-slowest" else 1.25) * payload_bytes
+        write_volume(relaid(vol, "C"), tmp_path / "c.nii")
+        assert (tmp_path / "relaid.nii").read_bytes() == (tmp_path / "c.nii").read_bytes()
+
+
 def read_peak(path, kind):
     """Peak traced allocation, in bytes, of one read_volume call."""
     tracemalloc.start()
@@ -508,3 +526,69 @@ def read_peak(path, kind):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _truncated(raw):
+    return raw[:-4]
+
+
+def _gzipped(raw):
+    return gzip.compress(raw)
+
+
+def _datatype_uint8(raw):
+    struct.pack_into("<h", raw, 70, 2)
+    return raw
+
+
+def _three_dimensional(raw):
+    struct.pack_into("<h", raw, 40, 3)
+    return raw
+
+
+def _short_header(raw):
+    return raw[:100]
+
+
+class TestOpenRegionProb:
+    def test_channels_equal_the_read_volume(self, rng, tmp_path):
+        path = tmp_path / "p.nii"
+        write_volume(random_prob(rng, (5, 4, 3), (1.5, 1.0, 2.0)), path)
+        opened, read = open_region_prob(path), read_volume(path, "region_prob")
+        assert opened.geometry == read.geometry
+        for c in range(3):
+            channel = opened.channels[c]
+            assert channel.flags.f_contiguous
+            assert channel.tobytes() == read.channels[c].tobytes()
+
+    @pytest.mark.parametrize("damage", [_truncated, _gzipped, _datatype_uint8,
+                                        _three_dimensional, _short_header])
+    def test_refuses_what_read_volume_refuses(self, rng, tmp_path, damage):
+        path = tmp_path / "p.nii"
+        write_volume(random_prob(rng, (5, 4, 3)), path)
+        path.write_bytes(damage(bytearray(path.read_bytes())))
+        with pytest.raises(BratskitError) as read_error:
+            read_volume(path, "region_prob")
+        with pytest.raises(type(read_error.value), match=re.escape(str(read_error.value))):
+            open_region_prob(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+    def test_channel_checked_when_read(self, rng, tmp_path, bad):
+        path = tmp_path / "p.nii"
+        write_volume(random_prob(rng, (5, 4, 3)), path)
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.float32(bad).tobytes()  # the last voxel of the last channel
+        path.write_bytes(bytes(raw))
+        opened = open_region_prob(path)
+        opened.channels[0], opened.channels[1]
+        with pytest.raises(ValidationError, match=r"region probabilities must lie in \[0, 1\]"):
+            opened.channels[2]
+
+    def test_file_cut_short_after_open(self, rng, tmp_path):
+        path = tmp_path / "p.nii"
+        write_volume(random_prob(rng, (5, 4, 3)), path)
+        opened = open_region_prob(path)
+        path.write_bytes(path.read_bytes()[:-4])
+        opened.channels[1]
+        with pytest.raises(FormatError, match="payload truncated"):
+            opened.channels[2]
