@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -86,8 +87,10 @@ def cmd_evaluate(args):
     workers = min(integral(args.workers, "workers", 1), len(jobs))
     worker = functools.partial(_evaluate_case, mode=args.mode, params=params)
     if workers > 1:
+        # About four chunks per worker: few round trips, and the last chunks
+        # are short enough to even out the workers' loads.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(worker, jobs))
+            results = list(pool.map(worker, jobs, chunksize=math.ceil(len(jobs) / (4 * workers))))
     else:
         results = [worker(job) for job in jobs]
 

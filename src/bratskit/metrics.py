@@ -14,7 +14,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .morphology import Connectivity, connected_components, dilate, surface_voxels
+from .morphology import (Connectivity, connected_components, dilate, lesion_clusters,
+                         surface_voxels)
 from .regions import REGIONS, Region, extract_region
 from .volume import BinaryMask, LabelVolume, boxed_mask, crop, hull, integral, member, tumour_box
 
@@ -62,13 +63,18 @@ class LesionMatchReport:
 
 def dice(a: BinaryMask, b: BinaryMask) -> float:
     a.geometry.require_compatible(b.geometry)
-    na = int(a.bits.sum())
-    nb = int(b.bits.sum())
+    return _dice([(None, a, b)])
+
+
+def _dice(pairs):
+    """Dice of a region split into (origin, a, b) pairs, from the summed counts."""
+    na = sum(a.count() for _, a, _ in pairs)
+    nb = sum(b.count() for _, _, b in pairs)
     if na == 0 and nb == 0:
         return 1.0
     if na == 0 or nb == 0:
         return 0.0
-    inter = int((a.bits & b.bits).sum())
+    inter = sum(np.count_nonzero(a.bits & b.bits) for _, a, b in pairs)
     return 2.0 * inter / (na + nb)
 
 
@@ -121,47 +127,66 @@ def _directed_p95(src, dst, spacing):
 
 
 def hd95(a: BinaryMask, b: BinaryMask) -> float:
-    # Callers may pass whole grids, so work in the joint box. It holds every true
-    # voxel and the erosion treats off-grid voxels as false, so the surfaces and
-    # their distances are those of the full grid.
-    a, b = _cropped(a, b)
-    na = a.bits.any()
-    nb = b.bits.any()
-    if not na and not nb:
+    # Callers may pass whole grids, so work on the boxes of the lesion clusters.
+    # They hold every true voxel, and the erosion treats off-box voxels as false,
+    # as they are within the one step it looks: the surfaces are the grid's.
+    return _hd95(_tight(_clusters(a, b, 1)))
+
+
+def _hd95(pairs):
+    """HD95 of a region split into (origin, a, b) pairs: the surface points of
+    every pair, shifted by its origin to grid coordinates, scored together."""
+    sa = [np.argwhere(surface_voxels(a).bits) + origin for origin, a, _ in pairs if a.any()]
+    sb = [np.argwhere(surface_voxels(b).bits) + origin for origin, _, b in pairs if b.any()]
+    if not sa and not sb:
         return 0.0
-    if not na or not nb:
+    if not sa or not sb:
         return HD95_PENALTY
-    return _surface_hd95(a, b)
+    return _surface_hd95(np.concatenate(sa), np.concatenate(sb), pairs[0][1].geometry.spacing)
 
 
-def _surface_hd95(a: BinaryMask, b: BinaryMask) -> float:
-    """HD95 of two non-empty masks, on the grid they are given."""
-    spacing = a.geometry.spacing
-    sa = np.argwhere(surface_voxels(a).bits)
-    sb = np.argwhere(surface_voxels(b).bits)
+def _surface_hd95(sa, sb, spacing):
+    """HD95 between two non-empty sets of surface points."""
     return max(_directed_p95(sa, sb, spacing), _directed_p95(sb, sa, spacing))
 
 
-def _cropped(gt, pred):
-    """gt and pred cut to their joint tumour box. Every lesion lies in the box, and
-    restricting the x-fastest order to a box keeps the order in which components
-    are first met, so every metric and lesion id is that of the whole grid."""
-    box = tumour_box((gt, pred))
-    return crop(gt, box), crop(pred, box)
+def _clusters(x, y, reach):
+    """(origin, x cut, y cut) per lesion cluster of x and y (`lesion_clusters`);
+    origin is the grid index of the cluster box's first voxel."""
+    return [(tuple(s.start for s in box), crop(x, box, keep), crop(y, box, keep))
+            for box, keep in lesion_clusters((x, y), reach)]
 
 
-def _region_masks(gt: LabelVolume, pred: LabelVolume):
-    """(region, gt mask, pred mask) per region, each pair cut to its own box with
-    no pad: clamped into a box, a path of adjacency steps is still one, so the
+def _tight(cuts):
+    """Each (origin, a, b) with a and b cut to their joint box, origin moved to
+    its first voxel; a pair with both masks empty is dropped. Restricting the
+    x-fastest order to a box keeps the order in which components are first met."""
+    pairs = []
+    for origin, a, b in cuts:
+        box = tumour_box((a, b))
+        if box is not None:
+            start = tuple(o + s.start for o, s in zip(origin, box))
+            pairs.append((start, crop(a, box), crop(b, box)))
+    return pairs
+
+
+def _region_masks(gt: LabelVolume, pred: LabelVolume, reach: int):
+    """(region, pairs) per region: the (origin, gt mask, pred mask) of each
+    lesion cluster of the case (`morphology.lesion_clusters`) that holds the
+    region, the pair cut to its own box with no pad. This is exact: no
+    component, surface or dilation of up to `reach` steps spans two clusters,
+    and clamped into a box, a path of adjacency steps is still one, so the
     dilation on a box that holds both masks is the whole-grid dilation cut to it."""
-    gt, pred = _cropped(gt, pred)
+    cuts = _clusters(gt, pred, reach)
     for region in REGIONS:
-        yield (region, *_cropped(extract_region(gt, region), extract_region(pred, region)))
+        yield region, _tight([(origin, extract_region(g, region), extract_region(p, region))
+                              for origin, g, p in cuts])
 
 
 def case_metrics_legacy(gt: LabelVolume, pred: LabelVolume, case_id: str = "") -> CaseMetrics:
-    per_region = {region: MetricPair(dice(a, b), hd95(a, b))
-                  for region, a, b in _region_masks(gt, pred)}
+    # Surfaces look one step past a voxel.
+    per_region = {region: MetricPair(_dice(pairs), _hd95(pairs))
+                  for region, pairs in _region_masks(gt, pred, 1)}
     return CaseMetrics(case_id, per_region, "legacy")
 
 
@@ -171,18 +196,68 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
 
     A predicted component is matched to a gt component iff it intersects the
     dilated gt component; predictions touching several gt lesions go to the one
-    with the largest intersection (ties broken by lower gt id).
+    with the largest intersection (ties broken by lower gt id). Ids number the
+    components of each mask by first encounter in x-fastest order.
+
+    The masks are split into lesion clusters more than
+    max(8, dilation_iterations) steps apart (`morphology.lesion_clusters`),
+    and each cluster is matched on its own box; the ids are those of the
+    whole grid.
+    """
+    gt_mask.geometry.require_compatible(pred_mask.geometry)
+    return _match_clusters(_tight(_clusters(gt_mask, pred_mask, params.dilation_iterations)),
+                           params, gt_mask.geometry.dims)
+
+
+def _match_clusters(pairs, params, dims):
+    """The lesion match of a region split into (origin, gt mask, pred mask)
+    pairs, with whole-grid ids. Each id is the rank of its component's first
+    voxel among those of every pair: a pair's own x-fastest order is the grid's
+    order restricted to its box, so with one pair its ids are already global."""
+    runs = []
+    for origin, gt_mask, pred_mask in pairs:
+        comps = [connected_components(m, params.connectivity) for m in (gt_mask, pred_mask)]
+        runs.append((origin, comps, _match(*comps, params)))
+    if len(runs) == 1:
+        return runs[0][2]
+    gt_ids, pred_ids = (_global_ids([(origin, comps[side]) for origin, comps, _ in runs], dims)
+                        for side in (0, 1))
+    matched, false_positives, false_negatives = [], [], []
+    for (_, _, report), g, p in zip(runs, gt_ids, pred_ids):
+        matched += [(int(g[gid]), frozenset(p[list(pids)].tolist()), pair)
+                    for gid, pids, pair in report.matched]
+        false_positives += p[report.false_positives].tolist()
+        false_negatives += g[report.false_negatives].tolist()
+    # Pairs in gt id order: the region mean sums them in this order.
+    matched.sort(key=lambda m: m[0])
+    return LesionMatchReport(matched, sorted(false_positives), sorted(false_negatives), params)
+
+
+def _global_ids(runs, dims):
+    """Per (origin, ComponentMap), the whole-grid id of each local id (index 0
+    maps the background to 0): components ranked by the grid flat index
+    (x fastest) of their first voxel. Local ids number components by first
+    encounter, so id k first appears where the running maximum of the ids
+    reaches k."""
+    firsts = []
+    for origin, comps in runs:
+        running = np.maximum.accumulate(comps.ids.ravel(order="F"))
+        local = np.unravel_index(np.searchsorted(running, np.arange(1, comps.count + 1)),
+                                 comps.ids.shape, order="F")
+        firsts.append(np.ravel_multi_index([i + o for i, o in zip(local, origin)], dims, order="F"))
+    ranked = np.sort(np.concatenate([np.zeros(0, np.intp), *firsts]))
+    return [np.concatenate(([0], np.searchsorted(ranked, f) + 1)) for f in firsts]
+
+
+def _match(gt_comps, pred_comps, params):
+    """The lesion match of two component maps on one grid, in their own ids.
 
     Each lesion is handled inside its `find_objects` box. The dilation reaches
     at most `dilation_iterations` voxels past the gt box, so it runs in that
-    box padded by as much; a pair is scored in the hull of its boxes.
-    """
-    gt_mask.geometry.require_compatible(pred_mask.geometry)
-    gt_comps = connected_components(gt_mask, params.connectivity)
-    pred_comps = connected_components(pred_mask, params.connectivity)
+    box padded by as much; a pair is scored in the hull of its boxes."""
     gt_boxes = ndimage.find_objects(gt_comps.ids)
     pred_boxes = ndimage.find_objects(pred_comps.ids)
-    dims, spacing = gt_mask.geometry.dims, gt_mask.geometry.spacing
+    dims, spacing = gt_comps.geometry.dims, gt_comps.geometry.spacing
 
     gt_ids = (np.flatnonzero(gt_comps.sizes[1:] >= params.min_gt_lesion_size) + 1).tolist()
 
@@ -213,15 +288,15 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
         box = hull([gt_boxes[gid - 1], *(pred_boxes[p - 1] for p in pids)], 0, dims)
         lesion = boxed_mask(gt_comps.ids[box] == gid, spacing)
         preds = boxed_mask(owner[pred_comps.ids[box]] == gid, spacing)
-        pair = MetricPair(dice(lesion, preds), _surface_hd95(lesion, preds))
+        surfaces = (np.argwhere(surface_voxels(m).bits) for m in (lesion, preds))
+        pair = MetricPair(dice(lesion, preds), _surface_hd95(*surfaces, spacing))
         matched.append((gid, frozenset(pids), pair))
 
     return LesionMatchReport(matched, false_positives, false_negatives, params)
 
 
-def _lesionwise_region(gt_mask, pred_mask, params):
-    report = (lesion_match(gt_mask, pred_mask, params) if gt_mask.any() or pred_mask.any()
-              else LesionMatchReport([], [], [], params))
+def _lesionwise_region(pairs, params, dims):
+    report = _match_clusters(pairs, params, dims)
     dscs = [pair.dsc for _, _, pair in report.matched]
     hds = [pair.hd95 for _, _, pair in report.matched]
     n_penalty = len(report.false_positives) + len(report.false_negatives)
@@ -237,11 +312,11 @@ def case_metrics_lesionwise(gt: LabelVolume, pred: LabelVolume,
                             case_id: str = ""):
     """Lesion-wise metrics: per matched gt lesion a MetricPair against the
     union of its predictions; each FP/FN contributes (0, 374); region score is
-    the arithmetic mean over all contributions. Each region pair is scored on
-    its own box (`_region_masks`)."""
+    the arithmetic mean over all contributions. Each region is scored on the
+    boxes of its lesion clusters (`_region_masks`), with whole-grid lesion ids."""
     per_region, reports = {}, {}
-    for region, gt_mask, pred_mask in _region_masks(gt, pred):
-        per_region[region], reports[region] = _lesionwise_region(gt_mask, pred_mask, params)
+    for region, pairs in _region_masks(gt, pred, params.dilation_iterations):
+        per_region[region], reports[region] = _lesionwise_region(pairs, params, gt.geometry.dims)
     return CaseMetrics(case_id, per_region, "lesionwise"), reports
 
 

@@ -1,4 +1,5 @@
-"""3D binary-mask primitives: connected components, surfaces, dilation."""
+"""3D binary-mask primitives: connected components, surfaces, dilation, and
+the lesion clusters that bound the work of each."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from enum import Enum
 import numpy as np
 from scipy import ndimage
 
-from .volume import BinaryMask, Geometry, integral
+from .volume import BinaryMask, Geometry, integral, tumour_box
 
 
 # Built once and shared by every call, so read-only.
@@ -67,3 +68,46 @@ def dilate(mask: BinaryMask, iterations: int, conn: Connectivity = Connectivity.
         return mask
     grown = ndimage.binary_dilation(mask.bits, structure=conn.structure, iterations=iterations)
     return BinaryMask(mask.geometry, grown)
+
+
+def lesion_clusters(volumes, reach):
+    """(box, keep) per lesion cluster of volumes on one grid; none when every
+    volume is empty.
+
+    The nonzero voxels in the volumes' `tumour_box` are pooled with `any` into
+    blocks of max(8, reach) voxels a side (the box's extent on a shorter axis),
+    and the blocks are labelled with 26-connectivity; a cluster is the box of a
+    block component. Blocks of two clusters do not touch, so on some axis a
+    whole block lies between them: their voxels are more than max(8, reach)
+    steps apart, and no component, surface or dilation of up to `reach` steps
+    spans two clusters. A box that holds blocks of another cluster (an L shape)
+    comes with `keep`, the mask of its own blocks; otherwise keep is None. No
+    array is sized by `reach`: a larger count gives one block, the whole box."""
+    box = tumour_box(volumes)
+    if box is None:
+        return []
+    extent = [s.stop - s.start for s in box]
+    edges = [min(max(8, reach), n) for n in extent]
+    blocks = [-(-n // e) for n, e in zip(extent, edges)]
+    padded = [b * e for b, e in zip(blocks, edges)]
+    hit = np.zeros(padded, bool, order="F")
+    inner = hit[:extent[0], :extent[1], :extent[2]]
+    for v in volumes:
+        np.logical_or(inner, v.payload[box], out=inner)
+    # `any` over each block, the slowest axis first: each step ORs whole slabs.
+    hit = hit.reshape(padded[0] * padded[1], edges[2], blocks[2], order="F").any(axis=1)
+    hit = hit.reshape(padded[0], edges[1], blocks[1] * blocks[2], order="F").any(axis=1)
+    hit = hit.reshape(edges[0], -1, order="F").any(axis=0).reshape(blocks, order="F")
+    labels, _ = ndimage.label(hit, structure=Connectivity.Full26.structure)
+    clusters = []
+    for k, cut in enumerate(ndimage.find_objects(labels), start=1):
+        cluster = tuple(slice(s.start + c.start * e, min(s.start + c.stop * e, s.stop))
+                        for s, c, e in zip(box, cut, edges))
+        own = labels[cut] == k
+        keep = None
+        if np.count_nonzero(labels[cut]) > np.count_nonzero(own):
+            for axis, e in enumerate(edges):
+                own = own.repeat(e, axis)
+            keep = own[tuple(slice(0, s.stop - s.start) for s in cluster)]
+        clusters.append((cluster, keep))
+    return clusters

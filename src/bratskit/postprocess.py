@@ -14,9 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .morphology import Connectivity, connected_components
+import numpy as np
+
+from .morphology import Connectivity, connected_components, lesion_clusters
 from .regions import REGIONS, Region, extract_region, reconstruct_labels
-from .volume import BinaryMask, LabelVolume, crop, integral, member, tumour_box
+from .volume import BinaryMask, LabelVolume, crop, integral, member
 
 
 class ThresholdScope(Enum):
@@ -44,27 +46,35 @@ def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
                      conn: Connectivity = Connectivity.Full26) -> LabelVolume:
     """Remove sub-threshold lesions per region (strict `< threshold`).
 
-    Every lesion lies in the tumour box, so the thresholds run on the box."""
+    The thresholds run on the boxes of the prediction's lesion clusters
+    (`morphology.lesion_clusters`): no component spans two clusters, and a
+    WholeRegion threshold decides on the region's count summed over them."""
     conn = member(Connectivity, conn, "connectivity")
-    box = tumour_box((pred,))
-    if box is None:  # no lesion to remove
-        return pred
-    case = crop(pred, box)
-    kept = True  # what the enclosing region kept; WT has none
+    clusters = lesion_clusters((pred,), 1)  # components look one step past a voxel
+    cuts = [crop(pred, box, keep) for box, keep in clusters]
+    kept = [True] * len(cuts)  # per cluster, what the enclosing region kept; WT has none
     masks = []
     for region in REGIONS:
-        bits = extract_region(case, region).bits & kept
+        bits = [extract_region(case, region).bits & k for case, k in zip(cuts, kept)]
         thr = spec.threshold(region)
         if spec.scope is ThresholdScope.WholeRegion:
-            bits &= bits.sum() >= thr
+            whole = sum(np.count_nonzero(b) for b in bits) >= thr
+            bits = [b & whole for b in bits]
         elif thr > 0:
-            comps = connected_components(BinaryMask(case.geometry, bits), conn)
-            small = comps.sizes < thr
-            small[0] = False  # id 0 is the background, not a lesion
-            if small.any():
-                bits = bits & ~small[comps.ids]
-        masks.append(BinaryMask(case.geometry, bits))
+            bits = [_drop_small(BinaryMask(case.geometry, b), thr, conn)
+                    for case, b in zip(cuts, bits)]
+        masks.append(bits)
         kept = bits
     voxels = pred.voxels.copy(order="K")
-    voxels[box] = reconstruct_labels(*masks).voxels
+    for (box, keep), case, *regions in zip(clusters, cuts, *masks):
+        labels = reconstruct_labels(*(BinaryMask(case.geometry, b) for b in regions))
+        np.copyto(voxels[box], labels.voxels, where=True if keep is None else keep)
     return LabelVolume(pred.geometry, voxels)
+
+
+def _drop_small(mask, thr, conn):
+    """The mask's bits without its components of fewer than `thr` voxels."""
+    comps = connected_components(mask, conn)
+    small = comps.sizes < thr
+    small[0] = False  # id 0 is the background, not a lesion
+    return mask.bits & ~small[comps.ids] if small.any() else mask.bits

@@ -235,12 +235,15 @@ def boxed_mask(bits, spacing) -> BinaryMask:
     return BinaryMask(Geometry(bits.shape, spacing), bits)
 
 
-def crop(volume, box):
+def crop(volume, box, keep=None):
     """A 3-D volume's voxels in `box`, on a grid of the box's shape with the
-    same spacing; a None box (an empty `tumour_box`) keeps the whole grid."""
+    same spacing; a None box (an empty `tumour_box`) keeps the whole grid.
+    Voxels where `keep`, a mask over the box, is false are zeroed."""
     if box is None:
         return volume
     payload = volume.payload[box]
+    if keep is not None:
+        payload = payload * keep
     return replace(volume, geometry=Geometry(payload.shape, volume.geometry.spacing),
                    **{volume._payload: payload})
 

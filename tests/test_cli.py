@@ -157,7 +157,7 @@ class TestEvaluate:
 
     def test_pool_is_no_larger_than_the_job_list(self, tmp_path, monkeypatch):
         # A real pool starts all its processes at the first submit; this one
-        # records its size and maps in this process.
+        # records its size and chunk size and maps in this process.
         sizes = []
 
         class RecordingPool:
@@ -170,16 +170,18 @@ class TestEvaluate:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
+            def map(self, fn, jobs, chunksize=1):
+                sizes.append(chunksize)
                 return map(fn, jobs)
 
         monkeypatch.setattr(bratskit.cli, "ProcessPoolExecutor", RecordingPool)
-        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=3)
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=9)
         for workers in ("64", "2"):
             assert main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
                          "--pred-dir", str(tmp_path / "pred"),
                          "--out", str(tmp_path / f"w{workers}.csv"), "--workers", workers]) == 0
-        assert sizes == [3, 2]
+        # (pool size, chunk size): about four chunks per worker
+        assert sizes == [9, 1, 2, 2]
         assert (tmp_path / "w64.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -1,29 +1,40 @@
-"""The tumour box and the exactness of the callers that work inside it.
+"""The tumour box, the lesion clusters and the exactness of the callers that
+work inside them.
 
 A case embedded in a larger zero grid must score, threshold and fuse exactly
 as the case itself: every true voxel lies in the box, and the box keeps the
-order in which components are first met.
+order in which components are first met. A case split into lesion clusters
+must score and threshold exactly as its whole grid.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from bratskit.errors import IncompatibleGeometryError
 from bratskit.fusion import staple_binary
 from bratskit.metrics import (
     MatchParams,
     MetricPair,
+    _dice,
+    _hd95,
+    _lesionwise_region,
     case_metrics_legacy,
     case_metrics_lesionwise,
+    hd95,
+    lesion_match,
 )
-from bratskit.morphology import Connectivity, dilate
+from bratskit.morphology import Connectivity, dilate, lesion_clusters
 from bratskit.phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
 from bratskit.postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
 from bratskit.regions import REGIONS, Region, extract_region
 from bratskit.volume import BinaryMask, Geometry, LabelVolume, boxed_mask, crop, hull, tumour_box
 
 from conftest import labels_from_array
-from oracles import NEIGHBOURS_6, NEIGHBOURS_26, brute_dice, brute_lesion_match, edt_hd95
+from oracles import (NEIGHBOURS_6, NEIGHBOURS_26, brute_dice, brute_lesion_match,
+                     brute_thresholds, edt_hd95)
 
 SPACINGS = [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)]
 OFFSET = (4, 2, 6)
@@ -160,6 +171,285 @@ class TestWholeGrid:
             for (_, _, pair), (_, _, (dsc, hd)) in zip(report.matched, matched):
                 assert pair.dsc == pytest.approx(dsc)
                 assert pair.hd95 == pytest.approx(hd, abs=1e-5)
+
+
+CONNECTIVITIES = [(Connectivity.Face6, NEIGHBOURS_6), (Connectivity.Full26, NEIGHBOURS_26)]
+
+
+def paint(voxels, lo, hi, label):
+    voxels[tuple(slice(a, b) for a, b in zip(lo, hi))] = label
+
+
+def assert_scores_as_the_oracles(gt, pred, ks, spacing=(1.0, 1.0, 1.0)):
+    """Both modes against the whole-grid oracles: legacy against brute Dice and
+    the EDT's HD95, lesion-wise reports (global ids) against brute matching."""
+    gt, pred = labels_from_array(gt, spacing), labels_from_array(pred, spacing)
+    masks = {r: (extract_region(gt, r).bits, extract_region(pred, r).bits) for r in REGIONS}
+    per_region = case_metrics_legacy(gt, pred).per_region
+    for region, (a, b) in masks.items():
+        assert per_region[region] == MetricPair(brute_dice(a, b), edt_hd95(a, b, spacing))
+    for k in ks:
+        for conn, neighbours in CONNECTIVITIES:
+            _, reports = case_metrics_lesionwise(gt, pred, MatchParams(k, conn))
+            for region, (a, b) in masks.items():
+                matched, fps, fns = brute_lesion_match(a, b, neighbours, k, spacing=spacing)
+                report = reports[region]
+                assert (report.false_positives, report.false_negatives) == (fps, fns)
+                assert [m[:2] for m in report.matched] == [m[:2] for m in matched]
+                for (_, _, pair), (_, _, (dsc, hd)) in zip(report.matched, matched):
+                    assert pair.dsc == pytest.approx(dsc)
+                    assert pair.hd95 == pytest.approx(hd, abs=1e-5)
+
+
+def assert_thresholds_as_the_oracle(pred, specs):
+    for conn, neighbours in CONNECTIVITIES:
+        for spec in specs:
+            whole = spec.scope is ThresholdScope.WholeRegion
+            want = brute_thresholds(pred, (spec.wt, spec.tc, spec.et), whole, neighbours)
+            got = apply_thresholds(labels_from_array(pred), spec, conn)
+            assert np.array_equal(got.voxels, want)
+
+
+def gap_case(gap):
+    """gt lesion A fills x 2..9 and a pred lesion P starts `gap` steps (Chebyshev
+    and L1) past A's last x; a copy of A shifted by one voxel is predicted too.
+    P joins A's match when the dilation reaches it and is a false positive when
+    not. Lesion B lies 10 or more steps further on, so a case has two clusters
+    or more. A starts the box and fills 8 voxels, so with 8-voxel blocks a gap
+    of 9 puts P two blocks past A."""
+    gt = np.zeros((44, 16, 16), np.uint8)
+    pred = np.zeros_like(gt)
+    paint(gt, (2, 4, 4), (10, 12, 12), 2)
+    paint(gt, (4, 6, 6), (8, 10, 10), 3)
+    paint(pred, (3, 4, 4), (11, 12, 12), 2)
+    paint(pred, (5, 6, 6), (8, 10, 10), 1)
+    paint(pred, (9 + gap, 6, 6), (12 + gap, 10, 10), 3)
+    paint(gt, (32, 5, 3), (37, 10, 9), 1)
+    paint(pred, (32, 6, 3), (37, 11, 8), 1)
+    return gt, pred
+
+
+class TestClusterBoundary:
+    """Lesions as far apart as a dilation reaches, and one step further."""
+
+    @pytest.mark.parametrize("gap", [8, 9])
+    def test_scores_as_the_oracles(self, gap):
+        assert_scores_as_the_oracles(*gap_case(gap), ks=(8, 9))
+
+    @pytest.mark.parametrize("gap,k,joined", [(8, 8, True), (9, 8, False), (9, 9, True)])
+    def test_the_dilation_decides_the_match(self, gap, k, joined):
+        # The fixture is not trivial: whether P joins A's match turns on the gap.
+        _, reports = case_metrics_lesionwise(*map(labels_from_array, gap_case(gap)),
+                                             MatchParams(k))
+        assert (reports[Region.WT].false_positives == []) is joined
+
+    def test_a_count_beyond_any_grid(self):
+        # The dilation fills the grid; no step of the work is sized by the count.
+        gt, pred = gap_case(9)
+        assert_scores_as_the_oracles(gt, pred, ks=(10**12,))
+
+
+def corners_case():
+    """Lesions in opposite corners of a 48 x 44 x 40 grid. The ET total passes
+    an ET threshold of 60 only when the corners are summed (18 and 54 voxels)."""
+    gt = np.zeros((48, 44, 40), np.uint8)
+    pred = np.zeros_like(gt)
+    paint(gt, (0, 0, 0), (6, 5, 4), 2)
+    paint(gt, (1, 1, 1), (4, 4, 3), 3)
+    paint(gt, (8, 0, 0), (10, 3, 3), 1)  # missed: a false negative
+    paint(pred, (0, 1, 0), (6, 6, 4), 2)
+    paint(pred, (1, 2, 1), (4, 5, 3), 3)
+    paint(gt, (40, 38, 34), (48, 44, 40), 2)
+    paint(gt, (42, 40, 36), (46, 43, 39), 3)
+    paint(pred, (41, 38, 34), (48, 44, 40), 2)
+    paint(pred, (42, 40, 36), (45, 43, 39), 3)
+    paint(pred, (44, 30, 37), (47, 33, 40), 3)  # a false positive
+    return gt, pred
+
+
+def l_case():
+    """Cluster A is an L with a small lesion beside it, cluster B sits in the L's
+    bend: B's box lies inside A's. Lesion ids interleave the clusters: A's small
+    lesion starts first, then B, then the L. The ET total passes an ET threshold
+    of 60 only when the clusters are summed (40 and 36 voxels)."""
+    gt = np.zeros((44, 44, 12), np.uint8)
+    pred = np.zeros_like(gt)
+    for labels, dz in ((gt, 0), (pred, 1)):
+        paint(labels, (0, 0, 2 + dz), (40, 4, 6 + dz), 2)
+        paint(labels, (36, 0, 2 + dz), (40, 40, 6 + dz), 2)
+        paint(labels, (10, 1, 3 + dz), (14 + 6 * dz, 3, 5 + dz), 3)
+        paint(labels, (37, 30, 3), (39, 40, 5), 1)
+    paint(gt, (30, 6, 0), (33, 9, 2), 1)
+    paint(pred, (30, 6, 0), (33, 8, 2), 1)
+    paint(gt, (4, 20, 0), (10, 26, 6), 2)
+    paint(gt, (5, 21, 1), (8, 24, 5), 3)
+    paint(pred, (4, 21, 0), (10, 27, 6), 2)
+    paint(pred, (5, 22, 1), (8, 25, 5), 3)
+    return gt, pred
+
+
+EMBEDDED = {"corners": corners_case, "l-shape": l_case}
+
+
+@pytest.mark.parametrize("case", sorted(EMBEDDED))
+class TestClusters:
+    """Cases with lesion clusters far apart or in each other's box, scored and
+    post-processed as the oracles treat the whole grid."""
+
+    def test_scores_as_the_oracles(self, case):
+        assert_scores_as_the_oracles(*EMBEDDED[case](), ks=(1, 3))
+
+    def test_thresholds_as_the_oracle(self, case):
+        _, pred = EMBEDDED[case]()
+        assert_thresholds_as_the_oracle(pred, [
+            ThresholdSpec(40, 10, 20),
+            ThresholdSpec(0, 50, 60, ThresholdScope.WholeRegion),  # ET kept by the sum alone
+            ThresholdSpec(0, 0, 80, ThresholdScope.WholeRegion),
+        ])
+
+    def test_the_whole_region_sum_decides(self, case):
+        _, pred = EMBEDDED[case]()
+        et = extract_region(labels_from_array(pred), Region.ET).count()
+        assert 60 <= et < 80
+        kept = apply_thresholds(labels_from_array(pred), ThresholdSpec(et=60, scope="whole_region"))
+        assert kept == labels_from_array(pred)
+
+
+def scattered_case(seed, dims=(40, 36, 32)):
+    """Nine small lesions of random labels scattered over the grid, so the case
+    splits into several clusters; pred moves each by up to one voxel, drops
+    one in five and adds two."""
+    rng = np.random.default_rng(seed)
+    gt = np.zeros(dims, np.uint8)
+    pred = np.zeros_like(gt)
+
+    def blob():
+        lo = [int(rng.integers(0, n - 2)) for n in dims]
+        return lo, [a + int(rng.integers(1, 5)) for a in lo], int(rng.integers(1, 4))
+
+    for _ in range(9):
+        lo, hi, label = blob()
+        paint(gt, lo, hi, label)
+        if rng.random() < 0.8:
+            shift = [int(d) for d in rng.integers(-1, 2, 3)]
+            paint(pred, [max(a + d, 0) for a, d in zip(lo, shift)],
+                  [b + d for b, d in zip(hi, shift)], label)
+    for _ in range(2):
+        paint(pred, *blob())
+    return gt, pred
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clusters_give_the_one_box_answer(seed):
+    # Scored over one box that is the whole grid, each region gives the same
+    # numbers and ids, bit for bit, as split into its lesion clusters.
+    spacing = SPACINGS[seed % 2]
+    gt, pred = (labels_from_array(v, spacing) for v in scattered_case(seed, (64, 56, 48)))
+    assert len(lesion_clusters((gt, pred), 9)) > 2
+    legacy = case_metrics_legacy(gt, pred).per_region
+    for region in REGIONS:
+        a, b = extract_region(gt, region), extract_region(pred, region)
+        whole = [((0, 0, 0), a, b)]
+        assert hd95(a, b) == _hd95(whole)
+        assert legacy[region] == MetricPair(_dice(whole), _hd95(whole))
+        for k in (0, 2, 8, 9):
+            for conn in Connectivity:
+                params = MatchParams(k, conn)
+                one_box = _lesionwise_region(whole, params, gt.geometry.dims)
+                assert lesion_match(a, b, params) == one_box[1]
+                case, reports = case_metrics_lesionwise(gt, pred, params)
+                assert (case.per_region[region], reports[region]) == one_box
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_scattered_thresholds_as_the_oracle(seed):
+    _, pred = scattered_case(seed)
+    assert_thresholds_as_the_oracle(pred, [ThresholdSpec(20, 10, 8),
+                                           ThresholdSpec(200, 60, 30, ThresholdScope.WholeRegion)])
+
+
+class TestLesionClusters:
+    def test_empty_volumes_have_none(self):
+        zero = labels_from_array(np.zeros((5, 6, 7)))
+        assert lesion_clusters((zero, zero), 3) == []
+
+    def test_refuses_volumes_on_two_grids(self):
+        with pytest.raises(IncompatibleGeometryError):
+            lesion_clusters((labels_from_array(np.ones((4, 5, 5))),
+                             labels_from_array(np.ones((5, 5, 5)))), 1)
+
+    def test_one_lesion_is_its_tumour_box(self):
+        gt, _ = gap_case(9)
+        gt = labels_from_array(gt)
+        gt_a = crop(gt, (slice(0, 20), slice(None), slice(None)))
+        assert lesion_clusters((gt_a,), 1) == [(tumour_box((gt_a,)), None)]
+
+    @pytest.mark.parametrize("reach", [0, 8, 9, 13])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_clusters_partition_the_voxels_and_lie_apart(self, seed, reach):
+        rng = np.random.default_rng(seed)
+        dims = tuple(int(n) for n in rng.integers(1, 48, 3))
+        mask = BinaryMask(Geometry(dims), rng.random(dims) < 0.001)
+        labels = labels_from_array(np.where(rng.random(dims) < 0.001, rng.integers(1, 4, dims), 0))
+        union = mask.bits | (labels.voxels != 0)
+        owner = np.zeros(dims, np.int64)
+        clusters = lesion_clusters((mask, labels), reach)
+        for i, (box, keep) in enumerate(clusters, start=1):
+            own = crop(BinaryMask(Geometry(dims), union), box, keep).bits
+            assert own.any()
+            assert not owner[box][own].any()  # no voxel in two clusters
+            owner[box][own] = i
+            assert np.array_equal(crop(labels, box, keep).voxels,
+                                  np.where(owner[box] == i, labels.voxels[box], 0))
+        assert np.array_equal(owner != 0, union)
+        points = [np.argwhere(owner == i) for i in range(1, len(clusters) + 1)]
+        for i, p in enumerate(points):
+            for q in points[i + 1:]:
+                assert np.abs(p[:, None] - q[None]).max(axis=2).min() > max(8, reach)
+
+    def test_a_cluster_box_may_hold_another_cluster(self):
+        gt, pred = map(labels_from_array, l_case())
+        (box_a, keep_a), (box_b, keep_b) = sorted(lesion_clusters((gt, pred), 3),
+                                                  key=lambda c: c[1] is None)
+        assert keep_b is None and keep_a.shape == gt.voxels[box_a].shape
+        assert all(a.start <= b.start and b.stop <= a.stop for a, b in zip(box_a, box_b))
+
+    def test_a_count_beyond_any_grid_gives_the_tumour_box(self):
+        gt, pred = map(labels_from_array, scattered_case(0))
+        tracemalloc.start()
+        try:
+            clusters = lesion_clusters((gt, pred), 10**12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clusters == [(tumour_box((gt, pred)), None)]
+        assert peak < 2 * gt.geometry.n_voxels
+
+
+def test_work_scales_with_the_lesions_not_the_grid(monkeypatch):
+    # Two small lesions in opposite corners of a full-size grid: their joint box
+    # is nearly the grid, but labelling, erosion and dilation see only the
+    # lesions' own boxes.
+    given = dict.fromkeys(("label", "binary_erosion", "binary_dilation"), 0)
+    for name in given:
+        def counting(input, *args, _name=name, _original=getattr(ndimage, name), **kwargs):
+            given[_name] += np.asarray(input).size
+            return _original(input, *args, **kwargs)
+        monkeypatch.setattr(ndimage, name, counting)
+    dims = (240, 240, 155)
+    gt, pred = np.zeros(dims, np.uint8, order="F"), np.zeros(dims, np.uint8, order="F")
+    for lo, hi in (((3, 4, 2), (9, 10, 7)), ((230, 231, 146), (237, 238, 153))):
+        paint(gt, lo, hi, 2)
+        paint(gt, [a + 1 for a in lo], [b - 1 for b in hi], 3)
+        paint(pred, [a + 1 for a in lo], [b + 1 for b in hi], 1)
+        paint(pred, [a + 2 for a in lo], [a + 4 for a in lo], 3)  # 8 ET voxels
+    gt, pred = labels_from_array(gt), labels_from_array(pred)
+    case_metrics_legacy(gt, pred)
+    case_metrics_lesionwise(gt, pred)
+    for spec in (ThresholdSpec(30, 20, 10), ThresholdSpec(30, 20, 20, ThresholdScope.WholeRegion)):
+        assert apply_thresholds(pred, spec) != pred
+    assert all(given.values())
+    assert sum(given.values()) < 0.02 * gt.geometry.n_voxels
 
 
 @pytest.mark.parametrize("k", range(6))
