@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+from .morphology import lesion_clusters
 from .regions import REGIONS, Region, extract_region, reconstruct_labels
 from .volume import (
     BinaryMask,
+    Geometry,
     LabelVolume,
     RegionProbVolume,
     boxed_mask,
@@ -27,6 +32,14 @@ MAX_RATERS = 16
 # every estimate moves by less than _TOL in an iteration.
 _INIT_PERFORMANCE = 0.99
 _TOL = 1e-6
+# Mean fusion works in slabs of this many z-planes, so each thread's buffers
+# stay a few planes in size.
+_SLAB_PLANES = 4
+# The label of each 3-bit code of region decisions (bit 0 WT, bit 1 TC,
+# bit 2 ET), as `reconstruct_labels` rebuilds it.
+_CODE_LABEL = reconstruct_labels(*(
+    BinaryMask(Geometry((8, 1, 1)), (np.arange(8) >> bit & 1).astype(bool).reshape(8, 1, 1))
+    for bit in range(3))).voxels.ravel()
 
 
 @dataclass(frozen=True)
@@ -47,16 +60,22 @@ class StapleFit(NamedTuple):
     converged: bool
 
 
-def average_fusion(maps: Iterable[RegionProbVolume]):
+def average_fusion(maps: Iterable[RegionProbVolume], *, _threads=None):
     """Channelwise mean of the probability maps, binarized at >= 0.5 and
     reconstructed into a label volume.
 
-    A map is a RegionProbVolume or anything with its `geometry` and indexable
-    `channels`, such as `nifti.RegionProbFile`, which reads a channel from disk
-    when it is indexed. The mean is built one channel at a time: the maps'
-    channels are summed in input order into one float64 channel accumulator,
-    divided once and cast once into the float32 result, so file-backed maps
-    hold one input channel in memory, whatever their number.
+    A map is a RegionProbVolume or anything with its `geometry` and
+    `channels` indexable as `[c, :, :, z0:z1]`, such as
+    `nifti.RegionProbFile`, which reads those planes from disk when indexed.
+    The grid is fused in slabs of `_SLAB_PLANES` z-planes, spread over a pool
+    of threads, one per usable core (`_threads` when given). In each slab the
+    maps' channels are summed in input order into a float64 accumulator,
+    divided once and cast once into the float32 result: np.mean's arithmetic
+    over stacked float64 copies, except that a -0.0 mean keeps its sign. The
+    bytes do not depend on the thread count. A map's planes are read and
+    checked only in their slab, so the call holds the result and a few planes
+    of buffers per thread. If slabs fail, the error of the first one in z
+    order is raised.
     """
     maps = list(maps)
     if not maps:
@@ -64,18 +83,70 @@ def average_fusion(maps: Iterable[RegionProbVolume]):
     geometry = common_geometry(maps)
     # The result in file order: x fastest, channel slowest.
     fused = np.moveaxis(np.empty(geometry.dims + (3,), np.float32, order="F"), 3, 0)
-    acc = np.empty(geometry.dims, np.float64, order="F")
-    for c in range(3):
-        # The same sums, in the same order, as np.mean over the stacked float64
-        # maps. The first map is copied, not added to zeros, which would turn -0.0 into 0.0.
-        np.copyto(acc, maps[0].channels[c])
-        for m in maps[1:]:
-            acc += m.channels[c]
-        acc /= len(maps)
-        fused[c] = acc
-    del acc  # the thresholds below read the float32 result
-    masks = [BinaryMask(geometry, fused[c] >= 0.5) for c in range(3)]
-    return RegionProbVolume(geometry, fused), reconstruct_labels(*masks)
+    voxels = np.empty(geometry.dims, np.uint8, order="F")
+    starts = range(0, geometry.dims[2], _SLAB_PLANES)
+    threads = min(_threads or _usable_cores(), len(starts))
+    with ExitStack() as stack:
+        # File channels are read through one descriptor per map for the whole call.
+        sources = [stack.enter_context(m.channels.opened()) if hasattr(m.channels, "opened")
+                   else m.channels for m in maps]
+        # Every thread is joined when the pool's block ends, so none outlives
+        # the call (a process forked later, as `evaluate`'s pool, has none).
+        with ThreadPoolExecutor(threads) as pool:
+            failed = [f for f in pool.map(lambda t: _fuse_slabs(sources, fused, voxels,
+                                                                starts[t::threads]),
+                                          range(threads)) if f]
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return RegionProbVolume(geometry, fused), LabelVolume(geometry, voxels)
+
+
+def _usable_cores() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _read(channels, key, out):
+    """`channels[key]`; a file's planes are read into `out`, the slab of the
+    result they are fused into, so no read allocates."""
+    read_into = getattr(channels, "read_into", None)
+    return channels[key] if read_into is None else read_into(key, out)
+
+
+def _fuse_slabs(sources, fused, voxels, starts):
+    """Fuse the slabs that begin at the z-planes `starts`, in increasing
+    order, into `fused` and `voxels`. Returns None, or (start, error) for the
+    first slab that raises; the slabs after it are left undone.
+
+    It runs in a worker thread, so it calls numpy and private helpers only:
+    no function that a tracer may wrap with a shared span stack."""
+    nx, ny, nz = voxels.shape
+    acc = np.empty((nx, ny, _SLAB_PLANES), np.float64, order="F")
+    code = np.empty(acc.size, np.uint8)
+    bit = np.empty(acc.size, bool)
+    for z0 in starts:
+        z1 = min(z0 + _SLAB_PLANES, nz)
+        planes = z1 - z0
+        try:
+            slab, a = fused[:, :, :, z0:z1], acc[:, :, :planes]
+            for c in range(3):
+                key = (c, slice(None), slice(None), slice(z0, z1))
+                # The first map is copied, not added to zeros, which would turn -0.0 into 0.0.
+                np.copyto(a, _read(sources[0], key, slab[c]))
+                for channels in sources[1:]:
+                    a += _read(channels, key, slab[c])
+                # The float64 quotient, cast once to float32 as it is stored.
+                np.divide(a, len(sources), out=slab[c], casting="unsafe")
+            # Flat views: np.take into a 3-D F-ordered `out` goes through a C-ordered copy.
+            k, b = code[:planes * nx * ny], bit[:planes * nx * ny]
+            np.greater_equal(slab[0].ravel(order="F"), 0.5, out=k.view(bool))
+            for c in (1, 2):
+                np.greater_equal(slab[c].ravel(order="F"), 0.5, out=b)
+                k |= b.view(np.uint8) << c
+            np.take(_CODE_LABEL, k, out=voxels[:, :, z0:z1].reshape(-1, order="F"), mode="clip")
+        except Exception as error:
+            return z0, error
+    return None
 
 
 def _checked_max_iters(n_raters, max_iters) -> int:
@@ -94,18 +165,26 @@ def _pattern_codes(bits) -> np.ndarray:
     return code
 
 
-def _staple_em(code, outside, n_raters, max_iters) -> StapleFit:
-    """EM on the pattern codes of a box, with `outside` more voxels of pattern 0.
+def _pattern_counts(codes, n_voxels, n_raters) -> np.ndarray:
+    """Voxels per decision pattern on a grid of `n_voxels`, from the pattern
+    codes of boxes that hold each marked voxel once; every other voxel has
+    pattern 0."""
+    counts = sum((np.bincount(code.ravel(order="K"), minlength=1 << n_raters) for code in codes),
+                 np.zeros(1 << n_raters, np.intp))
+    counts[0] = n_voxels - counts[1:].sum()
+    return counts
+
+
+def _staple_em(counts, n_raters, max_iters) -> StapleFit:
+    """EM on the voxel counts of the decision patterns, indexed by pattern code.
 
     The prior of a voxel is the share of raters that mark it, so its
     posterior depends only on its pattern of rater decisions. EM therefore
     runs on the counts of the patterns that occur (at most 2**R). The E-step
     works in the log domain so products over many raters stay stable.
     """
-    counts = np.bincount(code.ravel(order="K"), minlength=1)
-    counts[0] += outside
     lut = np.zeros(1 << n_raters)
-    if counts.size == 1:  # no rater marks a voxel
+    if not counts[1:].any():  # no rater marks a voxel
         return StapleFit(lut, [(1.0, 1.0)] * n_raters, 0, True)
     patterns = np.flatnonzero(counts)
     counts = counts[patterns]
@@ -159,7 +238,8 @@ def staple_binary(masks: Sequence[BinaryMask], max_iters: int = 100) -> StapleRe
     geometry = masks[0].geometry
     box = tumour_box(masks) or _CORNER  # refuses a mask on another grid
     code = _pattern_codes([m.bits[box] for m in masks])
-    fit = _staple_em(code, geometry.n_voxels - code.size, len(masks), max_iters)
+    fit = _staple_em(_pattern_counts([code], geometry.n_voxels, len(masks)), len(masks),
+                     max_iters)
     weights = np.full_like(masks[0].bits, fit.posterior[0], dtype=np.float64)
     weights[box] = fit.posterior[code]
     return StapleResult(BinaryMask(geometry, weights >= 0.5), weights, fit.rater_performance,
@@ -171,24 +251,33 @@ def staple_fusion(labels: Sequence[LabelVolume], max_iters: int = 100,
     """Run binary STAPLE independently per region and reconstruct labels; the
     same labels as `reconstruct_labels` of each region's `staple_binary` consensus.
 
-    The labels are cut once to their joint box, and each region is coded,
-    thresholded and rebuilt there. Every voxel outside the box has pattern 0 in
-    each region, so it takes the label rebuilt from the three regions' pattern-0
-    decisions. `on_region`, when given, is called with each region and its fit.
+    Each region is coded on the boxes of the labels' lesion clusters
+    (`morphology.lesion_clusters`), fitted once on the pattern counts summed
+    over them, and thresholded and rebuilt in each box. Every voxel outside
+    the clusters has pattern 0 in each region, so it takes the label rebuilt
+    from the three regions' pattern-0 decisions. `on_region`, when given, is
+    called with each region and its fit, which is that of the whole grid.
     """
     max_iters = _checked_max_iters(len(labels), max_iters)
     geometry = labels[0].geometry
-    box = tumour_box(labels) or _CORNER  # refuses a volume on another grid
-    cut = [crop(lv, box) for lv in labels]
-    inside, outside = [], []
+    clusters = lesion_clusters(labels, 0)  # refuses a volume on another grid
+    # A box's voxels outside `keep` belong to another cluster; zeroed, they
+    # have pattern 0 here and are counted with their own cluster.
+    cuts = [[crop(lv, box, keep) for lv in labels] for box, keep in clusters]
+    codes, marked = [], []
     for region in REGIONS:
-        code = _pattern_codes([extract_region(lv, region).bits for lv in cut])
-        fit = _staple_em(code, geometry.n_voxels - code.size, len(labels), max_iters)
+        codes.append([_pattern_codes([extract_region(lv, region).bits for lv in cut])
+                      for cut in cuts])
+        fit = _staple_em(_pattern_counts(codes[-1], geometry.n_voxels, len(labels)),
+                         len(labels), max_iters)
         if on_region is not None:
             on_region(region, fit)
-        marked = fit.posterior >= 0.5
-        inside.append(boxed_mask(marked[code], geometry.spacing))
-        outside.append(boxed_mask(marked[:1].reshape(1, 1, 1), geometry.spacing))
-    voxels = np.full_like(labels[0].voxels, reconstruct_labels(*outside).voxels.item())
-    voxels[box] = reconstruct_labels(*inside).voxels
+        marked.append(fit.posterior >= 0.5)
+    fill = reconstruct_labels(*(boxed_mask(m[:1].reshape(1, 1, 1), geometry.spacing)
+                                for m in marked))
+    voxels = np.full_like(labels[0].voxels, fill.voxels.item())
+    for (box, keep), *region_codes in zip(clusters, *codes):
+        rebuilt = reconstruct_labels(*(boxed_mask(m[code], geometry.spacing)
+                                       for m, code in zip(marked, region_codes)))
+        np.copyto(voxels[box], rebuilt.voxels, where=True if keep is None else keep)
     return LabelVolume(geometry, voxels)

@@ -7,7 +7,8 @@ Label volumes are 3D uint8; scalar volumes 3D float32; region-probability
 volumes 4D float32 with the 4th dimension of size 3 (channel order WT, TC, ET).
 Every payload is read as a read-only view of the file bytes, in the file's
 x-fastest (F) order; only the remap of legacy label 4 copies. A region-probability
-file can also be opened and read one channel at a time (`open_region_prob`).
+file can also be opened and read one channel, or a slab of z-planes of one
+channel, at a time (`open_region_prob`).
 A payload already in file order is written without a copy.
 """
 
@@ -177,25 +178,63 @@ def read_volume(path, kind):
 
 class _FileChannels:
     """The channels of a region-probability file, indexed like
-    `RegionProbVolume.channels`: `[c]` reads channel c from the file, in file
-    order, and checks it against the [0, 1] rule."""
+    `RegionProbVolume.channels`: `[c]` reads channel c and `[c, :, :, z0:z1]`
+    its planes z0 to z1 from the file, in file order, and checks them against
+    the [0, 1] rule. `opened()` gives the same channels read through one
+    descriptor, which is closed when its `with` block ends; otherwise each
+    read opens the file for itself."""
 
-    def __init__(self, path, geometry, offset):
-        self.path, self.geometry, self.offset = path, geometry, offset
+    def __init__(self, path, geometry, offset, fd=None):
+        self.path, self.geometry, self.offset, self.fd = path, geometry, offset, fd
 
-    def __getitem__(self, c):
-        dtype, n = _KINDS["region_prob"].dtype, self.geometry.n_voxels
-        offset = self.offset + c * n * dtype.itemsize
-        flat = np.fromfile(self.path, dtype, n, offset=offset)
-        # The length was checked on open; this catches a file cut short since.
-        _require_payload(n * dtype.itemsize, flat.nbytes, offset)
-        return require_probabilities(flat.reshape(self.geometry.dims, order="F"))
+    def opened(self):
+        return _FileChannels(self.path, self.geometry, self.offset, os.open(self.path, os.O_RDONLY))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        os.close(self.fd)
+
+    def __getitem__(self, key):
+        return self.read_into(key, None)
+
+    def read_into(self, key, out):
+        """`self[key]`, read into `out` (an F-ordered float32 array of its
+        shape) when one is given, else into a new array."""
+        c, *rest = key if isinstance(key, tuple) else (key,)
+        nx, ny, nz = self.geometry.dims
+        if rest and (len(rest) != 3 or rest[:2] != [slice(None)] * 2
+                     or not isinstance(rest[2], slice) or rest[2].step not in (None, 1)):
+            raise IndexError(f"file channels are indexed [c] or [c, :, :, z0:z1], got {key!r}")
+        if self.fd is None:
+            with self.opened() as channels:
+                return channels.read_into(key, out)
+        planes = range(nz)[rest[2] if rest else slice(None)]
+        dtype = _KINDS["region_prob"].dtype
+        if out is None:
+            out = np.empty((nx, ny, len(planes)), dtype, order="F")
+        offset = self.offset + (range(3)[c] * nz + planes.start) * nx * ny * dtype.itemsize
+        _pread_into(self.fd, memoryview(out.reshape(-1, order="F")).cast("B"), offset)
+        return require_probabilities(out)
+
+
+def _pread_into(fd, buffer, offset):
+    """Fill `buffer` from the file at `offset`; FormatError if the file ends
+    first (its length was checked on open, so it was cut short since)."""
+    done = 0
+    while done < len(buffer):
+        got = os.preadv(fd, [buffer[done:]], offset + done)
+        if got == 0:
+            _require_payload(len(buffer), done, offset)  # raises: done < len(buffer)
+        done += got
 
 
 class RegionProbFile(NamedTuple):
     """A region-probability file with a checked header and length. It has the
     `geometry` and `channels` of a RegionProbVolume, but holds no voxels: each
-    `channels[c]` is read from the file when indexed."""
+    `channels[c]` or `channels[c, :, :, z0:z1]` is read from the file when
+    indexed."""
 
     geometry: Geometry
     channels: _FileChannels

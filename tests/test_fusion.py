@@ -1,7 +1,13 @@
+import functools
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bratskit.errors import IncompatibleGeometryError, ValidationError
+from bratskit.cli import main
+from bratskit.errors import FormatError, IncompatibleGeometryError, ValidationError
 import bratskit.fusion
 from bratskit.fusion import (
     MAX_RATERS,
@@ -10,7 +16,8 @@ from bratskit.fusion import (
     staple_binary,
     staple_fusion,
 )
-from bratskit.nifti import open_region_prob, write_volume
+from bratskit.morphology import lesion_clusters
+from bratskit.nifti import VOX_OFFSET, open_region_prob, write_volume
 from bratskit.regions import REGIONS, Region, extract_region, reconstruct_labels
 from bratskit.volume import BinaryMask, Geometry, LabelVolume, RegionProbVolume, tumour_box
 
@@ -97,7 +104,7 @@ class TestAverageFusion:
         assert labels.voxels.flags.f_contiguous
 
     def test_negative_zero_kept(self, rng):
-        # -0.0 lies in [0, 1]; the mean of stacked copies keeps its sign bit.
+        # -0.0 lies in [0, 1]; a sum that starts from the first map keeps its sign bit.
         g = Geometry((4, 3, 2))
         a, b = np.zeros((3, *g.dims), np.float32), np.zeros((3, *g.dims), np.float32)
         a[1, 2, 1, 0] = b[1, 2, 1, 0] = -0.0
@@ -114,6 +121,205 @@ class TestAverageFusion:
         maps = (prob_volume(rng, geom) for geom in (g, g, other, g))
         with pytest.raises(IncompatibleGeometryError):
             average_fusion(maps)
+
+
+def stacked_mean(maps):
+    """The oracle: the float64 copies of the maps summed in input order,
+    divided by their number and cast to float32, and the labels of its >= 0.5
+    masks. np.mean over the stacked copies gives the same bytes, except that
+    it adds the first map to 0.0 and so turns a -0.0 mean into 0.0."""
+    stacked = np.stack([np.asarray(m.channels, np.float64) for m in maps])
+    mean = (functools.reduce(np.add, stacked) / len(maps)).astype(np.float32)
+    g = maps[0].geometry
+    return mean, reconstruct_labels(*(BinaryMask(g, mean[c] >= 0.5) for c in range(3)))
+
+
+def slab_maps(rng, g, n=3):
+    """Random maps with, in the last plane, a voxel every map puts at 0.5 (a
+    mean of exactly 0.5 is marked) and a voxel every map puts at -0.0."""
+    channels = [rng.random((3, *g.dims)).astype(np.float32) for _ in range(n)]
+    for c in channels:
+        c[:, 0, 0, -1] = 0.5
+        c[:, -1, -1, -1] = -0.0
+    return [RegionProbVolume(g, c) for c in channels]
+
+
+def written_maps(maps, directory):
+    paths = [directory / f"p{i}.nii" for i in range(len(maps))]
+    for m, path in zip(maps, paths):
+        write_volume(m, path)
+    return paths
+
+
+def set_voxel(path, dims, c, voxel, value):
+    """Overwrite one float32 voxel of channel c of a region-probability file."""
+    nx, ny, nz = dims
+    at = VOX_OFFSET + 4 * (voxel[0] + nx * (voxel[1] + ny * (voxel[2] + nz * c)))
+    raw = bytearray(path.read_bytes())
+    raw[at:at + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(raw))
+
+
+class TestAverageFusionSlabs:
+    """Mean fusion runs in slabs of z-planes on a pool of threads. Its bytes
+    are those of the stacked float64 mean for any slab and thread count."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("slab", [1, 4])
+    @pytest.mark.parametrize("dims", [(9, 7, 1), (9, 7, 2), (6, 5, 11), (3, 4, 16)])
+    def test_bytes_equal_the_stacked_mean(self, rng, tmp_path, monkeypatch, dims, slab, threads):
+        # nz = 1, fewer planes than threads, nz not a multiple of the slab, and one that is.
+        monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", slab)
+        maps = slab_maps(rng, Geometry(dims, (1.0, 1.5, 2.0)))
+        expected, labels = stacked_mean(maps)
+        for given in (maps, [open_region_prob(p) for p in written_maps(maps, tmp_path)]):
+            fused, fused_labels = average_fusion(given, _threads=threads)
+            assert fused.channels.tobytes() == expected.tobytes()
+            assert fused_labels == labels
+            assert np.signbit(fused.channels[:, -1, -1, -1]).all()
+            assert extract_region(fused_labels, Region.ET).bits[0, 0, -1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_in_memory_maps_in_any_layout(self, rng, monkeypatch, layout, threads):
+        monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 2)
+        maps = slab_maps(rng, Geometry((7, 6, 9)))
+        expected, labels = stacked_mean(maps)
+        fused, fused_labels = average_fusion([relaid(m, layout) for m in maps], _threads=threads)
+        assert fused.channels.tobytes() == expected.tobytes()
+        assert fused_labels == labels
+        assert np.signbit(fused.channels).sum() == 3
+
+    def test_code_table_is_reconstruct_labels(self):
+        for code in range(8):
+            bits = [BinaryMask(Geometry((1, 1, 1)), np.full((1, 1, 1), bool(code >> b & 1)))
+                    for b in range(3)]
+            assert bratskit.fusion._CODE_LABEL[code] == reconstruct_labels(*bits).voxels.item()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5])
+    def test_a_bad_value_in_the_last_plane_is_refused(self, rng, tmp_path, monkeypatch,
+                                                      threads, bad):
+        monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        g = Geometry((5, 4, 6))
+        paths = written_maps(slab_maps(rng, g), tmp_path)
+        set_voxel(paths[-1], g.dims, 2, (4, 3, 5), bad)  # the last voxel of the last channel
+        with pytest.raises(ValidationError, match=r"^region probabilities must lie in \[0, 1\]$"):
+            average_fusion([open_region_prob(p) for p in paths], _threads=threads)
+        out, prob_out = tmp_path / "fused.nii", tmp_path / "fused_prob.nii"
+        assert main(["fuse", "--method", "mean", "--inputs", *map(str, paths),
+                     "--out", str(out), "--prob-out", str(prob_out)]) == 2
+        assert not out.exists() and not prob_out.exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_file_cut_short_after_open(self, rng, tmp_path, monkeypatch, threads):
+        monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        paths = written_maps(slab_maps(rng, Geometry((5, 4, 6))), tmp_path)
+        maps = [open_region_prob(p) for p in paths]
+        paths[1].write_bytes(paths[1].read_bytes()[:-4])
+        with pytest.raises(FormatError, match="payload truncated"):
+            average_fusion(maps, _threads=threads)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("bad_plane, cut_plane, error", [(1, 3, ValidationError),
+                                                             (4, 2, FormatError),
+                                                             (5, 5, ValidationError)])
+    def test_the_first_failing_slab_raises(self, rng, tmp_path, monkeypatch, threads,
+                                           bad_plane, cut_plane, error):
+        # Map 0 holds a bad value in plane `bad_plane` of channel 0; map 2 is
+        # cut short after open inside plane `cut_plane` of channel 2. In one
+        # slab the channels are read in order, and map 0 before map 2.
+        monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        g = Geometry((5, 4, 6))
+        paths = written_maps(slab_maps(rng, g), tmp_path)
+        set_voxel(paths[0], g.dims, 0, (2, 2, bad_plane), 2.0)
+        maps = [open_region_prob(p) for p in paths]
+        paths[2].write_bytes(paths[2].read_bytes()[:VOX_OFFSET + 4 * 20 * (12 + cut_plane) + 8])
+        with pytest.raises(error):
+            average_fusion(maps, _threads=threads)
+
+    def test_more_threads_than_cores_switching_often(self, rng, tmp_path, monkeypatch):
+        # Every thread writes its own slabs of the shared result; a slab
+        # written twice or not at all changes the bytes.
+        monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        maps = slab_maps(rng, Geometry((6, 5, 33)))
+        expected, labels = stacked_mean(maps)
+        files = [open_region_prob(p) for p in written_maps(maps, tmp_path)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                for given in (maps, files):
+                    fused, fused_labels = average_fusion(given, _threads=8)
+                    assert fused.channels.tobytes() == expected.tobytes()
+                    assert fused_labels == labels
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_runs_on_the_threads_it_is_given(self, rng, monkeypatch):
+        monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        core, seen = bratskit.fusion._fuse_slabs, []
+
+        def spy(*args):
+            seen.append((threading.get_ident(), tuple(args[-1])))
+            return core(*args)
+
+        monkeypatch.setattr(bratskit.fusion, "_fuse_slabs", spy)
+        maps = slab_maps(rng, Geometry((4, 3, 7)))
+        average_fusion(maps, _threads=3)
+        # One task per thread, each with every third slab; none runs on the caller's thread.
+        assert sorted(starts for _, starts in seen) == [(0, 3, 6), (1, 4), (2, 5)]
+        assert threading.get_ident() not in {ident for ident, _ in seen}
+        seen.clear()
+        average_fusion(maps, _threads=16)  # capped at the slab count
+        assert sorted(starts for _, starts in seen) == [(z,) for z in range(7)]
+
+    def test_no_thread_outlives_the_call(self, rng, tmp_path, monkeypatch):
+        monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        g = Geometry((5, 4, 6))
+        paths = written_maps(slab_maps(rng, g), tmp_path)
+        before = threading.active_count()
+        average_fusion([open_region_prob(p) for p in paths], _threads=3)
+        assert threading.active_count() == before
+        args = ["fuse", "--method", "mean", "--inputs", *map(str, paths),
+                "--out", str(tmp_path / "fused.nii")]
+        assert main(args) == 0
+        assert threading.active_count() == before
+        set_voxel(paths[1], g.dims, 1, (0, 0, 3), np.nan)
+        with pytest.raises(ValidationError):
+            average_fusion([open_region_prob(p) for p in paths], _threads=3)
+        assert threading.active_count() == before
+        assert main(args) == 2
+        assert threading.active_count() == before
+
+    def test_one_descriptor_per_file_map(self, rng, tmp_path, monkeypatch):
+        monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        paths = written_maps(slab_maps(rng, Geometry((5, 4, 6))), tmp_path)
+        maps = [open_region_prob(p) for p in paths]
+        opened = []
+        os_open = bratskit.nifti.os.open
+        monkeypatch.setattr(bratskit.nifti.os, "open",
+                            lambda path, *args: opened.append(path) or os_open(path, *args))
+        average_fusion(maps, _threads=2)
+        assert sorted(opened) == sorted(paths)
+
+    @pytest.mark.parametrize("on_file", [False, True])
+    def test_peak_memory_is_the_result_and_the_slabs(self, rng, tmp_path, on_file):
+        # Three 64x64x40 maps: the result takes 13 bytes a voxel (2.1 MB).
+        # Each of the two threads holds a few planes of buffers (under 0.4 MB
+        # with numpy's own); one channel of the grid in float64 takes 1.3 MB.
+        g = Geometry((64, 64, 40))
+        maps = [RegionProbVolume(g, rng.random((3, *g.dims), np.float32)) for _ in range(3)]
+        if on_file:
+            maps = [open_region_prob(p) for p in written_maps(maps, tmp_path)]
+        tracemalloc.start()
+        try:
+            fused, labels = average_fusion(maps, _threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = fused.channels.nbytes + labels.voxels.nbytes
+        assert peak < result + 2 * 512 * 1024
 
 
 def block_mask(g, lo, hi):
@@ -389,6 +595,61 @@ class TestStapleFusionPaste:
             assert isinstance(fit, StapleFit)
             assert fit.rater_performance == res.rater_performance
             assert (fit.iterations_run, fit.converged) == (res.iterations_run, res.converged)
+
+    @staticmethod
+    def l_raters(rng, n_raters=3):
+        """Noisy raters of an L of 8-voxel blocks, with a lesion in its bend:
+        the L's cluster box holds the other cluster's block."""
+        dims = (32, 32, 9)
+        raters = []
+        for _ in range(n_raters):
+            vox = np.zeros(dims, np.uint8)
+            vox[0:8, 0:24, 1:8] = rng.integers(0, 4, (8, 24, 7))
+            vox[0:24, 16:24, 1:8] = rng.integers(0, 4, (24, 8, 7))
+            vox[17:23, 1:6, 2:7] = rng.integers(1, 4, (6, 5, 5))
+            raters.append(vox)
+        return raters
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_l_shaped_clusters(self, seed, layout, mirrored):
+        # Mirrored in x, the lesion in the bend is the first cluster, so the
+        # L's box is pasted after it.
+        rng = np.random.default_rng(seed)
+        labels = [labels_from_array(LAYOUTS[layout](v[::-1] if mirrored else v))
+                  for v in self.l_raters(rng)]
+        clusters = lesion_clusters(labels, 0)
+        assert [keep is not None for _, keep in clusters] == [not mirrored, mirrored]
+        fits = {}
+        fused = staple_fusion(labels, max_iters=4, on_region=fits.__setitem__)
+        expected, results = region_consensus(labels, max_iters=4)
+        assert fused == expected
+        for fit, res in zip(fits.values(), results):
+            assert fit.rater_performance == res.rater_performance
+            assert (fit.iterations_run, fit.converged) == (res.iterations_run, res.converged)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_raters_that_mark_every_voxel(self, seed):
+        # WT has no voxel of pattern 0, and a voxel of TC's or ET's pattern 0
+        # is rebuilt as ED or NCR, not as background.
+        rng = np.random.default_rng(seed)
+        dims = (9, 8, 7)
+        truth = rng.integers(1, 4, dims)
+        labels = [labels_from_array(np.where(rng.random(dims) < 0.2, rng.integers(1, 4, dims),
+                                             truth)) for _ in range(3)]
+        fits = {}
+        fused = staple_fusion(labels, on_region=fits.__setitem__)
+        assert fused == region_consensus(labels)[0]
+        assert (fused.voxels != 0).all() and (fused.voxels != 3).any()
+        assert fits[Region.WT].posterior[0] == 0.0  # pattern 0 never occurs
+
+    @pytest.mark.parametrize("max_iters", [-1, 0, 1.5, float("inf"), True])
+    def test_bad_max_iters_refused_with_no_cluster(self, max_iters):
+        labels = [labels_from_array(np.zeros((5, 4, 3), np.uint8))] * 3
+        assert lesion_clusters(labels, 0) == []
+        with pytest.raises(ValidationError, match="max_iters"):
+            staple_fusion(labels, max_iters=max_iters)
 
     @pytest.mark.parametrize("marks_outside, fill", [
         ((True, False, False), 2), ((True, True, False), 1),

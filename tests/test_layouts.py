@@ -8,7 +8,7 @@ import pytest
 from bratskit.fusion import staple_fusion
 from bratskit.metrics import (case_metrics_legacy, case_metrics_lesionwise, metrics_rows,
                               write_metrics_csv)
-from bratskit.morphology import surface_voxels
+from bratskit.morphology import lesion_clusters, surface_voxels
 from bratskit.nifti import write_volume
 from bratskit.phantom import generate_phantom, random_phantom_spec
 from bratskit.postprocess import ThresholdScope, ThresholdSpec, apply_thresholds
@@ -138,3 +138,31 @@ def test_tumour_box_of_volumes_in_mixed_layouts():
         volumes.append(relaid(LabelVolume(geometry, voxels), layout))
     assert tumour_box(volumes) == (slice(1, 6), slice(1, 5), slice(1, 4))
     assert tumour_box(volumes[:1]) == (slice(1, 2), slice(4, 5), slice(2, 3))
+
+
+def _reversed(a):
+    """The array's values stored back to front: F order with negative strides."""
+    return np.asfortranarray(a[::-1, ::-1, ::-1])[::-1, ::-1, ::-1]
+
+
+@pytest.mark.parametrize("second", sorted(LAYOUTS) + ["reversed"])
+@pytest.mark.parametrize("first", sorted(LAYOUTS) + ["reversed"])
+def test_lesion_clusters_do_not_depend_on_layout(first, second):
+    # The blocks are pooled in the first volume's memory order; the clusters,
+    # their order and their keep masks are the same in every layout. Sparse
+    # voxels on this grid give nine clusters, one box holding another's block.
+    rng = np.random.default_rng(2)
+    dims = (48, 40, 33)
+    a, b = (LabelVolume(Geometry(dims), np.where(rng.random(dims) < 1e-4,
+                                                 rng.integers(1, 4, dims), 0).astype(np.uint8))
+            for _ in range(2))
+    relay = {**LAYOUTS, "reversed": _reversed}
+    ab = (LabelVolume(a.geometry, relay[first](np.array(a.voxels))),
+          LabelVolume(b.geometry, relay[second](np.array(b.voxels))))
+    for reach in (0, 3):
+        reference = lesion_clusters((a, b), reach)
+        assert len(reference) == 9 and any(keep is not None for _, keep in reference)
+        clusters = lesion_clusters(ab, reach)
+        assert [box for box, _ in clusters] == [box for box, _ in reference]
+        for (_, keep), (_, ref) in zip(clusters, reference):
+            assert (keep is None and ref is None) or np.array_equal(keep, ref)

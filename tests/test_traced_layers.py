@@ -6,15 +6,18 @@ was deleted or renamed."""
 
 import importlib
 import importlib.util
+import threading
 from pathlib import Path
 
 import numpy as np
 
-from bratskit.nifti import write_volume
+from bratskit.fusion import average_fusion, staple_fusion
+from bratskit.nifti import open_region_prob, write_volume
 from bratskit.phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
 from bratskit.postprocess import ThresholdSpec
 from bratskit.ranking import MetricTable
 from bratskit.regions import REGIONS, Region, extract_region
+from bratskit.volume import RegionProbVolume
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -96,3 +99,29 @@ def test_every_counter_reads_a_real_result(tmp_path):
                ("nifti.read_volume.bytes", "nifti.write_volume.bytes", "metrics.lesions.matched",
                 "metrics.lesions.fp", "fusion.staple_binary.iterations", "ranking.keys",
                 "postprocess.voxels_changed"))
+
+
+def test_no_traced_layer_runs_on_a_worker_thread(tmp_path, monkeypatch):
+    # A recorder keeps one span stack for the process, so a wrapped function
+    # called from one of mean fusion's threads would corrupt it.
+    spans = load_spans()
+    threads = []
+    targets = [getattr(importlib.import_module(f"bratskit.{m}"), f) for m, f, _ in spans.PASS_LAYERS]
+    for module_name in spans.BRATSKIT_MODULES:
+        module = importlib.import_module(module_name)
+        for name, value in list(vars(module).items()):
+            if any(value is target for target in targets):
+                def noting(*args, _fn=value, **kwargs):
+                    threads.append(threading.current_thread())
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, name, noting)
+    gt, pred = _phantom()
+    rng = np.random.default_rng(1)
+    paths = []
+    for i in range(3):
+        paths.append(tmp_path / f"p{i}.nii")
+        write_volume(RegionProbVolume(gt.geometry, rng.random((3, 16, 16, 16), np.float32)),
+                     paths[-1])
+    average_fusion([open_region_prob(p) for p in paths], _threads=3)
+    staple_fusion([gt, pred, gt])
+    assert threads and set(threads) == {threading.main_thread()}

@@ -1,4 +1,5 @@
 import gzip
+import os
 import re
 import struct
 import tracemalloc
@@ -583,6 +584,47 @@ class TestOpenRegionProb:
         opened.channels[0], opened.channels[1]
         with pytest.raises(ValidationError, match=r"region probabilities must lie in \[0, 1\]"):
             opened.channels[2]
+
+    def test_planes_equal_the_read_volume(self, rng, tmp_path):
+        path = tmp_path / "p.nii"
+        write_volume(random_prob(rng, (5, 4, 7), (1.5, 1.0, 2.0)), path)
+        opened, read = open_region_prob(path), read_volume(path, "region_prob")
+        with opened.channels.opened() as channels:
+            for c in range(3):
+                for planes in (slice(0, 1), slice(2, 6), slice(5, 7), slice(6, 9), slice(7, 9),
+                               slice(-3, None), slice(None, 2)):
+                    key = (c, slice(None), slice(None), planes)
+                    expected = read.channels[key]
+                    for got in (channels[key], opened.channels[key]):
+                        assert got.flags.f_contiguous and got.shape == expected.shape
+                        assert got.tobytes(order="F") == expected.tobytes(order="F")
+
+    @pytest.mark.parametrize("key", [(0, 1), (0, slice(None), slice(None), slice(0, 4, 2)),
+                                     (0, slice(1, 2), slice(None), slice(0, 1)),
+                                     (0, slice(None), slice(None), 1), (3,)])
+    def test_refuses_a_key_it_cannot_read(self, rng, tmp_path, key):
+        path = tmp_path / "p.nii"
+        write_volume(random_prob(rng, (5, 4, 3)), path)
+        with pytest.raises(IndexError):
+            open_region_prob(path).channels[key]
+
+    def test_read_into_fills_the_given_array(self, rng, tmp_path):
+        path = tmp_path / "p.nii"
+        volume = random_prob(rng, (5, 4, 3))
+        write_volume(volume, path)
+        out = np.empty((5, 4, 2), np.float32, order="F")
+        key = (1, slice(None), slice(None), slice(1, 3))
+        assert open_region_prob(path).channels.read_into(key, out) is out
+        assert np.array_equal(out, volume.channels[key])
+
+    def test_opened_closes_its_descriptor(self, rng, tmp_path):
+        path = tmp_path / "p.nii"
+        write_volume(random_prob(rng, (5, 4, 3)), path)
+        with open_region_prob(path).channels.opened() as channels:
+            os.fstat(channels.fd)
+            channels[2]
+        with pytest.raises(OSError):
+            os.fstat(channels.fd)
 
     def test_file_cut_short_after_open(self, rng, tmp_path):
         path = tmp_path / "p.nii"
