@@ -60,7 +60,7 @@ class StapleFit(NamedTuple):
     converged: bool
 
 
-def average_fusion(maps: Iterable[RegionProbVolume], *, _threads=None):
+def average_fusion(maps: Iterable[RegionProbVolume]):
     """Channelwise mean of the probability maps, binarized at >= 0.5 and
     reconstructed into a label volume.
 
@@ -68,14 +68,13 @@ def average_fusion(maps: Iterable[RegionProbVolume], *, _threads=None):
     `channels` indexable as `[c, :, :, z0:z1]`, such as
     `nifti.RegionProbFile`, which reads those planes from disk when indexed.
     The grid is fused in slabs of `_SLAB_PLANES` z-planes, spread over a pool
-    of threads, one per usable core (`_threads` when given). In each slab the
-    maps' channels are summed in input order into a float64 accumulator,
-    divided once and cast once into the float32 result: np.mean's arithmetic
-    over stacked float64 copies, except that a -0.0 mean keeps its sign. The
-    bytes do not depend on the thread count. A map's planes are read and
-    checked only in their slab, so the call holds the result and a few planes
-    of buffers per thread. If slabs fail, the error of the first one in z
-    order is raised.
+    of threads, one per usable core. In each slab the maps' channels are
+    summed in input order into a float64 accumulator, divided once and cast
+    once into the float32 result: np.mean's arithmetic over stacked float64
+    copies, except that a -0.0 mean keeps its sign. The bytes do not depend
+    on the thread count. A map's planes are read and checked only in their
+    slab, so the call holds the result and a few planes of buffers per
+    thread. If slabs fail, the error of the first one in z order is raised.
     """
     maps = list(maps)
     if not maps:
@@ -85,7 +84,7 @@ def average_fusion(maps: Iterable[RegionProbVolume], *, _threads=None):
     fused = np.moveaxis(np.empty(geometry.dims + (3,), np.float32, order="F"), 3, 0)
     voxels = np.empty(geometry.dims, np.uint8, order="F")
     starts = range(0, geometry.dims[2], _SLAB_PLANES)
-    threads = min(_threads or _usable_cores(), len(starts))
+    threads = min(_usable_cores(), len(starts))
     with ExitStack() as stack:
         # File channels are read through one descriptor per map for the whole call.
         sources = [stack.enter_context(m.channels.opened()) if hasattr(m.channels, "opened")
@@ -104,13 +103,6 @@ def average_fusion(maps: Iterable[RegionProbVolume], *, _threads=None):
 def _usable_cores() -> int:
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else os.cpu_count() or 1
-
-
-def _read(channels, key, out):
-    """`channels[key]`; a file's planes are read into `out`, the slab of the
-    result they are fused into, so no read allocates."""
-    read_into = getattr(channels, "read_into", None)
-    return channels[key] if read_into is None else read_into(key, out)
 
 
 def _fuse_slabs(sources, fused, voxels, starts):
@@ -132,9 +124,9 @@ def _fuse_slabs(sources, fused, voxels, starts):
             for c in range(3):
                 key = (c, slice(None), slice(None), slice(z0, z1))
                 # The first map is copied, not added to zeros, which would turn -0.0 into 0.0.
-                np.copyto(a, _read(sources[0], key, slab[c]))
+                np.copyto(a, sources[0][key])
                 for channels in sources[1:]:
-                    a += _read(channels, key, slab[c])
+                    a += channels[key]
                 # The float64 quotient, cast once to float32 as it is stored.
                 np.divide(a, len(sources), out=slab[c], casting="unsafe")
             # Flat views: np.take into a 3-D F-ordered `out` goes through a C-ordered copy.

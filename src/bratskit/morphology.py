@@ -88,14 +88,17 @@ def lesion_clusters(volumes, reach):
         return []
     extent = [s.stop - s.start for s in box]
     edges = [min(max(8, reach), n) for n in extent]
-    # The blocks are pooled in the first volume's memory order: a payload
-    # whose z varies fastest (C order) as its transpose, so that no copy
-    # reads across the grain. The block grid is labelled in (x, y, z) either way.
-    flip = abs(volumes[0].payload.strides[0]) > abs(volumes[0].payload.strides[2])
-    axes = slice(None, None, -1 if flip else 1)
-    hit = _blocks_hit([v.payload.T if flip else v.payload for v in volumes], box[axes],
-                      edges[axes])
-    labels, _ = ndimage.label(hit.T if flip else hit, structure=Connectivity.Full26.structure)
+    blocks = [-(-n // e) for n, e in zip(extent, edges)]
+    padded = [b * e for b, e in zip(blocks, edges)]
+    hit = np.zeros(padded, bool, order="F")
+    inner = hit[:extent[0], :extent[1], :extent[2]]
+    for v in volumes:
+        np.logical_or(inner, v.payload[box], out=inner)
+    # `any` over each block, the slowest axis first: each step ORs whole slabs.
+    hit = hit.reshape(padded[0] * padded[1], edges[2], blocks[2], order="F").any(axis=1)
+    hit = hit.reshape(padded[0], edges[1], blocks[1] * blocks[2], order="F").any(axis=1)
+    hit = hit.reshape(edges[0], -1, order="F").any(axis=0).reshape(blocks, order="F")
+    labels, _ = ndimage.label(hit, structure=Connectivity.Full26.structure)
     clusters = []
     for k, cut in enumerate(ndimage.find_objects(labels), start=1):
         cluster = tuple(slice(s.start + c.start * e, min(s.start + c.stop * e, s.stop))
@@ -108,19 +111,3 @@ def lesion_clusters(volumes, reach):
             keep = own[tuple(slice(0, s.stop - s.start) for s in cluster)]
         clusters.append((cluster, keep))
     return clusters
-
-
-def _blocks_hit(payloads, box, edges):
-    """Whether any payload is nonzero in each block of `box`, blocks of
-    `edges` voxels a side; pooled in F order, the first axis fastest."""
-    extent = [s.stop - s.start for s in box]
-    blocks = [-(-n // e) for n, e in zip(extent, edges)]
-    padded = [b * e for b, e in zip(blocks, edges)]
-    hit = np.zeros(padded, bool, order="F")
-    inner = hit[:extent[0], :extent[1], :extent[2]]
-    for payload in payloads:
-        np.logical_or(inner, payload[box], out=inner)
-    # `any` over each block, the slowest axis first: each step ORs whole slabs.
-    hit = hit.reshape(padded[0] * padded[1], edges[2], blocks[2], order="F").any(axis=1)
-    hit = hit.reshape(padded[0], edges[1], blocks[1] * blocks[2], order="F").any(axis=1)
-    return hit.reshape(edges[0], -1, order="F").any(axis=0).reshape(blocks, order="F")

@@ -184,11 +184,23 @@ class _FileChannels:
     descriptor, which is closed when its `with` block ends; otherwise each
     read opens the file for itself."""
 
-    def __init__(self, path, geometry, offset, fd=None):
-        self.path, self.geometry, self.offset, self.fd = path, geometry, offset, fd
+    def __init__(self, path, geometry, offset):
+        self.path, self.geometry, self.offset = path, geometry, offset
 
     def opened(self):
-        return _FileChannels(self.path, self.geometry, self.offset, os.open(self.path, os.O_RDONLY))
+        return _OpenChannels(self)
+
+    def __getitem__(self, key):
+        with self.opened() as channels:
+            return channels[key]
+
+
+class _OpenChannels:
+    """`_FileChannels` read through a descriptor that stays open until the
+    `with` block ends."""
+
+    def __init__(self, channels):
+        self.channels, self.fd = channels, os.open(channels.path, os.O_RDONLY)
 
     def __enter__(self):
         return self
@@ -197,26 +209,16 @@ class _FileChannels:
         os.close(self.fd)
 
     def __getitem__(self, key):
-        return self.read_into(key, None)
-
-    def read_into(self, key, out):
-        """`self[key]`, read into `out` (an F-ordered float32 array of its
-        shape) when one is given, else into a new array."""
         c, *rest = key if isinstance(key, tuple) else (key,)
-        nx, ny, nz = self.geometry.dims
         if rest and (len(rest) != 3 or rest[:2] != [slice(None)] * 2
                      or not isinstance(rest[2], slice) or rest[2].step not in (None, 1)):
             raise IndexError(f"file channels are indexed [c] or [c, :, :, z0:z1], got {key!r}")
-        if self.fd is None:
-            with self.opened() as channels:
-                return channels.read_into(key, out)
+        nx, ny, nz = self.channels.geometry.dims
         planes = range(nz)[rest[2] if rest else slice(None)]
-        dtype = _KINDS["region_prob"].dtype
-        if out is None:
-            out = np.empty((nx, ny, len(planes)), dtype, order="F")
-        offset = self.offset + (range(3)[c] * nz + planes.start) * nx * ny * dtype.itemsize
-        _pread_into(self.fd, memoryview(out.reshape(-1, order="F")).cast("B"), offset)
-        return require_probabilities(out)
+        flat = np.empty(nx * ny * len(planes), _KINDS["region_prob"].dtype)
+        offset = self.channels.offset + (range(3)[c] * nz + planes.start) * nx * ny * flat.itemsize
+        _pread_into(self.fd, memoryview(flat).cast("B"), offset)
+        return require_probabilities(flat.reshape((nx, ny, len(planes)), order="F"))
 
 
 def _pread_into(fd, buffer, offset):

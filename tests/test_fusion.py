@@ -151,6 +151,11 @@ def written_maps(maps, directory):
     return paths
 
 
+def on_cores(monkeypatch, n):
+    """Mean fusion sees `n` usable cores, so it runs up to `n` threads."""
+    monkeypatch.setattr(bratskit.fusion, "_usable_cores", lambda: n)
+
+
 def set_voxel(path, dims, c, voxel, value):
     """Overwrite one float32 voxel of channel c of a region-probability file."""
     nx, ny, nz = dims
@@ -170,10 +175,11 @@ class TestAverageFusionSlabs:
     def test_bytes_equal_the_stacked_mean(self, rng, tmp_path, monkeypatch, dims, slab, threads):
         # nz = 1, fewer planes than threads, nz not a multiple of the slab, and one that is.
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", slab)
+        on_cores(monkeypatch, threads)
         maps = slab_maps(rng, Geometry(dims, (1.0, 1.5, 2.0)))
         expected, labels = stacked_mean(maps)
         for given in (maps, [open_region_prob(p) for p in written_maps(maps, tmp_path)]):
-            fused, fused_labels = average_fusion(given, _threads=threads)
+            fused, fused_labels = average_fusion(given)
             assert fused.channels.tobytes() == expected.tobytes()
             assert fused_labels == labels
             assert np.signbit(fused.channels[:, -1, -1, -1]).all()
@@ -183,9 +189,10 @@ class TestAverageFusionSlabs:
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_in_memory_maps_in_any_layout(self, rng, monkeypatch, layout, threads):
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 2)
+        on_cores(monkeypatch, threads)
         maps = slab_maps(rng, Geometry((7, 6, 9)))
         expected, labels = stacked_mean(maps)
-        fused, fused_labels = average_fusion([relaid(m, layout) for m in maps], _threads=threads)
+        fused, fused_labels = average_fusion([relaid(m, layout) for m in maps])
         assert fused.channels.tobytes() == expected.tobytes()
         assert fused_labels == labels
         assert np.signbit(fused.channels).sum() == 3
@@ -201,11 +208,12 @@ class TestAverageFusionSlabs:
     def test_a_bad_value_in_the_last_plane_is_refused(self, rng, tmp_path, monkeypatch,
                                                       threads, bad):
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        on_cores(monkeypatch, threads)
         g = Geometry((5, 4, 6))
         paths = written_maps(slab_maps(rng, g), tmp_path)
         set_voxel(paths[-1], g.dims, 2, (4, 3, 5), bad)  # the last voxel of the last channel
         with pytest.raises(ValidationError, match=r"^region probabilities must lie in \[0, 1\]$"):
-            average_fusion([open_region_prob(p) for p in paths], _threads=threads)
+            average_fusion([open_region_prob(p) for p in paths])
         out, prob_out = tmp_path / "fused.nii", tmp_path / "fused_prob.nii"
         assert main(["fuse", "--method", "mean", "--inputs", *map(str, paths),
                      "--out", str(out), "--prob-out", str(prob_out)]) == 2
@@ -214,11 +222,12 @@ class TestAverageFusionSlabs:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_file_cut_short_after_open(self, rng, tmp_path, monkeypatch, threads):
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        on_cores(monkeypatch, threads)
         paths = written_maps(slab_maps(rng, Geometry((5, 4, 6))), tmp_path)
         maps = [open_region_prob(p) for p in paths]
         paths[1].write_bytes(paths[1].read_bytes()[:-4])
         with pytest.raises(FormatError, match="payload truncated"):
-            average_fusion(maps, _threads=threads)
+            average_fusion(maps)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("bad_plane, cut_plane, error", [(1, 3, ValidationError),
@@ -230,18 +239,20 @@ class TestAverageFusionSlabs:
         # cut short after open inside plane `cut_plane` of channel 2. In one
         # slab the channels are read in order, and map 0 before map 2.
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        on_cores(monkeypatch, threads)
         g = Geometry((5, 4, 6))
         paths = written_maps(slab_maps(rng, g), tmp_path)
         set_voxel(paths[0], g.dims, 0, (2, 2, bad_plane), 2.0)
         maps = [open_region_prob(p) for p in paths]
         paths[2].write_bytes(paths[2].read_bytes()[:VOX_OFFSET + 4 * 20 * (12 + cut_plane) + 8])
         with pytest.raises(error):
-            average_fusion(maps, _threads=threads)
+            average_fusion(maps)
 
     def test_more_threads_than_cores_switching_often(self, rng, tmp_path, monkeypatch):
         # Every thread writes its own slabs of the shared result; a slab
         # written twice or not at all changes the bytes.
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        on_cores(monkeypatch, 8)
         maps = slab_maps(rng, Geometry((6, 5, 33)))
         expected, labels = stacked_mean(maps)
         files = [open_region_prob(p) for p in written_maps(maps, tmp_path)]
@@ -250,13 +261,13 @@ class TestAverageFusionSlabs:
         try:
             for _ in range(5):
                 for given in (maps, files):
-                    fused, fused_labels = average_fusion(given, _threads=8)
+                    fused, fused_labels = average_fusion(given)
                     assert fused.channels.tobytes() == expected.tobytes()
                     assert fused_labels == labels
         finally:
             sys.setswitchinterval(interval)
 
-    def test_runs_on_the_threads_it_is_given(self, rng, monkeypatch):
+    def test_runs_one_thread_per_usable_core(self, rng, monkeypatch):
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
         core, seen = bratskit.fusion._fuse_slabs, []
 
@@ -266,20 +277,23 @@ class TestAverageFusionSlabs:
 
         monkeypatch.setattr(bratskit.fusion, "_fuse_slabs", spy)
         maps = slab_maps(rng, Geometry((4, 3, 7)))
-        average_fusion(maps, _threads=3)
+        on_cores(monkeypatch, 3)
+        average_fusion(maps)
         # One task per thread, each with every third slab; none runs on the caller's thread.
         assert sorted(starts for _, starts in seen) == [(0, 3, 6), (1, 4), (2, 5)]
         assert threading.get_ident() not in {ident for ident, _ in seen}
         seen.clear()
-        average_fusion(maps, _threads=16)  # capped at the slab count
+        on_cores(monkeypatch, 16)
+        average_fusion(maps)  # capped at the slab count
         assert sorted(starts for _, starts in seen) == [(z,) for z in range(7)]
 
     def test_no_thread_outlives_the_call(self, rng, tmp_path, monkeypatch):
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        on_cores(monkeypatch, 3)
         g = Geometry((5, 4, 6))
         paths = written_maps(slab_maps(rng, g), tmp_path)
         before = threading.active_count()
-        average_fusion([open_region_prob(p) for p in paths], _threads=3)
+        average_fusion([open_region_prob(p) for p in paths])
         assert threading.active_count() == before
         args = ["fuse", "--method", "mean", "--inputs", *map(str, paths),
                 "--out", str(tmp_path / "fused.nii")]
@@ -287,34 +301,36 @@ class TestAverageFusionSlabs:
         assert threading.active_count() == before
         set_voxel(paths[1], g.dims, 1, (0, 0, 3), np.nan)
         with pytest.raises(ValidationError):
-            average_fusion([open_region_prob(p) for p in paths], _threads=3)
+            average_fusion([open_region_prob(p) for p in paths])
         assert threading.active_count() == before
         assert main(args) == 2
         assert threading.active_count() == before
 
     def test_one_descriptor_per_file_map(self, rng, tmp_path, monkeypatch):
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        on_cores(monkeypatch, 2)
         paths = written_maps(slab_maps(rng, Geometry((5, 4, 6))), tmp_path)
         maps = [open_region_prob(p) for p in paths]
         opened = []
         os_open = bratskit.nifti.os.open
         monkeypatch.setattr(bratskit.nifti.os, "open",
                             lambda path, *args: opened.append(path) or os_open(path, *args))
-        average_fusion(maps, _threads=2)
+        average_fusion(maps)
         assert sorted(opened) == sorted(paths)
 
     @pytest.mark.parametrize("on_file", [False, True])
-    def test_peak_memory_is_the_result_and_the_slabs(self, rng, tmp_path, on_file):
+    def test_peak_memory_is_the_result_and_the_slabs(self, rng, tmp_path, monkeypatch, on_file):
         # Three 64x64x40 maps: the result takes 13 bytes a voxel (2.1 MB).
         # Each of the two threads holds a few planes of buffers (under 0.4 MB
         # with numpy's own); one channel of the grid in float64 takes 1.3 MB.
+        on_cores(monkeypatch, 2)
         g = Geometry((64, 64, 40))
         maps = [RegionProbVolume(g, rng.random((3, *g.dims), np.float32)) for _ in range(3)]
         if on_file:
             maps = [open_region_prob(p) for p in written_maps(maps, tmp_path)]
         tracemalloc.start()
         try:
-            fused, labels = average_fusion(maps, _threads=2)
+            fused, labels = average_fusion(maps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -148,9 +148,9 @@ def _reversed(a):
 @pytest.mark.parametrize("second", sorted(LAYOUTS) + ["reversed"])
 @pytest.mark.parametrize("first", sorted(LAYOUTS) + ["reversed"])
 def test_lesion_clusters_do_not_depend_on_layout(first, second):
-    # The blocks are pooled in the first volume's memory order; the clusters,
-    # their order and their keep masks are the same in every layout. Sparse
-    # voxels on this grid give nine clusters, one box holding another's block.
+    # The clusters, their order and their keep masks are the same in every
+    # layout. Sparse voxels on this grid give nine clusters, one box holding
+    # another's block.
     rng = np.random.default_rng(2)
     dims = (48, 40, 33)
     a, b = (LabelVolume(Geometry(dims), np.where(rng.random(dims) < 1e-4,

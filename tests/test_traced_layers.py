@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+import bratskit.fusion
 from bratskit.fusion import average_fusion, staple_fusion
 from bratskit.nifti import open_region_prob, write_volume
 from bratskit.phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
@@ -122,6 +123,7 @@ def test_no_traced_layer_runs_on_a_worker_thread(tmp_path, monkeypatch):
         paths.append(tmp_path / f"p{i}.nii")
         write_volume(RegionProbVolume(gt.geometry, rng.random((3, 16, 16, 16), np.float32)),
                      paths[-1])
-    average_fusion([open_region_prob(p) for p in paths], _threads=3)
+    monkeypatch.setattr(bratskit.fusion, "_usable_cores", lambda: 3)
+    average_fusion([open_region_prob(p) for p in paths])
     staple_fusion([gt, pred, gt])
     assert threads and set(threads) == {threading.main_thread()}

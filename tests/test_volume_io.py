@@ -608,15 +608,6 @@ class TestOpenRegionProb:
         with pytest.raises(IndexError):
             open_region_prob(path).channels[key]
 
-    def test_read_into_fills_the_given_array(self, rng, tmp_path):
-        path = tmp_path / "p.nii"
-        volume = random_prob(rng, (5, 4, 3))
-        write_volume(volume, path)
-        out = np.empty((5, 4, 2), np.float32, order="F")
-        key = (1, slice(None), slice(None), slice(1, 3))
-        assert open_region_prob(path).channels.read_into(key, out) is out
-        assert np.array_equal(out, volume.channels[key])
-
     def test_opened_closes_its_descriptor(self, rng, tmp_path):
         path = tmp_path / "p.nii"
         write_volume(random_prob(rng, (5, 4, 3)), path)
