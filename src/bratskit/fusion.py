@@ -12,18 +12,8 @@ import numpy as np
 
 from .errors import ValidationError
 from .morphology import lesion_clusters
-from .regions import REGIONS, Region, extract_region, reconstruct_labels
-from .volume import (
-    BinaryMask,
-    Geometry,
-    LabelVolume,
-    RegionProbVolume,
-    boxed_mask,
-    common_geometry,
-    crop,
-    integral,
-    tumour_box,
-)
+from .regions import CODE_LABEL, REGIONS, Region, bit_code, extract_region
+from .volume import BinaryMask, LabelVolume, RegionProbVolume, common_geometry, crop, integral
 
 _EPS = 1e-7
 # staple_binary counts decision patterns in a histogram of 2**R bins.
@@ -35,11 +25,6 @@ _TOL = 1e-6
 # Mean fusion works in slabs of this many z-planes, so each thread's buffers
 # stay a few planes in size.
 _SLAB_PLANES = 4
-# The label of each 3-bit code of region decisions (bit 0 WT, bit 1 TC,
-# bit 2 ET), as `reconstruct_labels` rebuilds it.
-_CODE_LABEL = reconstruct_labels(*(
-    BinaryMask(Geometry((8, 1, 1)), (np.arange(8) >> bit & 1).astype(bool).reshape(8, 1, 1))
-    for bit in range(3))).voxels.ravel()
 
 
 @dataclass(frozen=True)
@@ -135,7 +120,7 @@ def _fuse_slabs(sources, fused, voxels, starts):
             for c in (1, 2):
                 np.greater_equal(slab[c].ravel(order="F"), 0.5, out=b)
                 k |= b.view(np.uint8) << c
-            np.take(_CODE_LABEL, k, out=voxels[:, :, z0:z1].reshape(-1, order="F"), mode="clip")
+            np.take(CODE_LABEL, k, out=voxels[:, :, z0:z1].reshape(-1, order="F"), mode="clip")
         except Exception as error:
             return z0, error
     return None
@@ -148,33 +133,19 @@ def _checked_max_iters(n_raters, max_iters) -> int:
     return integral(max_iters, "max_iters", 1)
 
 
-def _pattern_codes(bits) -> np.ndarray:
-    """Each voxel's decision pattern: bit j is rater j's decision. The codes
-    keep the first array's memory order, so F-ordered masks are not copied into C order."""
-    code = np.zeros_like(bits[0], dtype=np.uint16)
-    for j, b in enumerate(bits):
-        code |= b.astype(np.uint16) << j
-    return code
+def _staple_em(codes, n_voxels, n_raters, max_iters) -> StapleFit:
+    """EM on the voxel counts of the decision patterns of a grid of `n_voxels`.
 
-
-def _pattern_counts(codes, n_voxels, n_raters) -> np.ndarray:
-    """Voxels per decision pattern on a grid of `n_voxels`, from the pattern
-    codes of boxes that hold each marked voxel once; every other voxel has
-    pattern 0."""
+    `codes` are the pattern codes (`regions.bit_code`, bit j rater j's
+    decision) of boxes that hold each marked voxel once; every other voxel
+    has pattern 0. The prior of a voxel is the share of raters that mark it,
+    so its posterior depends only on its pattern of rater decisions. EM
+    therefore runs on the counts of the patterns that occur (at most 2**R).
+    The E-step works in the log domain so products over many raters stay stable.
+    """
     counts = sum((np.bincount(code.ravel(order="K"), minlength=1 << n_raters) for code in codes),
                  np.zeros(1 << n_raters, np.intp))
     counts[0] = n_voxels - counts[1:].sum()
-    return counts
-
-
-def _staple_em(counts, n_raters, max_iters) -> StapleFit:
-    """EM on the voxel counts of the decision patterns, indexed by pattern code.
-
-    The prior of a voxel is the share of raters that mark it, so its
-    posterior depends only on its pattern of rater decisions. EM therefore
-    runs on the counts of the patterns that occur (at most 2**R). The E-step
-    works in the log domain so products over many raters stay stable.
-    """
     lut = np.zeros(1 << n_raters)
     if not counts[1:].any():  # no rater marks a voxel
         return StapleFit(lut, [(1.0, 1.0)] * n_raters, 0, True)
@@ -215,25 +186,23 @@ def _staple_em(counts, n_raters, max_iters) -> StapleFit:
     return StapleFit(lut, [(float(pi), float(qi)) for pi, qi in zip(p, q)], iterations, converged)
 
 
-# The box of raters that mark nothing: one voxel, which like every other has pattern 0.
-_CORNER = (slice(0, 1),) * 3
-
-
 def staple_binary(masks: Sequence[BinaryMask], max_iters: int = 100) -> StapleResult:
     """EM estimation of per-rater sensitivity/specificity and the per-voxel
     posterior of the latent true mask.
 
-    Patterns are coded on the raters' box only: every voxel outside it has
-    pattern 0, and the posterior is mapped back to the voxels once at the end.
+    Patterns are coded on the boxes of the masks' lesion clusters
+    (`morphology.lesion_clusters`), as in `staple_fusion`: every voxel outside
+    them has pattern 0 and takes its posterior, and each box's posterior is
+    pasted on the voxels of its own cluster.
     """
     max_iters = _checked_max_iters(len(masks), max_iters)
     geometry = masks[0].geometry
-    box = tumour_box(masks) or _CORNER  # refuses a mask on another grid
-    code = _pattern_codes([m.bits[box] for m in masks])
-    fit = _staple_em(_pattern_counts([code], geometry.n_voxels, len(masks)), len(masks),
-                     max_iters)
+    clusters = lesion_clusters(masks, 0)  # refuses a mask on another grid
+    codes = [bit_code([crop(m, box, keep).bits for m in masks]) for box, keep in clusters]
+    fit = _staple_em(codes, geometry.n_voxels, len(masks), max_iters)
     weights = np.full_like(masks[0].bits, fit.posterior[0], dtype=np.float64)
-    weights[box] = fit.posterior[code]
+    for (box, keep), code in zip(clusters, codes):
+        np.copyto(weights[box], fit.posterior[code], where=True if keep is None else keep)
     return StapleResult(BinaryMask(geometry, weights >= 0.5), weights, fit.rater_performance,
                         fit.iterations_run, fit.converged)
 
@@ -245,9 +214,10 @@ def staple_fusion(labels: Sequence[LabelVolume], max_iters: int = 100,
 
     Each region is coded on the boxes of the labels' lesion clusters
     (`morphology.lesion_clusters`), fitted once on the pattern counts summed
-    over them, and thresholded and rebuilt in each box. Every voxel outside
-    the clusters has pattern 0 in each region, so it takes the label rebuilt
-    from the three regions' pattern-0 decisions. `on_region`, when given, is
+    over them, and thresholded in each box; `regions.CODE_LABEL` rebuilds
+    the labels from the bit code of the three regions' decisions. Every voxel
+    outside the clusters has pattern 0 in each region, so it takes the label
+    of the three regions' pattern-0 decisions. `on_region`, when given, is
     called with each region and its fit, which is that of the whole grid.
     """
     max_iters = _checked_max_iters(len(labels), max_iters)
@@ -258,18 +228,13 @@ def staple_fusion(labels: Sequence[LabelVolume], max_iters: int = 100,
     cuts = [[crop(lv, box, keep) for lv in labels] for box, keep in clusters]
     codes, marked = [], []
     for region in REGIONS:
-        codes.append([_pattern_codes([extract_region(lv, region).bits for lv in cut])
-                      for cut in cuts])
-        fit = _staple_em(_pattern_counts(codes[-1], geometry.n_voxels, len(labels)),
-                         len(labels), max_iters)
+        codes.append([bit_code([extract_region(lv, region).bits for lv in cut]) for cut in cuts])
+        fit = _staple_em(codes[-1], geometry.n_voxels, len(labels), max_iters)
         if on_region is not None:
             on_region(region, fit)
         marked.append(fit.posterior >= 0.5)
-    fill = reconstruct_labels(*(boxed_mask(m[:1].reshape(1, 1, 1), geometry.spacing)
-                                for m in marked))
-    voxels = np.full_like(labels[0].voxels, fill.voxels.item())
+    voxels = np.full_like(labels[0].voxels, CODE_LABEL[bit_code([m[0] for m in marked])])
     for (box, keep), *region_codes in zip(clusters, *codes):
-        rebuilt = reconstruct_labels(*(boxed_mask(m[code], geometry.spacing)
-                                       for m, code in zip(marked, region_codes)))
-        np.copyto(voxels[box], rebuilt.voxels, where=True if keep is None else keep)
+        rebuilt = CODE_LABEL[bit_code([m[code] for m, code in zip(marked, region_codes)])]
+        np.copyto(voxels[box], rebuilt, where=True if keep is None else keep)
     return LabelVolume(geometry, voxels)

@@ -2,10 +2,10 @@
 
 Suppression relabels downward through the region hierarchy rather than
 deleting evidence outright: regions are thresholded WT, TC, ET, each inside
-what the enclosing region kept, and `regions.reconstruct_labels` rebuilds the
-labels from the three nested masks, so a removed voxel takes the label of the
-region around it. The BraTS 2021 rule that turns all ET into NCR when the case
-has fewer than t ET voxels is
+what the enclosing region kept, and `regions.CODE_LABEL` rebuilds the labels
+from the bit code of the three nested masks, so a removed voxel takes the label
+of the region around it. The BraTS 2021 rule that turns all ET into NCR when
+the case has fewer than t ET voxels is
 `ThresholdSpec(et=t, scope=ThresholdScope.WholeRegion)`.
 """
 
@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .morphology import Connectivity, connected_components, lesion_clusters
-from .regions import REGIONS, Region, extract_region, reconstruct_labels
+from .regions import CODE_LABEL, REGIONS, Region, bit_code, extract_region
 from .volume import BinaryMask, LabelVolume, crop, integral, member
 
 
@@ -66,9 +66,8 @@ def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
         masks.append(bits)
         kept = bits
     voxels = pred.voxels.copy(order="K")
-    for (box, keep), case, *regions in zip(clusters, cuts, *masks):
-        labels = reconstruct_labels(*(BinaryMask(case.geometry, b) for b in regions))
-        np.copyto(voxels[box], labels.voxels, where=True if keep is None else keep)
+    for (box, keep), *regions in zip(clusters, *masks):
+        np.copyto(voxels[box], CODE_LABEL[bit_code(regions)], where=True if keep is None else keep)
     return LabelVolume(pred.geometry, voxels)
 
 

@@ -36,6 +36,11 @@ LABEL_NCR = 1
 LABEL_ED = 2
 LABEL_ET = 3
 
+# The label of each 3-bit code of region decisions (bit 0 WT, bit 1 TC, bit 2 ET):
+# WT -> ED, then TC -> NCR, then ET -> ET, later regions winning. Shared, so read-only.
+CODE_LABEL = np.array([0, LABEL_ED, LABEL_NCR, LABEL_NCR] + [LABEL_ET] * 4, np.uint8)
+CODE_LABEL.flags.writeable = False
+
 
 def extract_region(labels: LabelVolume, region: Region) -> BinaryMask:
     """Binary mask of the voxels whose label belongs to the region's label set."""
@@ -45,16 +50,21 @@ def extract_region(labels: LabelVolume, region: Region) -> BinaryMask:
     return BinaryMask(labels.geometry, bits)
 
 
-def reconstruct_labels(wt: BinaryMask, tc: BinaryMask, et: BinaryMask) -> LabelVolume:
-    """Inverse of extract_region for nested masks.
+def bit_code(bits) -> np.ndarray:
+    """Each voxel's code of the boolean arrays `bits`, as uint16: bit j is bits[j].
+    The codes keep the first array's memory order, so F-ordered masks are not
+    copied into C order."""
+    code = bits[0].astype(np.uint16)
+    for j, b in enumerate(bits[1:], 1):
+        code |= np.left_shift(b, j, dtype=np.uint16)
+    return code
 
-    Assignment order WT -> TC -> ET with later regions overriding, so
-    non-nested inputs still produce a valid, nested label volume.
+
+def reconstruct_labels(wt: BinaryMask, tc: BinaryMask, et: BinaryMask) -> LabelVolume:
+    """Inverse of extract_region for nested masks: CODE_LABEL of their bit code.
+
+    Non-nested inputs still produce a valid, nested label volume, and the
+    labels keep the masks' memory order.
     """
     geometry = common_geometry((wt, tc, et))
-    # In the masks' memory order: masks from a file are F-ordered and scatter slowly into C order.
-    out = np.zeros_like(wt.bits, dtype=np.uint8)
-    out[wt.bits] = LABEL_ED
-    out[tc.bits] = LABEL_NCR
-    out[et.bits] = LABEL_ET
-    return LabelVolume(geometry, out)
+    return LabelVolume(geometry, CODE_LABEL[bit_code((wt.bits, tc.bits, et.bits))])

@@ -237,10 +237,7 @@ def boxed_mask(bits, spacing) -> BinaryMask:
 
 def crop(volume, box, keep=None):
     """A 3-D volume's voxels in `box`, on a grid of the box's shape with the
-    same spacing; a None box (an empty `tumour_box`) keeps the whole grid.
-    Voxels where `keep`, a mask over the box, is false are zeroed."""
-    if box is None:
-        return volume
+    same spacing. Voxels where `keep`, a mask over the box, is false are zeroed."""
     payload = volume.payload[box]
     if keep is not None:
         payload = payload * keep

@@ -162,6 +162,16 @@ def staple_em_oracle(decisions, prior, p0=0.99, q0=0.99, max_iters=100, tol=1e-6
     return w, p, q, it
 
 
+def brute_labels(wt, tc, et):
+    """Labels rebuilt from three region masks by ordered scatters: background,
+    then WT -> 2 (ED), TC -> 1 (NCR), ET -> 3 (ET), later regions winning."""
+    out = np.zeros(np.shape(wt), np.uint8)
+    out[np.asarray(wt, bool)] = 2
+    out[np.asarray(tc, bool)] = 1
+    out[np.asarray(et, bool)] = 3
+    return out
+
+
 def brute_rank(table):
     """Per-key sort oracle for rank-then-aggregate; returns solution -> score."""
     solutions = table.solutions

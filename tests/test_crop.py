@@ -574,7 +574,3 @@ class TestCrop:
         m = boxed_mask(bits[1:3, 2:5, 3:4], (0.5, 2.0, 3.0))
         assert m.geometry == Geometry((2, 3, 1), (0.5, 2.0, 3.0))
         assert m.count() == 1
-
-    def test_none_keeps_the_whole_grid(self):
-        m = BinaryMask(Geometry((3, 3, 3)), np.ones((3, 3, 3), bool))
-        assert crop(m, None) is m

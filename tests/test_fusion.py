@@ -18,11 +18,11 @@ from bratskit.fusion import (
 )
 from bratskit.morphology import lesion_clusters
 from bratskit.nifti import VOX_OFFSET, open_region_prob, write_volume
-from bratskit.regions import REGIONS, Region, extract_region, reconstruct_labels
+from bratskit.regions import CODE_LABEL, REGIONS, Region, extract_region, reconstruct_labels
 from bratskit.volume import BinaryMask, Geometry, LabelVolume, RegionProbVolume, tumour_box
 
 from conftest import LAYOUTS, labels_from_array, relaid
-from oracles import staple_em_oracle
+from oracles import brute_labels, staple_em_oracle
 
 
 def prob_volume(rng, g):
@@ -199,9 +199,8 @@ class TestAverageFusionSlabs:
 
     def test_code_table_is_reconstruct_labels(self):
         for code in range(8):
-            bits = [BinaryMask(Geometry((1, 1, 1)), np.full((1, 1, 1), bool(code >> b & 1)))
-                    for b in range(3)]
-            assert bratskit.fusion._CODE_LABEL[code] == reconstruct_labels(*bits).voxels.item()
+            bits = [np.full((1, 1, 1), bool(code >> b & 1)) for b in range(3)]
+            assert CODE_LABEL[code] == brute_labels(*bits).item()
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5])
@@ -490,6 +489,39 @@ class TestStapleBinary:
         assert np.allclose(res.weights.ravel(), w, rtol=0, atol=1e-6)
         assert np.allclose(np.array(res.rater_performance), np.stack([p, q], axis=1),
                            rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("corners", [False, True])
+    @pytest.mark.parametrize("mirrored", [False, True])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_l_shaped_clusters_match_the_oracle(self, monkeypatch, seed, layout, mirrored,
+                                                corners):
+        # The WT of TestStapleFusionPaste's L raters, with 16 empty x-planes on
+        # each side so that voxels marked at opposite grid corners form
+        # clusters of their own. Mirrored in x, the L's box is pasted after the
+        # lesion in its bend, so a paste that ignored `keep` would overwrite it.
+        rng = np.random.default_rng(seed)
+        bits = [LAYOUTS[layout](np.pad(v[::-1] if mirrored else v, ((16, 16), (0, 0), (0, 0)))
+                                != 0) for v in TestStapleFusionPaste.l_raters(rng)]
+        if corners:
+            bits[0][0, 0, 0] = bits[-1][-1, -1, -1] = True
+        masks = [BinaryMask(Geometry(b.shape), b) for b in bits]
+        clusters = lesion_clusters(masks, 0)
+        kept = sorted(keep is not None for _, keep in clusters)
+        assert kept == [False] * (1 + 2 * corners) + [True]
+        fits = []
+        core = bratskit.fusion._staple_em
+        monkeypatch.setattr(bratskit.fusion, "_staple_em",
+                            lambda *args: fits.append(core(*args)) or fits[-1])
+        res, (w, p, q, iterations) = staple_and_oracle(masks)
+        assert res.iterations_run == iterations
+        assert np.allclose(res.weights.ravel(), w, rtol=0, atol=1e-6)
+        assert np.allclose(np.array(res.rater_performance), np.stack([p, q], axis=1),
+                           rtol=0, atol=1e-6)
+        outside = np.ones(masks[0].geometry.dims, bool)
+        for box, keep in clusters:
+            outside[box] &= False if keep is None else ~keep
+        assert outside.any() and (res.weights[outside] == fits[0].posterior[0]).all()
 
     @pytest.mark.parametrize("n_raters", [3, 5, 8])
     def test_all_raters_mark_every_voxel(self, n_raters):

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bratskit.regions import REGIONS, Region, extract_region, reconstruct_labels
+from bratskit.regions import CODE_LABEL, REGIONS, Region, extract_region, reconstruct_labels
 from bratskit.volume import BinaryMask, Geometry, LabelVolume
 
-from conftest import labels_from_array
+from conftest import LAYOUTS, labels_from_array
+from oracles import brute_labels
 
 
 def test_label_sets():
@@ -60,6 +61,23 @@ def test_reconstruct_keeps_fortran_order_of_masks(rng):
     # Masks thresholded from a file-order probability map are F-ordered; the
     # labels keep that order, so writing them is one copy of the buffer.
     assert f_out.voxels.flags.f_contiguous
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_reconstruct_matches_the_scatter_oracle(rng, layout):
+    g = Geometry((6, 5, 4))
+    bits = [LAYOUTS[layout](rng.random(g.dims) < 0.5) for _ in range(3)]
+    # Not nested: every one of the 8 codes of region decisions occurs.
+    assert np.unique(bits[0] + 2 * bits[1] + 4 * bits[2]).size == 8
+    out = reconstruct_labels(*(BinaryMask(g, b) for b in bits))
+    assert np.array_equal(out.voxels, brute_labels(*bits))
+    if layout == "F":
+        assert out.voxels.flags.f_contiguous
+
+
+def test_code_table_is_read_only():
+    with pytest.raises(ValueError):
+        CODE_LABEL[0] = 1
 
 
 @settings(max_examples=50, deadline=None)
