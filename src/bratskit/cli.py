@@ -18,6 +18,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from . import cores
 from .errors import BratskitError, ValidationError
 from .fusion import average_fusion, staple_fusion
 from .metrics import (
@@ -88,8 +89,10 @@ def cmd_evaluate(args):
     worker = functools.partial(_evaluate_case, mode=args.mode, params=params)
     if workers > 1:
         # About four chunks per worker: few round trips, and the last chunks
-        # are short enough to even out the workers' loads.
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # are short enough to even out the workers' loads. Each worker runs
+        # its share of the cores in search threads (`cores.thread_count`).
+        with ProcessPoolExecutor(max_workers=workers, initializer=cores.share,
+                                 initargs=(workers,)) as pool:
             results = list(pool.map(worker, jobs, chunksize=math.ceil(len(jobs) / (4 * workers))))
     else:
         results = [worker(job) for job in jobs]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -10,6 +9,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .cores import thread_count
 from .errors import ValidationError
 from .morphology import lesion_clusters
 from .regions import CODE_LABEL, REGIONS, Region, bit_code, extract_region
@@ -53,13 +53,13 @@ def average_fusion(maps: Iterable[RegionProbVolume]):
     `channels` indexable as `[c, :, :, z0:z1]`, such as
     `nifti.RegionProbFile`, which reads those planes from disk when indexed.
     The grid is fused in slabs of `_SLAB_PLANES` z-planes, spread over a pool
-    of threads, one per usable core. In each slab the maps' channels are
-    summed in input order into a float64 accumulator, divided once and cast
-    once into the float32 result: np.mean's arithmetic over stacked float64
-    copies, except that a -0.0 mean keeps its sign. The bytes do not depend
-    on the thread count. A map's planes are read and checked only in their
-    slab, so the call holds the result and a few planes of buffers per
-    thread. If slabs fail, the error of the first one in z order is raised.
+    of threads, one per usable core (`cores.thread_count`). In each slab the
+    maps' channels are summed in input order into a float64 accumulator,
+    divided once and cast once into the float32 result: np.mean's arithmetic
+    over stacked float64 copies, except that a -0.0 mean keeps its sign. The
+    bytes do not depend on the thread count. A map's planes are read and
+    checked only in their slab, so the call holds the result and a few planes
+    of buffers per thread. If slabs fail, the error of the first one in z order is raised.
     """
     maps = list(maps)
     if not maps:
@@ -69,7 +69,7 @@ def average_fusion(maps: Iterable[RegionProbVolume]):
     fused = np.moveaxis(np.empty(geometry.dims + (3,), np.float32, order="F"), 3, 0)
     voxels = np.empty(geometry.dims, np.uint8, order="F")
     starts = range(0, geometry.dims[2], _SLAB_PLANES)
-    threads = min(_usable_cores(), len(starts))
+    threads = min(thread_count(), len(starts))
     with ExitStack() as stack:
         # File channels are read through one descriptor per map for the whole call.
         sources = [stack.enter_context(m.channels.opened()) if hasattr(m.channels, "opened")
@@ -83,11 +83,6 @@ def average_fusion(maps: Iterable[RegionProbVolume]):
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
     return RegionProbVolume(geometry, fused), LabelVolume(geometry, voxels)
-
-
-def _usable_cores() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _fuse_slabs(sources, fused, voxels, starts):

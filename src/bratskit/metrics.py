@@ -3,17 +3,25 @@
 Empty-mask conventions: both masks empty -> DSC 1, HD95 0; exactly one empty ->
 DSC 0, HD95 374. The same 374 penalty is charged per unmatched lesion in the
 lesion-wise mode.
+
+HD95 counts each voxel on both surfaces as a 0.0 distance in both directions
+and searches only from the others. A search that builds a k-d tree runs on a
+pool of threads that lives for one public call, `cores.thread_count()` of
+them, and its result is read, in submission order, when the call assembles
+its result; the bytes do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from .cores import thread_count
 from .morphology import (Connectivity, connected_components, dilate, lesion_clusters,
                          surface_voxels)
 from .regions import REGIONS, Region, extract_region
@@ -87,67 +95,141 @@ _ALL_PAIRS_MAX_EXACT = 1 << 13
 _ALL_PAIRS_MAX = 1 << 16
 
 
-def _p95(x):
-    """np.percentile(x, 95, method="linear"): the two ranks around numpy's
-    virtual index, partitioned out and mixed as numpy's `_lerp` mixes them."""
-    at = (len(x) - 1) * 0.95
-    k = [int(at), min(int(at) + 1, len(x) - 1)]
-    a, b = np.partition(x, k)[k]
-    t = at - k[0]
+def _ranks(n):
+    """The two ranks of n sorted values that numpy's linear 95th percentile
+    mixes, around its virtual index (n - 1) * 0.95, and the index's fraction."""
+    at = (n - 1) * 0.95
+    return int(at), min(int(at) + 1, n - 1), at - int(at)
+
+
+def _p95(x, zeros=0):
+    """np.percentile of x and `zeros` more 0.0 values, 95, method="linear",
+    for x >= 0: a rank below `zeros` reads 0.0, any other is partitioned out
+    of x, shifted past the zeros; the two are mixed as numpy's `_lerp` mixes
+    them."""
+    low, high, t = _ranks(len(x) + zeros)
+    k = [r - zeros for r in (low, high) if r >= zeros]
+    a, b = [0.0] * (2 - len(k)) + (list(np.partition(x, k)[k]) if k else [])
     return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
-def _directed_p95(src, dst, spacing):
+def _exact(spacing):
+    """Whether every spacing is an integer of at most 512 mm (`_directed_p95`)."""
+    return all(float(s).is_integer() and s <= 512 for s in spacing)
+
+
+def _all_pairs(src, dst, spacing):
+    """Whether every (src, dst) pair is scored, rather than a k-d tree built."""
+    return len(src) * len(dst) <= (_ALL_PAIRS_MAX_EXACT if _exact(spacing) else _ALL_PAIRS_MAX)
+
+
+def _directed_p95(src, dst, spacing, zeros=0):
     """95th percentile (linear interpolation, `_p95`) of the distances (mm)
-    from each src point to its nearest dst point; points are voxel coordinates.
+    from each src point, and from `zeros` more points that dst holds, to the
+    nearest dst point; points are voxel coordinates. A point that dst holds
+    is exactly 0.0 from it, so it is counted, not searched for.
 
     Squared distances are summed in axis order from the voxel offsets scaled
     per axis, as the exact EDT sums them. On an exact grid, each spacing an
     integer of at most 512 mm, every coordinate stays below
     volume.MAX_DIM * 512 < 2**24 mm, so every sum is an exact integer: tied
     offsets have equal sums and the tree's distance is the correctly rounded
-    root of the sum the EDT takes. On other grids offsets of equal length can round one bit apart and
-    the EDT keeps the lesser, so the tree path searches every dst point tied
-    with the nearest and keeps the least sum."""
-    exact = all(float(s).is_integer() and s <= 512 for s in spacing)
-    if len(src) * len(dst) <= (_ALL_PAIRS_MAX_EXACT if exact else _ALL_PAIRS_MAX):
+    root of the sum the EDT takes. On other grids offsets of equal length can
+    round one bit apart and the EDT keeps the lesser, so the tree path
+    searches every dst point tied with the nearest and keeps the least sum.
+
+    It runs on `_Searches`' threads, so it calls numpy and cKDTree only: no
+    function that a tracer may wrap with a shared span stack."""
+    if _all_pairs(src, dst, spacing):
         # one (src x dst) plane per axis keeps the temporaries small
         sq = sum(((src[:, None, i] - dst[None, :, i]) * s) ** 2 for i, s in enumerate(spacing))
         sq = sq.min(axis=1)
     else:
         tree = cKDTree(dst * spacing)
         near, _ = tree.query(src * spacing)
-        if exact:
-            return _p95(near)
+        if _exact(spacing):
+            return _p95(near, zeros)
         ties = tree.query_ball_point(src * spacing, near * (1 + 1e-9), return_sorted=False)
         counts = [len(t) for t in ties]
         offsets = src.repeat(counts, axis=0) - dst[np.concatenate(ties)]
         sq = np.minimum.reduceat(((offsets * spacing) ** 2).sum(axis=1), np.cumsum(counts) - counts)
-    return _p95(np.sqrt(sq))
+    return _p95(np.sqrt(sq), zeros)
+
+
+class _Searches:
+    """The directed searches (`_directed_p95`) of one call, as a context.
+
+    A search whose two p95 ranks both read shared points is 0.0 with no
+    search. One that builds a k-d tree goes to a pool of
+    `cores.thread_count()` threads, when that is more than one, and gives its
+    future; any other runs at once and gives its float. The pool lives for
+    the `with` block: on leaving it every thread has ended, and the first
+    search in submission order that raised has raised."""
+
+    def __enter__(self):
+        threads = thread_count()
+        self.pool = ThreadPoolExecutor(threads) if threads > 1 else None
+        self.futures = []
+        return self
+
+    def __exit__(self, failed, error, trace):
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=failed is not None)
+        if failed is None:
+            for future in self.futures:
+                future.result()
+
+    def directed(self, src, dst, spacing, zeros):
+        if _ranks(len(src) + zeros)[1] < zeros:
+            return 0.0
+        if self.pool is None or _all_pairs(src, dst, spacing):
+            return _directed_p95(src, dst, spacing, zeros)
+        self.futures.append(self.pool.submit(_directed_p95, src, dst, spacing, zeros))
+        return self.futures[-1]
+
+
+def _settled(hd):
+    """The float of a pending HD95 (`_hd95`) once its `_Searches` has ended."""
+    if isinstance(hd, float):
+        return hd
+    return max(d.result() if isinstance(d, Future) else d for d in hd)
 
 
 def hd95(a: BinaryMask, b: BinaryMask) -> float:
     # Callers may pass whole grids, so work on the boxes of the lesion clusters.
     # They hold every true voxel, and the erosion treats off-box voxels as false,
     # as they are within the one step it looks: the surfaces are the grid's.
-    return _hd95(_tight(_clusters(a, b, 1)))
+    with _Searches() as searches:
+        hd = _hd95(_tight(_clusters(a, b, 1)), searches)
+    return _settled(hd)
 
 
-def _hd95(pairs):
-    """HD95 of a region split into (origin, a, b) pairs: the surface points of
-    every pair, shifted by its origin to grid coordinates, scored together."""
-    sa = [np.argwhere(surface_voxels(a).bits) + origin for origin, a, _ in pairs if a.any()]
-    sb = [np.argwhere(surface_voxels(b).bits) + origin for origin, _, b in pairs if b.any()]
-    if not sa and not sb:
+def _hd95(pairs, searches):
+    """HD95 of a region split into (origin, a, b) pairs, a and b of each on one
+    box: the surface points of every pair, shifted by its origin to grid
+    coordinates, scored together. A float, or the two directed searches of
+    `searches` (`_settled`). A voxel on both surfaces is exactly 0.0 from the
+    other, so each direction counts those and searches from the rest."""
+    points, alone, shared = ([], []), ([], []), [0, 0]
+    for origin, a, b in pairs:
+        surfaces = [surface_voxels(m).bits if m.any() else None for m in (a, b)]
+        for side, (mine, theirs) in enumerate((surfaces, surfaces[::-1])):
+            if mine is None:
+                continue
+            p = np.argwhere(mine) + origin
+            # theirs[mine] lists, in argwhere's order, which of p the other surface holds
+            both = np.zeros(len(p), bool) if theirs is None else theirs[mine]
+            points[side].append(p)
+            alone[side].append(p[~both])
+            shared[side] += int(np.count_nonzero(both))
+    if not points[0] and not points[1]:
         return 0.0
-    if not sa or not sb:
+    if not points[0] or not points[1]:
         return HD95_PENALTY
-    return _surface_hd95(np.concatenate(sa), np.concatenate(sb), pairs[0][1].geometry.spacing)
-
-
-def _surface_hd95(sa, sb, spacing):
-    """HD95 between two non-empty sets of surface points."""
-    return max(_directed_p95(sa, sb, spacing), _directed_p95(sb, sa, spacing))
+    spacing = pairs[0][1].geometry.spacing
+    sa, sb = (np.concatenate(p) for p in points)
+    return (searches.directed(np.concatenate(alone[0]), sb, spacing, shared[0]),
+            searches.directed(np.concatenate(alone[1]), sa, spacing, shared[1]))
 
 
 def _clusters(x, y, reach):
@@ -185,8 +267,10 @@ def _region_masks(gt: LabelVolume, pred: LabelVolume, reach: int):
 
 def case_metrics_legacy(gt: LabelVolume, pred: LabelVolume, case_id: str = "") -> CaseMetrics:
     # Surfaces look one step past a voxel.
-    per_region = {region: MetricPair(_dice(pairs), _hd95(pairs))
-                  for region, pairs in _region_masks(gt, pred, 1)}
+    with _Searches() as searches:
+        scores = [(region, _dice(pairs), _hd95(pairs, searches))
+                  for region, pairs in _region_masks(gt, pred, 1)]
+    per_region = {region: MetricPair(dsc, _settled(hd)) for region, dsc, hd in scores}
     return CaseMetrics(case_id, per_region, "legacy")
 
 
@@ -205,19 +289,29 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
     whole grid.
     """
     gt_mask.geometry.require_compatible(pred_mask.geometry)
-    return _match_clusters(_tight(_clusters(gt_mask, pred_mask, params.dilation_iterations)),
-                           params, gt_mask.geometry.dims)
+    with _Searches() as searches:
+        report = _match_clusters(_tight(_clusters(gt_mask, pred_mask, params.dilation_iterations)),
+                                 params, gt_mask.geometry.dims, searches)
+    return _settled_report(report)
 
 
-def _match_clusters(pairs, params, dims):
+def _settled_report(report):
+    """The report with every matched pair's pending hd95 (`_hd95`) settled."""
+    matched = [(gid, pids, MetricPair(pair.dsc, _settled(pair.hd95)))
+               for gid, pids, pair in report.matched]
+    return replace(report, matched=matched)
+
+
+def _match_clusters(pairs, params, dims, searches):
     """The lesion match of a region split into (origin, gt mask, pred mask)
     pairs, with whole-grid ids. Each id is the rank of its component's first
     voxel among those of every pair: a pair's own x-fastest order is the grid's
-    order restricted to its box, so with one pair its ids are already global."""
+    order restricted to its box, so with one pair its ids are already global.
+    Each matched pair's hd95 is pending in `searches` (`_settled_report`)."""
     runs = []
     for origin, gt_mask, pred_mask in pairs:
         comps = [connected_components(m, params.connectivity) for m in (gt_mask, pred_mask)]
-        runs.append((origin, comps, _match(*comps, params)))
+        runs.append((origin, comps, _match(*comps, params, searches)))
     if len(runs) == 1:
         return runs[0][2]
     gt_ids, pred_ids = (_global_ids([(origin, comps[side]) for origin, comps, _ in runs], dims)
@@ -249,8 +343,9 @@ def _global_ids(runs, dims):
     return [np.concatenate(([0], np.searchsorted(ranked, f) + 1)) for f in firsts]
 
 
-def _match(gt_comps, pred_comps, params):
-    """The lesion match of two component maps on one grid, in their own ids.
+def _match(gt_comps, pred_comps, params, searches):
+    """The lesion match of two component maps on one grid, in their own ids,
+    each matched pair's hd95 pending in `searches`.
 
     Each lesion is handled inside its `find_objects` box. The dilation reaches
     at most `dilation_iterations` voxels past the gt box, so it runs in that
@@ -288,23 +383,21 @@ def _match(gt_comps, pred_comps, params):
         box = hull([gt_boxes[gid - 1], *(pred_boxes[p - 1] for p in pids)], 0, dims)
         lesion = boxed_mask(gt_comps.ids[box] == gid, spacing)
         preds = boxed_mask(owner[pred_comps.ids[box]] == gid, spacing)
-        surfaces = (np.argwhere(surface_voxels(m).bits) for m in (lesion, preds))
-        pair = MetricPair(dice(lesion, preds), _surface_hd95(*surfaces, spacing))
+        pair = MetricPair(dice(lesion, preds), _hd95([((0, 0, 0), lesion, preds)], searches))
         matched.append((gid, frozenset(pids), pair))
 
     return LesionMatchReport(matched, false_positives, false_negatives, params)
 
 
-def _lesionwise_region(pairs, params, dims):
-    report = _match_clusters(pairs, params, dims)
+def _lesionwise_region(report):
+    """A region's lesion-wise score from its settled match report."""
     dscs = [pair.dsc for _, _, pair in report.matched]
     hds = [pair.hd95 for _, _, pair in report.matched]
     n_penalty = len(report.false_positives) + len(report.false_negatives)
     dscs.extend([0.0] * n_penalty)
     hds.extend([HD95_PENALTY] * n_penalty)
     # Nothing to score: both masks empty, or the size filter removed every gt lesion.
-    pair = MetricPair(float(np.mean(dscs)), float(np.mean(hds))) if dscs else MetricPair(1.0, 0.0)
-    return pair, report
+    return MetricPair(float(np.mean(dscs)), float(np.mean(hds))) if dscs else MetricPair(1.0, 0.0)
 
 
 def case_metrics_lesionwise(gt: LabelVolume, pred: LabelVolume,
@@ -314,9 +407,11 @@ def case_metrics_lesionwise(gt: LabelVolume, pred: LabelVolume,
     union of its predictions; each FP/FN contributes (0, 374); region score is
     the arithmetic mean over all contributions. Each region is scored on the
     boxes of its lesion clusters (`_region_masks`), with whole-grid lesion ids."""
-    per_region, reports = {}, {}
-    for region, pairs in _region_masks(gt, pred, params.dilation_iterations):
-        per_region[region], reports[region] = _lesionwise_region(pairs, params, gt.geometry.dims)
+    with _Searches() as searches:
+        pending = {region: _match_clusters(pairs, params, gt.geometry.dims, searches)
+                   for region, pairs in _region_masks(gt, pred, params.dilation_iterations)}
+    reports = {region: _settled_report(report) for region, report in pending.items()}
+    per_region = {region: _lesionwise_region(report) for region, report in reports.items()}
     return CaseMetrics(case_id, per_region, "lesionwise"), reports
 
 

@@ -21,6 +21,10 @@ from bratskit.metrics import (
     _dice,
     _hd95,
     _lesionwise_region,
+    _match_clusters,
+    _Searches,
+    _settled,
+    _settled_report,
     case_metrics_legacy,
     case_metrics_lesionwise,
     hd95,
@@ -350,12 +354,17 @@ def test_clusters_give_the_one_box_answer(seed):
     for region in REGIONS:
         a, b = extract_region(gt, region), extract_region(pred, region)
         whole = [((0, 0, 0), a, b)]
-        assert hd95(a, b) == _hd95(whole)
-        assert legacy[region] == MetricPair(_dice(whole), _hd95(whole))
+        with _Searches() as searches:
+            one_box_hd95 = _hd95(whole, searches)
+        assert hd95(a, b) == _settled(one_box_hd95)
+        assert legacy[region] == MetricPair(_dice(whole), _settled(one_box_hd95))
         for k in (0, 2, 8, 9):
             for conn in Connectivity:
                 params = MatchParams(k, conn)
-                one_box = _lesionwise_region(whole, params, gt.geometry.dims)
+                with _Searches() as searches:
+                    report = _match_clusters(whole, params, gt.geometry.dims, searches)
+                report = _settled_report(report)
+                one_box = (_lesionwise_region(report), report)
                 assert lesion_match(a, b, params) == one_box[1]
                 case, reports = case_metrics_lesionwise(gt, pred, params)
                 assert (case.per_region[region], reports[region]) == one_box

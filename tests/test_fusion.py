@@ -8,6 +8,7 @@ import pytest
 
 from bratskit.cli import main
 from bratskit.errors import FormatError, IncompatibleGeometryError, ValidationError
+import bratskit.cores
 import bratskit.fusion
 from bratskit.fusion import (
     MAX_RATERS,
@@ -153,7 +154,7 @@ def written_maps(maps, directory):
 
 def on_cores(monkeypatch, n):
     """Mean fusion sees `n` usable cores, so it runs up to `n` threads."""
-    monkeypatch.setattr(bratskit.fusion, "_usable_cores", lambda: n)
+    monkeypatch.setattr(bratskit.cores, "usable_cores", lambda: n)
 
 
 def set_voxel(path, dims, c, voxel, value):

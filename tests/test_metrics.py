@@ -1,12 +1,19 @@
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+import bratskit.cores
 from bratskit import metrics
+from bratskit.cli import main
 from bratskit.metrics import (
     HD95_PENALTY,
     MatchParams,
+    MetricPair,
     _directed_p95,
     _p95,
     case_metrics_legacy,
@@ -19,6 +26,7 @@ from bratskit.metrics import (
 )
 from bratskit.errors import IncompatibleGeometryError, ValidationError
 from bratskit.morphology import Connectivity
+from bratskit.nifti import write_volume
 from bratskit.phantom import (
     Lesion,
     Perturbation,
@@ -36,6 +44,7 @@ from oracles import (
     brute_dice,
     brute_hd95,
     brute_lesion_match,
+    brute_surface,
     edt_hd95,
 )
 
@@ -158,6 +167,14 @@ class TestP95:
             for x in self.arrays(rng, n):
                 self.check(x)
 
+    def test_zeros_shift_the_ranks(self, rng):
+        # `zeros` more 0.0 values, from none to all of them
+        for n in range(1, 120):
+            for zeros in range(n + 1):
+                for x in self.arrays(rng, n - zeros):
+                    want = np.percentile(np.concatenate([np.zeros(zeros), x]), 95, method="linear")
+                    assert _p95(x, zeros) == want
+
 
 class TestHD95EqualsEDT:
     """HD95 from nearest surface points equals, under ==, HD95 from the exact
@@ -250,6 +267,120 @@ class TestTiePath:
     def test_other_grid_searches_ties(self, spacing, calls):
         self.score_phantoms(spacing)
         assert calls["query_ball_point"] == calls["query"] > 0
+
+
+def box_bits(dims, lo, hi):
+    bits = np.zeros(dims, bool)
+    bits[tuple(slice(l, h) for l, h in zip(lo, hi))] = True
+    return bits
+
+
+def shared_surface_cases():
+    """(a, b) masks by the share of their surfaces that they hold in common."""
+    ball = generate_phantom(PhantomSpec((16, 15, 14), (Lesion((8, 7, 7), (5, 4.5, 4)),)))[0]
+    ball = ball.voxels != 0
+    cube = box_bits((14, 14, 14), (3, 3, 3), (11, 11, 11))
+    bumped = cube.copy()
+    bumped[11, 3:7, 3:7] = True
+    slab = box_bits((20, 12, 14), (3, 3, 3), (14, 7, 10))
+    return {
+        "identical": (ball, ball.copy()),
+        "one-voxel-shift": (ball, np.roll(ball, 1, axis=0)),
+        "erosion": (ball, ndimage.binary_erosion(ball)),
+        "shared-between-the-ranks": (cube, bumped),
+        "just-above-all-pairs": (slab, np.roll(slab, 1, axis=0)),
+    }
+
+
+SHARED_CASES = shared_surface_cases()
+
+
+def surface_counts(a, b):
+    """Per direction (a to b, b to a): the source surface's voxel count and
+    how many of them the other surface holds, from the oracle's surfaces."""
+    sa, sb = brute_surface(a), brute_surface(b)
+    return [(int(s.sum()), int((s & o).sum())) for s, o in ((sa, sb), (sb, sa))]
+
+
+class TestSharedSurface:
+    """A voxel on both surfaces is counted as a 0.0 distance and only the
+    others are searched from. HD95, legacy and lesion-wise scores still equal
+    the EDT and the lesion oracle bit for bit, on an integer and on a
+    non-integer anisotropic spacing (the tie search), through all-pairs scans
+    and through the tree."""
+
+    @pytest.fixture(params=["all-pairs", "tree"])
+    def scoring(self, request, monkeypatch):
+        if request.param == "tree":
+            force_tree(monkeypatch)
+
+    def test_the_cases_share_what_they_name(self):
+        counts = {name: surface_counts(a, b) for name, (a, b) in SHARED_CASES.items()}
+        assert all(n == shared for n, shared in counts["identical"])
+        assert all(0 < shared < n for n, shared in counts["one-voxel-shift"])
+        assert all(shared == 0 for _, shared in counts["erosion"])
+        # b to a: the lower p95 rank reads a shared voxel, the upper one does not
+        n, shared = counts["shared-between-the-ranks"][1]
+        low = int((n - 1) * 0.95)
+        assert low < shared == low + 1 < n
+        # each direction searches from just more points than all pairs would take
+        for n, shared in counts["just-above-all-pairs"]:
+            assert metrics._ALL_PAIRS_MAX_EXACT < (n - shared) * n < 1.1 * metrics._ALL_PAIRS_MAX_EXACT
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)])
+    @pytest.mark.parametrize("name", sorted(SHARED_CASES))
+    def test_hd95_and_legacy_equal_the_edt(self, name, spacing, scoring):
+        a, b = SHARED_CASES[name]
+        want = edt_hd95(a, b, spacing)
+        g = Geometry(a.shape, spacing)
+        assert hd95(BinaryMask(g, a), BinaryMask(g, b)) == want
+        assert hd95(BinaryMask(g, b), BinaryMask(g, a)) == want
+        # label 3 puts each mask in every region
+        gt, pred = (labels_from_array(np.where(m, 3, 0), spacing) for m in (a, b))
+        legacy = case_metrics_legacy(gt, pred)
+        assert all(legacy.per_region[region].hd95 == want for region in REGIONS)
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)])
+    @pytest.mark.parametrize("name", sorted(SHARED_CASES))
+    def test_lesionwise_equals_the_oracle(self, name, spacing, scoring):
+        a, b = SHARED_CASES[name]
+        gt, pred = (labels_from_array(np.where(m, 3, 0), spacing) for m in (a, b))
+        _, reports = case_metrics_lesionwise(gt, pred)
+        matched, fps, fns = brute_lesion_match(a, b, NEIGHBOURS_26, 3, spacing=spacing)
+        # one lesion on each side, so the pair's masks are the whole masks
+        assert [m[:2] for m in matched] == [(1, frozenset({1}))] and fps == fns == []
+        want = [(1, frozenset({1}), MetricPair(brute_dice(a, b), edt_hd95(a, b, spacing)))]
+        for region in REGIONS:
+            assert reports[region].matched == want
+
+    def test_the_tree_scores_the_case_just_above_all_pairs(self, monkeypatch):
+        built = []
+
+        class CountingTree(metrics.cKDTree):
+            def __init__(self, *args, **kwargs):
+                built.append(len(args[0]))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "cKDTree", CountingTree)
+        a, b = SHARED_CASES["just-above-all-pairs"]
+        g = Geometry(a.shape)
+        assert hd95(BinaryMask(g, a), BinaryMask(g, b)) == edt_hd95(a, b)
+        # one tree per direction, on all of the other surface (threads may build in either order)
+        assert sorted(built) == sorted(n for n, _ in surface_counts(a, b))
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)])
+    def test_no_search_when_both_ranks_read_shared_voxels(self, monkeypatch, spacing):
+        def refused(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(metrics, "_directed_p95", refused)
+        force_tree(monkeypatch)
+        a, _ = SHARED_CASES["identical"]
+        g = Geometry(a.shape, spacing)
+        assert hd95(BinaryMask(g, a), BinaryMask(g, a.copy())) == 0.0
+        gt = labels_from_array(np.where(a, 3, 0), spacing)
+        assert case_metrics_legacy(gt, gt).per_region[Region.WT] == MetricPair(1.0, 0.0)
+        assert case_metrics_lesionwise(gt, gt)[0].per_region[Region.WT] == MetricPair(1.0, 0.0)
 
 
 class TestLegacyCaseMetrics:
@@ -594,3 +725,158 @@ def test_mean_rows_average_the_written_strings():
         ["__mean__", "legacy", "WT", "1.000000", "2.500000", "", "", ""],
     ]
     assert mean_rows([], "legacy") == []
+
+
+def on_cores(monkeypatch, n):
+    """The package sees `n` usable cores, so a call runs up to `n` search threads."""
+    monkeypatch.setattr(bratskit.cores, "usable_cores", lambda: n)
+
+
+def threads_case(spacing=(1.0, 1.0, 1.0)):
+    """Two shifted lesions, one left out, and a spurious one: surfaces large
+    enough for the k-d tree in both modes, and shared voxels."""
+    spec = PhantomSpec((48, 44, 40), (Lesion((14, 14, 12), (9, 8, 7)), Lesion((33, 30, 27), (7, 9, 8)),
+                                      Lesion((38, 8, 8), (3, 3, 3))),
+                       Perturbation("shift", shift=(1, 1, 0)))
+    gt, pred = generate_phantom(spec)
+    vox = pred.voxels.copy()
+    vox[36:41, 6:11, 6:11] = 0
+    vox[8:12, 34:38, 30:34] = 2
+    return labels_from_array(gt.voxels, spacing), labels_from_array(vox, spacing)
+
+
+class TestSearchThreads:
+    """Tree searches run on a pool of threads that lives for one call, one
+    thread per usable core. The bytes do not depend on the thread count, no
+    thread outlives the call, and the first failed search in submission order
+    is raised."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The threads that ran each search."""
+        threads, core = [], metrics._directed_p95
+
+        def noting(*args):
+            threads.append(threading.current_thread())
+            return core(*args)
+
+        monkeypatch.setattr(metrics, "_directed_p95", noting)
+        return threads
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)])
+    def test_rows_do_not_depend_on_the_thread_count(self, monkeypatch, seen, spacing):
+        gt, pred = threads_case(spacing)
+        calls = (lambda: metrics_rows(case_metrics_legacy(gt, pred, "c")),
+                 lambda: metrics_rows(*case_metrics_lesionwise(gt, pred, case_id="c")))
+        rows = {}
+        for threads in (1, 2, 3):
+            on_cores(monkeypatch, threads)
+            rows[threads] = []
+            for call in calls:
+                seen.clear()
+                before = threading.active_count()
+                rows[threads] += call()
+                assert threading.active_count() == before
+                workers = {t for t in seen if t is not threading.main_thread()}
+                assert 0 < len(workers) <= threads if threads > 1 else workers == set()
+        assert rows[1] == rows[2] == rows[3]
+        legacy = case_metrics_legacy(gt, pred).per_region
+        for region in REGIONS:
+            a, b = extract_region(gt, region).bits, extract_region(pred, region).bits
+            assert legacy[region].hd95 == edt_hd95(a, b, spacing)
+
+    def test_hd95_and_lesion_match_on_threads(self, monkeypatch, seen):
+        gt, pred = threads_case()
+        pairs = [(extract_region(gt, r), extract_region(pred, r)) for r in REGIONS]
+        want = {}
+        for threads in (1, 3):
+            on_cores(monkeypatch, threads)
+            before = threading.active_count()
+            want[threads] = [(hd95(a, b), lesion_match(a, b)) for a, b in pairs]
+            assert threading.active_count() == before
+        assert want[1] == want[3]
+        assert any(t is not threading.main_thread() for t in seen)
+
+    def test_the_first_failed_search_in_submission_order_is_raised(self, monkeypatch):
+        class SearchFailed(Exception):
+            pass
+
+        submitted = []
+
+        class Pool(metrics.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args[0])
+                return super().submit(fn, *args)
+
+        def failing(src, *args):
+            if src is submitted[0]:
+                time.sleep(0.05)  # the first search fails last
+            raise SearchFailed(id(src))
+
+        on_cores(monkeypatch, 3)
+        force_tree(monkeypatch)
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(metrics, "_directed_p95", failing)
+        gt, pred = threads_case()
+        a, b = extract_region(gt, Region.WT), extract_region(pred, Region.WT)
+        for score in (lambda: case_metrics_legacy(gt, pred), lambda: case_metrics_lesionwise(gt, pred),
+                      lambda: hd95(a, b), lambda: lesion_match(a, b)):
+            submitted.clear()
+            before = threading.active_count()
+            with pytest.raises(SearchFailed) as raised:
+                score()
+            assert len(submitted) > 1 and raised.value.args == (id(submitted[0]),)
+            assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers,cores", [(2, 2), (2, 4), (3, 7)])
+    def test_an_evaluate_worker_runs_its_share_of_the_cores(self, tmp_path, monkeypatch,
+                                                             workers, cores):
+        # Forked pool workers inherit these patches; each notes its pools and
+        # the threads of its searches in a file.
+        log = tmp_path / "threads.log"
+        core = metrics._directed_p95
+
+        def note(*words):
+            with open(log, "a") as fh:
+                fh.write(" ".join(map(str, (os.getpid(), *words))) + "\n")
+
+        class Pool(metrics.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                note("pool", max_workers)
+                super().__init__(max_workers)
+
+        def noting(*args):
+            note("search", threading.get_ident(), threading.current_thread() is threading.main_thread())
+            return core(*args)
+
+        on_cores(monkeypatch, cores)
+        force_tree(monkeypatch)
+        monkeypatch.setattr(metrics, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(metrics, "_directed_p95", noting)
+        for side in ("gt", "pred"):
+            (tmp_path / side).mkdir()
+        gt, pred = threads_case()
+        for i in range(2 * workers):
+            write_volume(gt, tmp_path / "gt" / f"c{i}.nii")
+            write_volume(pred, tmp_path / "pred" / f"c{i}.nii")
+        outs = []
+        for n in (1, workers):
+            outs.append(tmp_path / f"w{n}.csv")
+            assert main(["evaluate", "--gt-dir", str(tmp_path / "gt"), "--pred-dir",
+                         str(tmp_path / "pred"), "--out", str(outs[-1]), "--workers", str(n)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        share = max(1, cores // workers)
+        pools, threads = {}, {}
+        for pid, kind, *words in (line.split() for line in log.read_text().splitlines()):
+            if pid != str(os.getpid()):  # the --workers 1 call ran in this process
+                threads.setdefault(pid, set())
+                if kind == "pool":
+                    pools.setdefault(pid, []).append(int(words[0]))
+                elif words[1] == "False":
+                    threads[pid].add(words[0])
+        assert threads
+        for pid, idents in threads.items():
+            if share == 1:
+                assert pid not in pools and idents == set()
+            else:
+                assert set(pools[pid]) == {share} and 0 < len(idents) <= share

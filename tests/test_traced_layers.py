@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-import bratskit.fusion
+import bratskit.cores
+import bratskit.metrics
 from bratskit.fusion import average_fusion, staple_fusion
 from bratskit.nifti import open_region_prob, write_volume
 from bratskit.phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
@@ -104,7 +105,8 @@ def test_every_counter_reads_a_real_result(tmp_path):
 
 def test_no_traced_layer_runs_on_a_worker_thread(tmp_path, monkeypatch):
     # A recorder keeps one span stack for the process, so a wrapped function
-    # called from one of mean fusion's threads would corrupt it.
+    # called from one of mean fusion's slab threads, or from one of the
+    # metrics' search threads, would corrupt it.
     spans = load_spans()
     threads = []
     targets = [getattr(importlib.import_module(f"bratskit.{m}"), f) for m, f, _ in spans.PASS_LAYERS]
@@ -123,7 +125,17 @@ def test_no_traced_layer_runs_on_a_worker_thread(tmp_path, monkeypatch):
         paths.append(tmp_path / f"p{i}.nii")
         write_volume(RegionProbVolume(gt.geometry, rng.random((3, 16, 16, 16), np.float32)),
                      paths[-1])
-    monkeypatch.setattr(bratskit.fusion, "_usable_cores", lambda: 3)
+    monkeypatch.setattr(bratskit.cores, "usable_cores", lambda: 3)
     average_fusion([open_region_prob(p) for p in paths])
     staple_fusion([gt, pred, gt])
+    # Surfaces large enough for the k-d tree, so that searches run on threads.
+    searched, search = [], bratskit.metrics._directed_p95
+    monkeypatch.setattr(bratskit.metrics, "_directed_p95",
+                        lambda *args: searched.append(threading.current_thread()) or search(*args))
+    big_gt, big_pred = generate_phantom(PhantomSpec(
+        (40, 40, 36), (Lesion((14, 14, 12), (8, 7, 6)), Lesion((27, 28, 24), (7, 8, 7))),
+        Perturbation("shift", shift=(1, 1, 0))))
+    bratskit.metrics.case_metrics_legacy(big_gt, big_pred)
+    bratskit.metrics.case_metrics_lesionwise(big_gt, big_pred)
+    assert any(t is not threading.main_thread() for t in searched)
     assert threads and set(threads) == {threading.main_thread()}
