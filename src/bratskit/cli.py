@@ -90,7 +90,7 @@ def cmd_evaluate(args):
     if workers > 1:
         # About four chunks per worker: few round trips, and the last chunks
         # are short enough to even out the workers' loads. Each worker runs
-        # its share of the cores in search threads (`cores.thread_count`).
+        # its share of the cores (`cores.thread_count`) in `cores.Tasks` threads.
         with ProcessPoolExecutor(max_workers=workers, initializer=cores.share,
                                  initargs=(workers,)) as pool:
             results = list(pool.map(worker, jobs, chunksize=math.ceil(len(jobs) / (4 * workers))))

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cores import thread_count
+from .cores import Tasks
 from .errors import ValidationError
 from .morphology import lesion_clusters
 from .regions import CODE_LABEL, REGIONS, Region, bit_code, extract_region
@@ -22,7 +20,7 @@ MAX_RATERS = 16
 # every estimate moves by less than _TOL in an iteration.
 _INIT_PERFORMANCE = 0.99
 _TOL = 1e-6
-# Mean fusion works in slabs of this many z-planes, so each thread's buffers
+# Mean fusion works in slabs of this many z-planes, so each slab's buffers
 # stay a few planes in size.
 _SLAB_PLANES = 4
 
@@ -52,14 +50,14 @@ def average_fusion(maps: Iterable[RegionProbVolume]):
     A map is a RegionProbVolume or anything with its `geometry` and
     `channels` indexable as `[c, :, :, z0:z1]`, such as
     `nifti.RegionProbFile`, which reads those planes from disk when indexed.
-    The grid is fused in slabs of `_SLAB_PLANES` z-planes, spread over a pool
-    of threads, one per usable core (`cores.thread_count`). In each slab the
-    maps' channels are summed in input order into a float64 accumulator,
-    divided once and cast once into the float32 result: np.mean's arithmetic
-    over stacked float64 copies, except that a -0.0 mean keeps its sign. The
-    bytes do not depend on the thread count. A map's planes are read and
-    checked only in their slab, so the call holds the result and a few planes
-    of buffers per thread. If slabs fail, the error of the first one in z order is raised.
+    The grid is fused in slabs of `_SLAB_PLANES` z-planes, one `cores.Tasks`
+    task each, submitted in z order. In each slab the maps' channels are
+    summed in input order into a float64 accumulator, divided once and cast
+    once into the float32 result: np.mean's arithmetic over stacked float64
+    copies, except that a -0.0 mean keeps its sign. The bytes do not depend
+    on the thread count. A map's planes are read and checked only in their
+    slab, so the call holds the result and a few planes of buffers per slab
+    in flight. If slabs fail, the error of the first one in z order is raised.
     """
     maps = list(maps)
     if not maps:
@@ -68,57 +66,36 @@ def average_fusion(maps: Iterable[RegionProbVolume]):
     # The result in file order: x fastest, channel slowest.
     fused = np.moveaxis(np.empty(geometry.dims + (3,), np.float32, order="F"), 3, 0)
     voxels = np.empty(geometry.dims, np.uint8, order="F")
-    starts = range(0, geometry.dims[2], _SLAB_PLANES)
-    threads = min(thread_count(), len(starts))
-    with ExitStack() as stack:
-        # File channels are read through one descriptor per map for the whole call.
-        sources = [stack.enter_context(m.channels.opened()) if hasattr(m.channels, "opened")
-                   else m.channels for m in maps]
-        # Every thread is joined when the pool's block ends, so none outlives
-        # the call (a process forked later, as `evaluate`'s pool, has none).
-        with ThreadPoolExecutor(threads) as pool:
-            failed = [f for f in pool.map(lambda t: _fuse_slabs(sources, fused, voxels,
-                                                                starts[t::threads]),
-                                          range(threads)) if f]
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
+    with Tasks() as tasks:
+        for z0 in range(0, geometry.dims[2], _SLAB_PLANES):
+            tasks.run(_fuse_slab, maps, fused, voxels, z0)
     return RegionProbVolume(geometry, fused), LabelVolume(geometry, voxels)
 
 
-def _fuse_slabs(sources, fused, voxels, starts):
-    """Fuse the slabs that begin at the z-planes `starts`, in increasing
-    order, into `fused` and `voxels`. Returns None, or (start, error) for the
-    first slab that raises; the slabs after it are left undone.
+def _fuse_slab(maps, fused, voxels, z0):
+    """Fuse the slab of `_SLAB_PLANES` z-planes (fewer at the end of the
+    grid) that begins at plane z0 into `fused` and `voxels`.
 
-    It runs in a worker thread, so it calls numpy and private helpers only:
-    no function that a tracer may wrap with a shared span stack."""
+    It runs as a `cores.Tasks` task, so it calls numpy and private helpers
+    only: no function that a tracer may wrap with a shared span stack."""
     nx, ny, nz = voxels.shape
-    acc = np.empty((nx, ny, _SLAB_PLANES), np.float64, order="F")
-    code = np.empty(acc.size, np.uint8)
-    bit = np.empty(acc.size, bool)
-    for z0 in starts:
-        z1 = min(z0 + _SLAB_PLANES, nz)
-        planes = z1 - z0
-        try:
-            slab, a = fused[:, :, :, z0:z1], acc[:, :, :planes]
-            for c in range(3):
-                key = (c, slice(None), slice(None), slice(z0, z1))
-                # The first map is copied, not added to zeros, which would turn -0.0 into 0.0.
-                np.copyto(a, sources[0][key])
-                for channels in sources[1:]:
-                    a += channels[key]
-                # The float64 quotient, cast once to float32 as it is stored.
-                np.divide(a, len(sources), out=slab[c], casting="unsafe")
-            # Flat views: np.take into a 3-D F-ordered `out` goes through a C-ordered copy.
-            k, b = code[:planes * nx * ny], bit[:planes * nx * ny]
-            np.greater_equal(slab[0].ravel(order="F"), 0.5, out=k.view(bool))
-            for c in (1, 2):
-                np.greater_equal(slab[c].ravel(order="F"), 0.5, out=b)
-                k |= b.view(np.uint8) << c
-            np.take(CODE_LABEL, k, out=voxels[:, :, z0:z1].reshape(-1, order="F"), mode="clip")
-        except Exception as error:
-            return z0, error
-    return None
+    z1 = min(z0 + _SLAB_PLANES, nz)
+    slab, acc = fused[:, :, :, z0:z1], np.empty((nx, ny, z1 - z0), np.float64, order="F")
+    for c in range(3):
+        key = (c, slice(None), slice(None), slice(z0, z1))
+        # The first map is copied, not added to zeros, which would turn -0.0 into 0.0.
+        np.copyto(acc, maps[0].channels[key])
+        for m in maps[1:]:
+            acc += m.channels[key]
+        # The float64 quotient, cast once to float32 as it is stored.
+        np.divide(acc, len(maps), out=slab[c], casting="unsafe")
+    # Flat views: np.take into a 3-D F-ordered `out` goes through a C-ordered copy.
+    code, bit = np.empty(acc.size, np.uint8), np.empty(acc.size, bool)
+    np.greater_equal(slab[0].ravel(order="F"), 0.5, out=code.view(bool))
+    for c in (1, 2):
+        np.greater_equal(slab[c].ravel(order="F"), 0.5, out=bit)
+        code |= bit.view(np.uint8) << c
+    np.take(CODE_LABEL, code, out=voxels[:, :, z0:z1].reshape(-1, order="F"), mode="clip")
 
 
 def _checked_max_iters(n_raters, max_iters) -> int:

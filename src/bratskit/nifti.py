@@ -8,7 +8,8 @@ volumes 4D float32 with the 4th dimension of size 3 (channel order WT, TC, ET).
 Every payload is read as a read-only view of the file bytes, in the file's
 x-fastest (F) order; only the remap of legacy label 4 copies. A region-probability
 file can also be opened and read one channel, or a slab of z-planes of one
-channel, at a time (`open_region_prob`).
+channel, at a time (`open_region_prob`): its channels are indexed as those
+of a volume in memory, and each read opens and closes the file.
 A payload already in file order is written without a copy.
 """
 
@@ -180,44 +181,26 @@ class _FileChannels:
     """The channels of a region-probability file, indexed like
     `RegionProbVolume.channels`: `[c]` reads channel c and `[c, :, :, z0:z1]`
     its planes z0 to z1 from the file, in file order, and checks them against
-    the [0, 1] rule. `opened()` gives the same channels read through one
-    descriptor, which is closed when its `with` block ends; otherwise each
-    read opens the file for itself."""
+    the [0, 1] rule. Each read opens the file and closes it again, whether
+    the read succeeds or fails."""
 
     def __init__(self, path, geometry, offset):
         self.path, self.geometry, self.offset = path, geometry, offset
-
-    def opened(self):
-        return _OpenChannels(self)
-
-    def __getitem__(self, key):
-        with self.opened() as channels:
-            return channels[key]
-
-
-class _OpenChannels:
-    """`_FileChannels` read through a descriptor that stays open until the
-    `with` block ends."""
-
-    def __init__(self, channels):
-        self.channels, self.fd = channels, os.open(channels.path, os.O_RDONLY)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        os.close(self.fd)
 
     def __getitem__(self, key):
         c, *rest = key if isinstance(key, tuple) else (key,)
         if rest and (len(rest) != 3 or rest[:2] != [slice(None)] * 2
                      or not isinstance(rest[2], slice) or rest[2].step not in (None, 1)):
             raise IndexError(f"file channels are indexed [c] or [c, :, :, z0:z1], got {key!r}")
-        nx, ny, nz = self.channels.geometry.dims
+        nx, ny, nz = self.geometry.dims
         planes = range(nz)[rest[2] if rest else slice(None)]
         flat = np.empty(nx * ny * len(planes), _KINDS["region_prob"].dtype)
-        offset = self.channels.offset + (range(3)[c] * nz + planes.start) * nx * ny * flat.itemsize
-        _pread_into(self.fd, memoryview(flat).cast("B"), offset)
+        offset = self.offset + (range(3)[c] * nz + planes.start) * nx * ny * flat.itemsize
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            _pread_into(fd, memoryview(flat).cast("B"), offset)
+        finally:
+            os.close(fd)
         return require_probabilities(flat.reshape((nx, ny, len(planes)), order="F"))
 
 

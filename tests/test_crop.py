@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from bratskit.cores import Tasks
 from bratskit.errors import IncompatibleGeometryError
 from bratskit.fusion import staple_binary
 from bratskit.metrics import (
@@ -22,7 +23,6 @@ from bratskit.metrics import (
     _hd95,
     _lesionwise_region,
     _match_clusters,
-    _Searches,
     _settled,
     _settled_report,
     case_metrics_legacy,
@@ -354,15 +354,15 @@ def test_clusters_give_the_one_box_answer(seed):
     for region in REGIONS:
         a, b = extract_region(gt, region), extract_region(pred, region)
         whole = [((0, 0, 0), a, b)]
-        with _Searches() as searches:
-            one_box_hd95 = _hd95(whole, searches)
+        with Tasks() as tasks:
+            one_box_hd95 = _hd95(whole, tasks)
         assert hd95(a, b) == _settled(one_box_hd95)
         assert legacy[region] == MetricPair(_dice(whole), _settled(one_box_hd95))
         for k in (0, 2, 8, 9):
             for conn in Connectivity:
                 params = MatchParams(k, conn)
-                with _Searches() as searches:
-                    report = _match_clusters(whole, params, gt.geometry.dims, searches)
+                with Tasks() as tasks:
+                    report = _match_clusters(whole, params, gt.geometry.dims, tasks)
                 report = _settled_report(report)
                 one_box = (_lesionwise_region(report), report)
                 assert lesion_match(a, b, params) == one_box[1]

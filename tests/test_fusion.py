@@ -1,4 +1,5 @@
 import functools
+import os
 import sys
 import threading
 import tracemalloc
@@ -167,8 +168,8 @@ def set_voxel(path, dims, c, voxel, value):
 
 
 class TestAverageFusionSlabs:
-    """Mean fusion runs in slabs of z-planes on a pool of threads. Its bytes
-    are those of the stacked float64 mean for any slab and thread count."""
+    """Mean fusion runs in slabs of z-planes, each a `cores.Tasks` task. Its
+    bytes are those of the stacked float64 mean for any slab and thread count."""
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("slab", [1, 4])
@@ -249,7 +250,7 @@ class TestAverageFusionSlabs:
             average_fusion(maps)
 
     def test_more_threads_than_cores_switching_often(self, rng, tmp_path, monkeypatch):
-        # Every thread writes its own slabs of the shared result; a slab
+        # Every task writes its own slab of the shared result; a slab
         # written twice or not at all changes the bytes.
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
         on_cores(monkeypatch, 8)
@@ -269,23 +270,27 @@ class TestAverageFusionSlabs:
 
     def test_runs_one_thread_per_usable_core(self, rng, monkeypatch):
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
-        core, seen = bratskit.fusion._fuse_slabs, []
+        core, seen = bratskit.fusion._fuse_slab, []
 
         def spy(*args):
-            seen.append((threading.get_ident(), tuple(args[-1])))
+            seen.append((args[-1], threading.get_ident(), threading.active_count()))
             return core(*args)
 
-        monkeypatch.setattr(bratskit.fusion, "_fuse_slabs", spy)
+        monkeypatch.setattr(bratskit.fusion, "_fuse_slab", spy)
         maps = slab_maps(rng, Geometry((4, 3, 7)))
-        on_cores(monkeypatch, 3)
-        average_fusion(maps)
-        # One task per thread, each with every third slab; none runs on the caller's thread.
-        assert sorted(starts for _, starts in seen) == [(0, 3, 6), (1, 4), (2, 5)]
-        assert threading.get_ident() not in {ident for ident, _ in seen}
-        seen.clear()
-        on_cores(monkeypatch, 16)
-        average_fusion(maps)  # capped at the slab count
-        assert sorted(starts for _, starts in seen) == [(z,) for z in range(7)]
+        before = threading.active_count()
+        for cores in (1, 3, 16):
+            seen.clear()
+            on_cores(monkeypatch, cores)
+            average_fusion(maps)
+            # Each slab runs once; 16 cores start no more threads than the 7 slabs.
+            assert sorted(z0 for z0, _, _ in seen) == list(range(7))
+            idents = {ident for _, ident, _ in seen}
+            if cores == 1:  # on the caller's thread, and no thread starts
+                assert idents == {threading.get_ident()}
+                assert {alive for _, _, alive in seen} == {before}
+            else:
+                assert len(idents) <= cores and threading.get_ident() not in idents
 
     def test_no_thread_outlives_the_call(self, rng, tmp_path, monkeypatch):
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
@@ -306,23 +311,52 @@ class TestAverageFusionSlabs:
         assert main(args) == 2
         assert threading.active_count() == before
 
-    def test_one_descriptor_per_file_map(self, rng, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_every_descriptor_is_closed(self, rng, tmp_path, monkeypatch, threads):
         monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
-        on_cores(monkeypatch, 2)
-        paths = written_maps(slab_maps(rng, Geometry((5, 4, 6))), tmp_path)
-        maps = [open_region_prob(p) for p in paths]
-        opened = []
-        os_open = bratskit.nifti.os.open
-        monkeypatch.setattr(bratskit.nifti.os, "open",
-                            lambda path, *args: opened.append(path) or os_open(path, *args))
-        average_fusion(maps)
-        assert sorted(opened) == sorted(paths)
+        on_cores(monkeypatch, threads)
+        g = Geometry((5, 4, 6))
+        paths = written_maps(slab_maps(rng, g), tmp_path)
+        opened, held = [], set()
+        os_open, os_close = os.open, os.close
+
+        def opening(path, *args):
+            fd = os_open(path, *args)
+            opened.append(os.fspath(path))
+            held.add(fd)
+            return fd
+
+        def closing(fd):
+            held.discard(fd)  # before the close, which frees fd for the next open
+            os_close(fd)
+
+        monkeypatch.setattr(os, "open", opening)
+        monkeypatch.setattr(os, "close", closing)
+        args = ["fuse", "--method", "mean", "--inputs", *map(str, paths),
+                "--out", str(tmp_path / "fused.nii")]
+        average_fusion([open_region_prob(p) for p in paths])
+        assert opened and held == set()
+        assert main(args) == 0
+        assert held == set()
+        set_voxel(paths[1], g.dims, 1, (0, 0, 3), np.nan)
+        with pytest.raises(ValidationError):
+            average_fusion([open_region_prob(p) for p in paths])
+        assert held == set()
+        assert main(args) == 2
+        assert held == set()
+        maps = [open_region_prob(p) for p in (paths[0], paths[2])]
+        paths[2].write_bytes(paths[2].read_bytes()[:-4])
+        with pytest.raises(FormatError, match="payload truncated"):
+            average_fusion(maps)
+        assert held == set()
+        assert set(opened) == set(map(str, paths))
 
     @pytest.mark.parametrize("on_file", [False, True])
     def test_peak_memory_is_the_result_and_the_slabs(self, rng, tmp_path, monkeypatch, on_file):
         # Three 64x64x40 maps: the result takes 13 bytes a voxel (2.1 MB).
-        # Each of the two threads holds a few planes of buffers (under 0.4 MB
-        # with numpy's own); one channel of the grid in float64 takes 1.3 MB.
+        # Each slab in flight on the two threads holds a few planes of buffers
+        # (under 0.4 MB with numpy's own); one channel of the grid in float64
+        # takes 1.3 MB.
         on_cores(monkeypatch, 2)
         g = Geometry((64, 64, 40))
         maps = [RegionProbVolume(g, rng.random((3, *g.dims), np.float32)) for _ in range(3)]

@@ -3,6 +3,7 @@ module level, is used in that module.
 
 `__init__.py` imports to re-export, so it is left out. A name counts as used
 when it appears as a name anywhere in the module's code or annotations.
+Only `cores` imports a thread pool: `cores.Tasks` runs every call's threads.
 """
 
 import ast
@@ -70,3 +71,13 @@ def test_guard_finds_an_unused_private_name():
               "def _paint():\n    pass\n\nclass _Box:\n    pass\n\n"
               "def public(x: _Box):\n    return _USED\n")
     assert unused_private_names(source) == [(1, "_LIMIT"), (2, "_spare"), (5, "_paint")]
+
+
+def imported_names(source):
+    return {alias.asname or alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+
+
+def test_only_cores_imports_a_thread_pool():
+    importers = [p.stem for p in MODULES if "ThreadPoolExecutor" in imported_names(p.read_text())]
+    assert importers == ["cores"]

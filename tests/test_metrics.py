@@ -746,18 +746,18 @@ def threads_case(spacing=(1.0, 1.0, 1.0)):
 
 
 class TestSearchThreads:
-    """Tree searches run on a pool of threads that lives for one call, one
+    """Tree searches are tasks of one call's `cores.Tasks`, on up to one
     thread per usable core. The bytes do not depend on the thread count, no
     thread outlives the call, and the first failed search in submission order
     is raised."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
-        """The threads that ran each search."""
+        """The thread that ran each search, and how many threads were alive then."""
         threads, core = [], metrics._directed_p95
 
         def noting(*args):
-            threads.append(threading.current_thread())
+            threads.append((threading.current_thread(), threading.active_count()))
             return core(*args)
 
         monkeypatch.setattr(metrics, "_directed_p95", noting)
@@ -777,8 +777,10 @@ class TestSearchThreads:
                 before = threading.active_count()
                 rows[threads] += call()
                 assert threading.active_count() == before
-                workers = {t for t in seen if t is not threading.main_thread()}
+                workers = {t for t, _ in seen if t is not threading.main_thread()}
                 assert 0 < len(workers) <= threads if threads > 1 else workers == set()
+                if threads == 1:  # no thread starts
+                    assert seen and {alive for _, alive in seen} == {before}
         assert rows[1] == rows[2] == rows[3]
         legacy = case_metrics_legacy(gt, pred).per_region
         for region in REGIONS:
@@ -795,7 +797,7 @@ class TestSearchThreads:
             want[threads] = [(hd95(a, b), lesion_match(a, b)) for a, b in pairs]
             assert threading.active_count() == before
         assert want[1] == want[3]
-        assert any(t is not threading.main_thread() for t in seen)
+        assert any(t is not threading.main_thread() for t, _ in seen)
 
     def test_the_first_failed_search_in_submission_order_is_raised(self, monkeypatch):
         class SearchFailed(Exception):
@@ -803,7 +805,7 @@ class TestSearchThreads:
 
         submitted = []
 
-        class Pool(metrics.ThreadPoolExecutor):
+        class Pool(bratskit.cores.ThreadPoolExecutor):
             def submit(self, fn, *args):
                 submitted.append(args[0])
                 return super().submit(fn, *args)
@@ -815,7 +817,7 @@ class TestSearchThreads:
 
         on_cores(monkeypatch, 3)
         force_tree(monkeypatch)
-        monkeypatch.setattr(metrics, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(bratskit.cores, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(metrics, "_directed_p95", failing)
         gt, pred = threads_case()
         a, b = extract_region(gt, Region.WT), extract_region(pred, Region.WT)
@@ -840,7 +842,7 @@ class TestSearchThreads:
             with open(log, "a") as fh:
                 fh.write(" ".join(map(str, (os.getpid(), *words))) + "\n")
 
-        class Pool(metrics.ThreadPoolExecutor):
+        class Pool(bratskit.cores.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 note("pool", max_workers)
                 super().__init__(max_workers)
@@ -851,7 +853,7 @@ class TestSearchThreads:
 
         on_cores(monkeypatch, cores)
         force_tree(monkeypatch)
-        monkeypatch.setattr(metrics, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(bratskit.cores, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(metrics, "_directed_p95", noting)
         for side in ("gt", "pred"):
             (tmp_path / side).mkdir()
