@@ -2,11 +2,12 @@
 
 Supports exactly the subset this toolkit needs: uncompressed, little-endian,
 sizeof_hdr 348, magic "n+1", datatype 2 (uint8) or 16 (float32), vox_offset 352
-(any finite value >= 352 on read).
+(any whole number >= 352 on read) and no intensity scaling (scl_slope 0 or NaN,
+or 1 with scl_inter 0 or NaN).
 Label volumes are 3D uint8; scalar volumes 3D float32; region-probability
 volumes 4D float32 with the 4th dimension of size 3 (channel order WT, TC, ET).
-Every payload is read as a read-only view of the file bytes, in the file's
-x-fastest (F) order; only the remap of legacy label 4 copies. A region-probability
+Every payload is read once into a new read-only array, in the file's
+x-fastest (F) order; legacy label 4 is remapped in place. A region-probability
 file can also be opened and read one channel, or a slab of z-planes of one
 channel, at a time (`open_region_prob`): its channels are indexed as those
 of a volume in memory, and each read opens and closes the file.
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 import struct
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -44,6 +44,7 @@ _OFF_DATATYPE = 70
 _OFF_BITPIX = 72
 _OFF_PIXDIM = 76
 _OFF_VOX_OFFSET = 108
+_OFF_SCL_SLOPE = 112
 _OFF_MAGIC = 344
 
 
@@ -95,7 +96,15 @@ def write_volume(volume, path):
         fh.write(memoryview(payload.astype(kind.dtype, copy=False).ravel(order="F")))
 
 
-def _parse_header(raw):
+def _checked_header(path, kind):
+    """The kind's table entry, the geometry and the payload offset of the file
+    at `path`, read from its header and length. Refuses a header, datatype,
+    4th dim or payload length that does not fit the kind."""
+    with open(path, "rb") as fh:
+        raw, size = fh.read(HEADER_SIZE), os.fstat(fh.fileno()).st_size
+    spec = _KINDS.get(kind)
+    if spec is None:
+        raise ValidationError(f"unknown kind {kind!r}")
     if len(raw) >= 2 and raw[0] == 0x1F and raw[1] == 0x8B:
         raise CompressedInputError("gzip magic detected; compressed input is unsupported")
     if len(raw) < HEADER_SIZE:
@@ -109,7 +118,7 @@ def _parse_header(raw):
     dim = struct.unpack_from("<8h", raw, _OFF_DIM)
     (datatype,) = struct.unpack_from("<h", raw, _OFF_DATATYPE)
     pixdim = struct.unpack_from("<8f", raw, _OFF_PIXDIM)
-    (vox_offset,) = struct.unpack_from("<f", raw, _OFF_VOX_OFFSET)
+    vox_offset, slope, inter = struct.unpack_from("<3f", raw, _OFF_VOX_OFFSET)
     ndim = dim[0]
     if ndim not in (3, 4):
         raise FormatError(f"unsupported number of dimensions {ndim}", offset=_OFF_DIM)
@@ -124,17 +133,12 @@ def _parse_header(raw):
     if not VOX_OFFSET <= vox_offset < math.inf:
         raise FormatError(f"vox_offset {vox_offset} must be finite and >= {VOX_OFFSET}",
                           offset=_OFF_VOX_OFFSET)
-    return dims, dim4, spacing, datatype, int(vox_offset)
-
-
-def _checked_header(raw, size, kind):
-    """The kind's table entry, the geometry and the payload offset of a file of
-    `size` bytes that starts with `raw`. Refuses a header, datatype, 4th dim
-    or payload length that does not fit the kind."""
-    spec = _KINDS.get(kind)
-    if spec is None:
-        raise ValidationError(f"unknown kind {kind!r}")
-    dims, dim4, spacing, datatype, vox_offset = _parse_header(raw)
+    if not vox_offset.is_integer():
+        raise FormatError(f"vox_offset {vox_offset} must be a whole number of bytes",
+                          offset=_OFF_VOX_OFFSET)
+    if not (slope == 0 or math.isnan(slope) or (slope == 1 and (inter == 0 or math.isnan(inter)))):
+        raise FormatError(f"scl_slope {slope} and scl_inter {inter} ask for scaling, "
+                          "which is unsupported", offset=_OFF_SCL_SLOPE)
     geometry = Geometry(dims, spacing)
     if datatype != spec.datatype:
         raise UnsupportedDatatypeError(f"{kind} volume requires datatype {spec.datatype} "
@@ -142,9 +146,9 @@ def _checked_header(raw, size, kind):
     if dim4 != spec.dim4:
         raise FormatError(f"{kind} volume must have 4th dim {spec.dim4}, got {dim4}",
                           offset=_OFF_DIM)
-    nbytes = geometry.n_voxels * dim4 * spec.dtype.itemsize
-    _require_payload(nbytes, size - vox_offset, vox_offset)
-    return spec, geometry, vox_offset
+    offset = int(vox_offset)
+    _require_payload(geometry.n_voxels * dim4 * spec.dtype.itemsize, size - offset, offset)
+    return spec, geometry, offset
 
 
 def _require_payload(nbytes, have, offset):
@@ -153,27 +157,40 @@ def _require_payload(nbytes, have, offset):
                           offset=offset)
 
 
+def _read_range(path, offset, shape, dtype):
+    """A new F-ordered array of `shape` and `dtype` read from the file at byte
+    `offset`; the file is opened and closed again. FormatError if the file ends
+    first (its length was checked with its header, so it was cut short since)."""
+    array = np.empty(shape, dtype, order="F")
+    buffer, done = memoryview(array.ravel(order="K")).cast("B"), 0
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        while done < len(buffer) and (got := os.preadv(fd, [buffer[done:]], offset + done)):
+            done += got
+    finally:
+        os.close(fd)
+    _require_payload(len(buffer), done, offset)
+    return array
+
+
 def read_volume(path, kind):
     """Read a volume of the given kind: 'label', 'scalar' or 'region_prob'.
 
-    Every payload is a read-only view of the file bytes, in file (x-fastest, F)
-    order. A label file that holds legacy label 4 is read as a copy in the same
-    order, with 4 remapped to 3 and `legacy_remapped` set.
+    The payload is read once into a new read-only array, in file (x-fastest,
+    F) order. A label file that holds legacy label 4 has 4 remapped to 3 in
+    that array, with `legacy_remapped` set.
     """
-    raw = Path(path).read_bytes()
-    spec, geometry, vox_offset = _checked_header(raw, len(raw), kind)
-    # frombuffer at an offset views the file bytes; slicing `raw` would copy them.
-    flat = np.frombuffer(raw, spec.dtype, geometry.n_voxels * spec.dim4, offset=vox_offset)
-    payload = np.moveaxis(flat.reshape(geometry.dims + (spec.dim4,), order="F"), 3, 0)
+    spec, geometry, offset = _checked_header(path, kind)
+    payload = np.moveaxis(_read_range(path, offset, geometry.dims + (spec.dim4,), spec.dtype), 3, 0)
     payload = payload if spec.dim4 > 1 else payload[0]
 
     if kind == "label":
         top = int(payload.max(initial=0))
         if top > 4:
             raise ValidationError(f"label value {top} outside {{0,1,2,3,4}}")
-        legacy = top == 4
-        return LabelVolume(geometry, np.minimum(payload, 3) if legacy else payload,
-                           legacy_remapped=legacy)
+        if top == 4:
+            np.minimum(payload, 3, out=payload)
+        return LabelVolume(geometry, payload, legacy_remapped=top == 4)
     return spec.volume(geometry, payload)
 
 
@@ -194,25 +211,9 @@ class _FileChannels:
             raise IndexError(f"file channels are indexed [c] or [c, :, :, z0:z1], got {key!r}")
         nx, ny, nz = self.geometry.dims
         planes = range(nz)[rest[2] if rest else slice(None)]
-        flat = np.empty(nx * ny * len(planes), _KINDS["region_prob"].dtype)
-        offset = self.offset + (range(3)[c] * nz + planes.start) * nx * ny * flat.itemsize
-        fd = os.open(self.path, os.O_RDONLY)
-        try:
-            _pread_into(fd, memoryview(flat).cast("B"), offset)
-        finally:
-            os.close(fd)
-        return require_probabilities(flat.reshape((nx, ny, len(planes)), order="F"))
-
-
-def _pread_into(fd, buffer, offset):
-    """Fill `buffer` from the file at `offset`; FormatError if the file ends
-    first (its length was checked on open, so it was cut short since)."""
-    done = 0
-    while done < len(buffer):
-        got = os.preadv(fd, [buffer[done:]], offset + done)
-        if got == 0:
-            _require_payload(len(buffer), done, offset)  # raises: done < len(buffer)
-        done += got
+        dtype = _KINDS["region_prob"].dtype
+        offset = self.offset + (range(3)[c] * nz + planes.start) * nx * ny * dtype.itemsize
+        return require_probabilities(_read_range(self.path, offset, (nx, ny, len(planes)), dtype))
 
 
 class RegionProbFile(NamedTuple):
@@ -228,8 +229,5 @@ class RegionProbFile(NamedTuple):
 def open_region_prob(path):
     """Check a region-probability file's header and length, as `read_volume`
     does, reading only the header; its channels are read when indexed."""
-    with open(path, "rb") as fh:
-        raw = fh.read(HEADER_SIZE)
-        size = os.fstat(fh.fileno()).st_size
-    _, geometry, offset = _checked_header(raw, size, "region_prob")
+    _, geometry, offset = _checked_header(path, "region_prob")
     return RegionProbFile(geometry, _FileChannels(path, geometry, offset))

@@ -19,7 +19,7 @@ from bratskit.fusion import (
     staple_fusion,
 )
 from bratskit.morphology import lesion_clusters
-from bratskit.nifti import VOX_OFFSET, open_region_prob, write_volume
+from bratskit.nifti import VOX_OFFSET, open_region_prob, read_volume, write_volume
 from bratskit.regions import CODE_LABEL, REGIONS, Region, extract_region, reconstruct_labels
 from bratskit.volume import BinaryMask, Geometry, LabelVolume, RegionProbVolume, tumour_box
 
@@ -350,6 +350,26 @@ class TestAverageFusionSlabs:
             average_fusion(maps)
         assert held == set()
         assert set(opened) == set(map(str, paths))
+        # read_volume reads through the same range read
+        label = tmp_path / "label.nii"
+        write_volume(LabelVolume(g, np.zeros(g.dims, np.uint8)), label)
+        read_volume(label, "label"), read_volume(paths[0], "region_prob")
+        assert held == set() and str(label) in opened
+        label.write_bytes(label.read_bytes()[:-1] + b"\x05")
+        with pytest.raises(ValidationError, match="label value 5"):
+            read_volume(label, "label")
+        assert held == set()
+        os_fstat = os.fstat
+
+        def cut_after_fstat(fd):  # the header check sees the whole file
+            stat = os_fstat(fd)
+            os.truncate(label, stat.st_size - 1)
+            return stat
+
+        monkeypatch.setattr(os, "fstat", cut_after_fstat)
+        with pytest.raises(FormatError, match="payload truncated"):
+            read_volume(label, "label")
+        assert held == set()
 
     @pytest.mark.parametrize("on_file", [False, True])
     def test_peak_memory_is_the_result_and_the_slabs(self, rng, tmp_path, monkeypatch, on_file):

@@ -188,8 +188,8 @@ class TestVolumeTypes:
         assert vol.voxels is a and not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0, 0] = 1
-        # a float map read from a file is a read-only view of the file bytes,
-        # and building a volume on it copies nothing
+        # a float map read from a file is read-only, and building a volume on
+        # it copies nothing
         write_volume(random_prob(rng, g.dims), tmp_path / "p.nii")
         probs = read_volume(tmp_path / "p.nii", "region_prob")
         assert not probs.channels.flags.writeable
@@ -265,13 +265,6 @@ def write_raw_label(path, values):
     path.write_bytes(path.read_bytes()[:352] + values.tobytes(order="F"))
 
 
-def root_buffer(array):
-    """The object at the end of an array's chain of bases."""
-    while isinstance(array, np.ndarray) and array.base is not None:
-        array = array.base
-    return array
-
-
 class TestLegacyRemap:
     def test_mixed_payload_reads_4_as_3(self, rng, tmp_path):
         values = rng.integers(0, 5, (6, 5, 4)).astype(np.uint8)
@@ -282,13 +275,16 @@ class TestLegacyRemap:
         assert np.array_equal(back.voxels, np.where(values == 4, 3, values))
         assert back.voxels.flags.f_contiguous
 
-    def test_payload_without_4_is_the_file_view(self, rng, tmp_path):
-        values = rng.integers(0, 4, (6, 5, 4)).astype(np.uint8)
+    def test_payload_without_4_is_read_once(self, rng, tmp_path):
+        # The payload is the read-only array the file was read into: one
+        # payload-sized allocation, in file order.
+        values = rng.integers(0, 4, (64, 64, 64)).astype(np.uint8)
         write_raw_label(tmp_path / "l.nii", values)
         back = read_volume(tmp_path / "l.nii", "label")
         assert not back.legacy_remapped
         assert np.array_equal(back.voxels, values)
-        assert isinstance(root_buffer(back.voxels), bytes)
+        assert not back.voxels.flags.writeable and back.voxels.flags.f_contiguous
+        assert read_peak(tmp_path / "l.nii", "label") < 1.5 * values.nbytes
 
     def test_label_5_refused(self, rng, tmp_path):
         values = rng.integers(0, 5, (6, 5, 4)).astype(np.uint8)
@@ -387,6 +383,46 @@ class TestHeaderErrors:
         path.write_bytes(bytes(raw[:352]) + bytes(16) + bytes(raw[352:]))
         assert read_volume(path, "label") == vol
 
+    @pytest.mark.parametrize("vox_offset", [352.5, 355.9, 367.999])
+    def test_fractional_vox_offset_refused(self, tmp_path, rng, vox_offset):
+        # Truncating 355.9 to 355 would read the payload from the wrong byte.
+        path = tmp_path / "x.nii"
+        write_volume(random_label(rng, (3, 3, 3)), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<f", raw, 108, vox_offset)
+        path.write_bytes(bytes(raw[:352]) + bytes(16) + bytes(raw[352:]))
+        with pytest.raises(FormatError, match="vox_offset") as err:
+            read_volume(path, "label")
+        assert err.value.offset == 108
+
+    @pytest.mark.parametrize("kind", ["label", "region_prob", "scalar"])
+    @pytest.mark.parametrize("slope, inter", [(2.0, 5.0), (2.0, 0.0), (1.0, 5.0), (-1.0, 0.0),
+                                              (np.inf, 0.0), (1.0, np.inf), (1.0, -np.inf)])
+    def test_scaling_refused(self, tmp_path, rng, kind, slope, inter):
+        # A reader that ignored scl_slope/scl_inter would return unscaled voxels.
+        path = tmp_path / "x.nii"
+        write_volume(MUTATED_KINDS[kind][0](rng, (3, 3, 3)), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<2f", raw, 112, slope, inter)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="scl_slope") as err:
+            read_volume(path, kind)
+        assert err.value.offset == 112
+        if kind == "region_prob":
+            with pytest.raises(FormatError, match=re.escape(str(err.value))):
+                open_region_prob(path)
+
+    @pytest.mark.parametrize("slope, inter", [(0.0, 0.0), (-0.0, 7.0), (0.0, np.nan),
+                                              (np.nan, 3.0), (1.0, 0.0), (1.0, -0.0), (1.0, np.nan)])
+    def test_unset_or_identity_scaling_accepted(self, tmp_path, rng, slope, inter):
+        vol = random_scalar(rng, (3, 3, 3))
+        path = tmp_path / "x.nii"
+        write_volume(vol, path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<2f", raw, 112, slope, inter)
+        path.write_bytes(bytes(raw))
+        assert read_volume(path, "scalar") == vol
+
     @pytest.mark.parametrize("pixdim", [np.nan, np.inf])
     def test_non_finite_pixdim(self, tmp_path, rng, pixdim):
         path = tmp_path / "x.nii"
@@ -439,6 +475,14 @@ FIELD_VALUES = st.one_of(
 MUTATION = st.tuples(st.one_of(st.sampled_from(HEADER_FIELDS), st.integers(0, 351)), FIELD_VALUES)
 
 
+def _outcome(read):
+    """What `read()` gives, or the type and message of the toolkit error it raises."""
+    try:
+        return read()
+    except BratskitError as exc:
+        return type(exc), str(exc)
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(kind=st.sampled_from(sorted(MUTATED_KINDS)), mutations=st.lists(MUTATION, min_size=1, max_size=6))
@@ -450,9 +494,15 @@ def test_header_mutation_gives_volume_or_toolkit_error(tmp_path, kind, mutations
     for offset, value in mutations:
         raw[offset:offset + len(value)] = value
     path.write_bytes(bytes(raw))
-    try:
-        vol = read_volume(path, kind)
-    except BratskitError:
+    vol = _outcome(lambda: read_volume(path, kind))
+    if kind == "region_prob":
+        # Both readers share one header check and one range read: the same
+        # error, or the same channels.
+        opened = _outcome(lambda: [open_region_prob(path).channels[c].tobytes(order="F")
+                                   for c in range(3)])
+        assert opened == (vol if isinstance(vol, tuple)
+                          else [c.tobytes(order="F") for c in vol.channels])
+    if isinstance(vol, tuple):
         return
     assert type(vol) is expected
     assert all(0.0 < s < np.inf for s in vol.geometry.spacing)
@@ -500,6 +550,15 @@ class TestPayloadLayout:
         payload_bytes = 64 ** 3
         assert read_peak(path, "label") < 1.5 * payload_bytes
 
+    def test_legacy_label_read_peak_memory(self, rng, tmp_path):
+        # Legacy label 4 is remapped in the array the file was read into, not
+        # into a second payload.
+        path = tmp_path / "l.nii"
+        values = rng.integers(0, 5, (64, 64, 64)).astype(np.uint8)
+        write_raw_label(path, values)
+        assert read_peak(path, "label") < 1.5 * values.nbytes
+        back = read_volume(path, "label")
+        assert back.legacy_remapped and np.array_equal(back.voxels, np.minimum(values, 3))
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_write_copies_only_a_payload_out_of_file_order(self, rng, tmp_path, layout):
