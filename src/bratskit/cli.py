@@ -101,17 +101,18 @@ def cmd_evaluate(args):
     rows = [row for _, case_rows, err in results if not err for row in case_rows]
     write_metrics_csv(args.out, rows + mean_rows(rows, args.mode))
 
-    if unpaired or failed:
-        report = Path(args.out).with_suffix(".skipped.txt")
-        with open(report, "w") as fh:
-            for cid in unpaired:
-                fh.write(f"{cid}\tunpaired\n")
-            for cid in sorted(failed):
-                fh.write(f"{cid}\t{failed[cid]}\n")
-        print(f"evaluate: {len(unpaired) + len(failed)} case(s) skipped, see {report}",
-              file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    report = Path(args.out).with_suffix(".skipped.txt")
+    if not (unpaired or failed):
+        report.unlink(missing_ok=True)  # a report from an earlier run would list its skips
+        return EXIT_OK
+    with open(report, "w") as fh:
+        for cid in unpaired:
+            fh.write(f"{cid}\tunpaired\n")
+        for cid in sorted(failed):
+            fh.write(f"{cid}\t{failed[cid]}\n")
+    print(f"evaluate: {len(unpaired) + len(failed)} case(s) skipped, see {report}",
+          file=sys.stderr)
+    return EXIT_PARTIAL
 
 
 def cmd_rank(args):

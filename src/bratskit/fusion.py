@@ -76,8 +76,8 @@ def _fuse_slab(maps, fused, voxels, z0):
     """Fuse the slab of `_SLAB_PLANES` z-planes (fewer at the end of the
     grid) that begins at plane z0 into `fused` and `voxels`.
 
-    It runs as a `cores.Tasks` task, so it calls numpy and private helpers
-    only: no function that a tracer may wrap with a shared span stack."""
+    It runs as a `cores.Tasks` task, so it calls numpy and `regions.bit_code`
+    only: no function that a tracer wraps with a shared span stack."""
     nx, ny, nz = voxels.shape
     z1 = min(z0 + _SLAB_PLANES, nz)
     slab, acc = fused[:, :, :, z0:z1], np.empty((nx, ny, z1 - z0), np.float64, order="F")
@@ -90,11 +90,7 @@ def _fuse_slab(maps, fused, voxels, z0):
         # The float64 quotient, cast once to float32 as it is stored.
         np.divide(acc, len(maps), out=slab[c], casting="unsafe")
     # Flat views: np.take into a 3-D F-ordered `out` goes through a C-ordered copy.
-    code, bit = np.empty(acc.size, np.uint8), np.empty(acc.size, bool)
-    np.greater_equal(slab[0].ravel(order="F"), 0.5, out=code.view(bool))
-    for c in (1, 2):
-        np.greater_equal(slab[c].ravel(order="F"), 0.5, out=bit)
-        code |= bit.view(np.uint8) << c
+    code = bit_code([slab[c].ravel(order="F") >= 0.5 for c in range(3)])
     np.take(CODE_LABEL, code, out=voxels[:, :, z0:z1].reshape(-1, order="F"), mode="clip")
 
 
@@ -164,17 +160,17 @@ def staple_binary(masks: Sequence[BinaryMask], max_iters: int = 100) -> StapleRe
 
     Patterns are coded on the boxes of the masks' lesion clusters
     (`morphology.lesion_clusters`), as in `staple_fusion`: every voxel outside
-    them has pattern 0 and takes its posterior, and each box's posterior is
-    pasted on the voxels of its own cluster.
+    them has pattern 0 and takes its posterior, and a box holds only its own
+    cluster's voxels (L shapes merge), so its posterior is pasted whole.
     """
     max_iters = _checked_max_iters(len(masks), max_iters)
     geometry = masks[0].geometry
     clusters = lesion_clusters(masks, 0)  # refuses a mask on another grid
-    codes = [bit_code([crop(m, box, keep).bits for m in masks]) for box, keep in clusters]
+    codes = [bit_code([m.bits[box] for m in masks]) for box in clusters]
     fit = _staple_em(codes, geometry.n_voxels, len(masks), max_iters)
     weights = np.full_like(masks[0].bits, fit.posterior[0], dtype=np.float64)
-    for (box, keep), code in zip(clusters, codes):
-        np.copyto(weights[box], fit.posterior[code], where=True if keep is None else keep)
+    for box, code in zip(clusters, codes):
+        weights[box] = fit.posterior[code]
     return StapleResult(BinaryMask(geometry, weights >= 0.5), weights, fit.rater_performance,
                         fit.iterations_run, fit.converged)
 
@@ -185,9 +181,10 @@ def staple_fusion(labels: Sequence[LabelVolume], max_iters: int = 100,
     same labels as `reconstruct_labels` of each region's `staple_binary` consensus.
 
     Each region is coded on the boxes of the labels' lesion clusters
-    (`morphology.lesion_clusters`), fitted once on the pattern counts summed
-    over them, and thresholded in each box; `regions.CODE_LABEL` rebuilds
-    the labels from the bit code of the three regions' decisions. Every voxel
+    (`morphology.lesion_clusters`; L shapes merge, so a box holds its own
+    cluster alone), fitted once on the pattern counts summed over them, and
+    thresholded in each box; `regions.CODE_LABEL` rebuilds the labels from
+    the bit code of the three regions' decisions. Every voxel
     outside the clusters has pattern 0 in each region, so it takes the label
     of the three regions' pattern-0 decisions. `on_region`, when given, is
     called with each region and its fit, which is that of the whole grid.
@@ -195,9 +192,7 @@ def staple_fusion(labels: Sequence[LabelVolume], max_iters: int = 100,
     max_iters = _checked_max_iters(len(labels), max_iters)
     geometry = labels[0].geometry
     clusters = lesion_clusters(labels, 0)  # refuses a volume on another grid
-    # A box's voxels outside `keep` belong to another cluster; zeroed, they
-    # have pattern 0 here and are counted with their own cluster.
-    cuts = [[crop(lv, box, keep) for lv in labels] for box, keep in clusters]
+    cuts = [[crop(lv, box) for lv in labels] for box in clusters]
     codes, marked = [], []
     for region in REGIONS:
         codes.append([bit_code([extract_region(lv, region).bits for lv in cut]) for cut in cuts])
@@ -206,7 +201,6 @@ def staple_fusion(labels: Sequence[LabelVolume], max_iters: int = 100,
             on_region(region, fit)
         marked.append(fit.posterior >= 0.5)
     voxels = np.full_like(labels[0].voxels, CODE_LABEL[bit_code([m[0] for m in marked])])
-    for (box, keep), *region_codes in zip(clusters, *codes):
-        rebuilt = CODE_LABEL[bit_code([m[code] for m, code in zip(marked, region_codes)])]
-        np.copyto(voxels[box], rebuilt, where=True if keep is None else keep)
+    for box, *region_codes in zip(clusters, *codes):
+        voxels[box] = CODE_LABEL[bit_code([m[code] for m, code in zip(marked, region_codes)])]
     return LabelVolume(geometry, voxels)

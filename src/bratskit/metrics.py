@@ -214,9 +214,10 @@ def _hd95(pairs, tasks):
 
 def _clusters(x, y, reach):
     """(origin, x cut, y cut) per lesion cluster of x and y (`lesion_clusters`);
-    origin is the grid index of the cluster box's first voxel."""
-    return [(tuple(s.start for s in box), crop(x, box, keep), crop(y, box, keep))
-            for box, keep in lesion_clusters((x, y), reach)]
+    origin is the grid index of the first voxel of the box (L shapes merge,
+    so a box holds its own cluster alone)."""
+    return [(tuple(s.start for s in box), crop(x, box), crop(y, box))
+            for box in lesion_clusters((x, y), reach)]
 
 
 def _tight(cuts):
@@ -237,8 +238,9 @@ def _region_masks(gt: LabelVolume, pred: LabelVolume, reach: int):
     lesion cluster of the case (`morphology.lesion_clusters`) that holds the
     region, the pair cut to its own box with no pad. This is exact: no
     component, surface or dilation of up to `reach` steps spans two clusters,
-    and clamped into a box, a path of adjacency steps is still one, so the
-    dilation on a box that holds both masks is the whole-grid dilation cut to it."""
+    a box holds no other cluster's voxel (L shapes merge), and clamped into a
+    box, a path of adjacency steps is still one, so the dilation on a box
+    that holds both masks is the whole-grid dilation cut to it."""
     cuts = _clusters(gt, pred, reach)
     for region in REGIONS:
         yield region, _tight([(origin, extract_region(g, region), extract_region(p, region))

@@ -71,18 +71,19 @@ def dilate(mask: BinaryMask, iterations: int, conn: Connectivity = Connectivity.
 
 
 def lesion_clusters(volumes, reach):
-    """(box, keep) per lesion cluster of volumes on one grid; none when every
-    volume is empty.
+    """The box of each lesion cluster of volumes on one grid, which holds that
+    cluster's voxels alone; none when every volume is empty.
 
     The nonzero voxels in the volumes' `tumour_box` are pooled with `any` into
     blocks of max(8, reach) voxels a side (the box's extent on a shorter axis),
-    and the blocks are labelled with 26-connectivity; a cluster is the box of a
-    block component. Blocks of two clusters do not touch, so on some axis a
+    and the blocks are labelled with 26-connectivity. While the box of a block
+    component holds blocks of another (an L shape), that box alone is filled
+    and the blocks labelled again, which merges the two; a cluster is the box
+    of a component. Blocks of two components do not touch, so on some axis a
     whole block lies between them: their voxels are more than max(8, reach)
     steps apart, and no component, surface or dilation of up to `reach` steps
-    spans two clusters. A box that holds blocks of another cluster (an L shape)
-    comes with `keep`, the mask of its own blocks; otherwise keep is None. No
-    array is sized by `reach`: a larger count gives one block, the whole box."""
+    spans two clusters. No array is sized by `reach`: a larger count gives
+    one block, the whole box."""
     box = tumour_box(volumes)
     if box is None:
         return []
@@ -98,16 +99,13 @@ def lesion_clusters(volumes, reach):
     hit = hit.reshape(padded[0] * padded[1], edges[2], blocks[2], order="F").any(axis=1)
     hit = hit.reshape(padded[0], edges[1], blocks[1] * blocks[2], order="F").any(axis=1)
     hit = hit.reshape(edges[0], -1, order="F").any(axis=0).reshape(blocks, order="F")
-    labels, _ = ndimage.label(hit, structure=Connectivity.Full26.structure)
-    clusters = []
-    for k, cut in enumerate(ndimage.find_objects(labels), start=1):
-        cluster = tuple(slice(s.start + c.start * e, min(s.start + c.stop * e, s.stop))
-                        for s, c, e in zip(box, cut, edges))
-        own = labels[cut] == k
-        keep = None
-        if np.count_nonzero(labels[cut]) > np.count_nonzero(own):
-            for axis, e in enumerate(edges):
-                own = own.repeat(e, axis)
-            keep = own[tuple(slice(0, s.stop - s.start) for s in cluster)]
-        clusters.append((cluster, keep))
-    return clusters
+    mixed = True
+    while mixed:
+        labels, _ = ndimage.label(hit, structure=Connectivity.Full26.structure)
+        cuts, sizes = ndimage.find_objects(labels), np.bincount(labels.ravel())
+        # A box that holds more blocks than its component holds another's.
+        mixed = [cut for k, cut in enumerate(cuts, 1) if np.count_nonzero(labels[cut]) > sizes[k]]
+        for cut in mixed:
+            hit[cut] = True
+    return [tuple(slice(s.start + c.start * e, min(s.start + c.stop * e, s.stop))
+                  for s, c, e in zip(box, cut, edges)) for cut in cuts]

@@ -47,11 +47,12 @@ def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
     """Remove sub-threshold lesions per region (strict `< threshold`).
 
     The thresholds run on the boxes of the prediction's lesion clusters
-    (`morphology.lesion_clusters`): no component spans two clusters, and a
+    (`morphology.lesion_clusters`): no component spans two clusters, a box
+    holds its own cluster alone (L shapes merge) and is pasted whole, and a
     WholeRegion threshold decides on the region's count summed over them."""
     conn = member(Connectivity, conn, "connectivity")
     clusters = lesion_clusters((pred,), 1)  # components look one step past a voxel
-    cuts = [crop(pred, box, keep) for box, keep in clusters]
+    cuts = [crop(pred, box) for box in clusters]
     kept = [True] * len(cuts)  # per cluster, what the enclosing region kept; WT has none
     masks = []
     for region in REGIONS:
@@ -66,8 +67,8 @@ def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
         masks.append(bits)
         kept = bits
     voxels = pred.voxels.copy(order="K")
-    for (box, keep), *regions in zip(clusters, *masks):
-        np.copyto(voxels[box], CODE_LABEL[bit_code(regions)], where=True if keep is None else keep)
+    for box, *regions in zip(clusters, *masks):
+        voxels[box] = CODE_LABEL[bit_code(regions)]
     return LabelVolume(pred.geometry, voxels)
 
 

@@ -235,12 +235,10 @@ def boxed_mask(bits, spacing) -> BinaryMask:
     return BinaryMask(Geometry(bits.shape, spacing), bits)
 
 
-def crop(volume, box, keep=None):
+def crop(volume, box):
     """A 3-D volume's voxels in `box`, on a grid of the box's shape with the
-    same spacing. Voxels where `keep`, a mask over the box, is false are zeroed."""
+    same spacing. A lesion cluster's box holds that cluster's voxels alone."""
     payload = volume.payload[box]
-    if keep is not None:
-        payload = payload * keep
     return replace(volume, geometry=Geometry(payload.shape, volume.geometry.spacing),
                    **{volume._payload: payload})
 

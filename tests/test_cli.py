@@ -81,6 +81,19 @@ class TestEvaluate:
         report = out.with_suffix(".skipped.txt").read_text()
         assert "case009" in report and "unpaired" in report
 
+    def test_clean_rerun_removes_the_old_report(self, tmp_path):
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=2)
+        extra = tmp_path / "pred" / "extra.nii"
+        extra.write_bytes((tmp_path / "pred" / "case000.nii").read_bytes())
+        out = tmp_path / "m.csv"
+        argv = ["evaluate", "--gt-dir", str(tmp_path / "gt"),
+                "--pred-dir", str(tmp_path / "pred"), "--out", str(out)]
+        assert main(argv) == 1
+        assert out.with_suffix(".skipped.txt").read_text() == "extra\tunpaired\n"
+        extra.unlink()
+        assert main(argv) == 0
+        assert not out.with_suffix(".skipped.txt").exists()
+
     def test_geometry_mismatch_skipped(self, tmp_path):
         write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=2)
         bad = LabelVolume(Geometry((8, 8, 8)), np.zeros((8, 8, 8), np.uint8))

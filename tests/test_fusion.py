@@ -553,17 +553,18 @@ class TestStapleBinary:
                                                 corners):
         # The WT of TestStapleFusionPaste's L raters, with 16 empty x-planes on
         # each side so that voxels marked at opposite grid corners form
-        # clusters of their own. Mirrored in x, the L's box is pasted after the
-        # lesion in its bend, so a paste that ignored `keep` would overwrite it.
+        # clusters of their own. The L and the lesion in its bend merge into
+        # one cluster, whose box is their hull.
         rng = np.random.default_rng(seed)
         bits = [LAYOUTS[layout](np.pad(v[::-1] if mirrored else v, ((16, 16), (0, 0), (0, 0)))
                                 != 0) for v in TestStapleFusionPaste.l_raters(rng)]
+        l_box = tumour_box([BinaryMask(Geometry(b.shape), b.copy()) for b in bits])
         if corners:
             bits[0][0, 0, 0] = bits[-1][-1, -1, -1] = True
         masks = [BinaryMask(Geometry(b.shape), b) for b in bits]
         clusters = lesion_clusters(masks, 0)
-        kept = sorted(keep is not None for _, keep in clusters)
-        assert kept == [False] * (1 + 2 * corners) + [True]
+        assert len(clusters) == 1 + 2 * corners
+        assert corners or clusters == [l_box]
         fits = []
         core = bratskit.fusion._staple_em
         monkeypatch.setattr(bratskit.fusion, "_staple_em",
@@ -574,8 +575,8 @@ class TestStapleBinary:
         assert np.allclose(np.array(res.rater_performance), np.stack([p, q], axis=1),
                            rtol=0, atol=1e-6)
         outside = np.ones(masks[0].geometry.dims, bool)
-        for box, keep in clusters:
-            outside[box] &= False if keep is None else ~keep
+        for box in clusters:
+            outside[box] = False
         assert outside.any() and (res.weights[outside] == fits[0].posterior[0]).all()
 
     @pytest.mark.parametrize("n_raters", [3, 5, 8])
@@ -702,7 +703,7 @@ class TestStapleFusionPaste:
     @staticmethod
     def l_raters(rng, n_raters=3):
         """Noisy raters of an L of 8-voxel blocks, with a lesion in its bend:
-        the L's cluster box holds the other cluster's block."""
+        the L's box holds the lesion's block, so the two are one cluster."""
         dims = (32, 32, 9)
         raters = []
         for _ in range(n_raters):
@@ -717,13 +718,12 @@ class TestStapleFusionPaste:
     @pytest.mark.parametrize("layout", ["C", "F"])
     @pytest.mark.parametrize("seed", range(3))
     def test_l_shaped_clusters(self, seed, layout, mirrored):
-        # Mirrored in x, the lesion in the bend is the first cluster, so the
-        # L's box is pasted after it.
+        # Mirrored in x or not, the L and the lesion in its bend merge into
+        # one cluster, whose box is their hull.
         rng = np.random.default_rng(seed)
         labels = [labels_from_array(LAYOUTS[layout](v[::-1] if mirrored else v))
                   for v in self.l_raters(rng)]
-        clusters = lesion_clusters(labels, 0)
-        assert [keep is not None for _, keep in clusters] == [not mirrored, mirrored]
+        assert lesion_clusters(labels, 0) == [tumour_box(labels)]
         fits = {}
         fused = staple_fusion(labels, max_iters=4, on_region=fits.__setitem__)
         expected, results = region_consensus(labels, max_iters=4)
