@@ -2,7 +2,8 @@
 `evaluate`'s pool, so that threads × processes stays within the cores.
 
 `Tasks` is the one runner of a call's threaded work: the HD95 searches of
-`metrics` and the mean-fusion slabs of `fusion` both go through it."""
+`metrics`, the mean-fusion slabs of `fusion` and the seeded draws of
+`synthprep.corrupt_crop` all go through it."""
 
 from __future__ import annotations
 
@@ -41,7 +42,9 @@ class Tasks:
     submission order that raised has raised.
 
     A task runs on a worker thread, so it calls numpy and private helpers
-    only: no function that a tracer may wrap with a shared span stack."""
+    only: no function that a tracer may wrap with a shared span stack. Its
+    users are the HD95 searches, the mean-fusion slabs and the corrupt
+    draws, which fill the caller's buffers while the caller normalises."""
 
     def __enter__(self):
         threads = thread_count()

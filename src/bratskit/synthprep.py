@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cores import Tasks
 from .errors import DegenerateInputError, IncompatibleGeometryError, PlacementError, ValidationError
 from .volume import (BinaryMask, Geometry, LabelVolume, ScalarVolume, common_geometry, integral,
                      real, tumour_box)
@@ -66,39 +67,66 @@ def decay_exponent(max_size: int) -> float:
 
 def replacement_probability(distance, exponent: float):
     """Probability of replacing a voxel at the given distance from the centre;
-    `distance` is a number or an array, and the result has its shape."""
+    `distance` is a number >= 0 or an array of them, and the result has its
+    shape. A distance whose power overflows gets the limit, 0."""
     exponent = real(exponent, "exponent", 0.0)
     if exponent < 1.0:
         raise ValidationError(f"exponent must be >= 1, got {exponent}")
+    try:
+        d = np.asarray(distance)
+    except ValueError:  # a ragged list
+        d = np.asarray(None)
+    # Written so that NaN, which fails every comparison, is refused too.
+    if not (d.dtype.kind in "iuf" and (d >= 0).all()):
+        raise ValidationError("distance must be a number >= 0 or an array of them")
     # numpy's array and scalar powers can differ in the last bit, so a number
     # is raised as a one-element array and gets the value the field holds.
-    d = np.asarray(distance, dtype=np.float64)
-    return np.clip(83.0 / (exponent ** d.reshape(-1) + 82.0), 0.0, 1.0).reshape(d.shape)[()]
+    with np.errstate(over="ignore"):
+        power = exponent ** d.astype(np.float64, copy=False).reshape(-1)
+    return np.clip(83.0 / (power + 82.0), 0.0, 1.0).reshape(d.shape)[()]
 
 
 def build_corruption_field(geom: TumourGeometry, crop_geometry: Geometry) -> CorruptionField:
     """Radial replacement-probability field over the crop grid.
 
     Distance is Euclidean voxel distance to the crop centre voxel (48, 48, 48);
-    the field is fully deterministic.
+    the field is fully deterministic. The probability is computed once per
+    distinct integer squared radius (at most 3 * 48^2 + 1 of them) and the
+    grid of squared radii indexes that table.
     """
     if crop_geometry.dims != (CROP_SIZE, CROP_SIZE, CROP_SIZE):
         raise ValidationError(f"crop geometry must be {CROP_SIZE}^3, got {crop_geometry.dims}")
     exponent = decay_exponent(geom.max_size)
     center = CROP_SIZE // 2
-    coords = np.arange(CROP_SIZE, dtype=np.float64) - center
-    dist = np.sqrt(
-        coords[:, None, None] ** 2 + coords[None, :, None] ** 2 + coords[None, None, :] ** 2
-    )
-    return CorruptionField(crop_geometry, replacement_probability(dist, exponent), exponent)
+    table = replacement_probability(np.sqrt(np.arange(3 * center**2 + 1.0)), exponent)
+    squares = (np.arange(CROP_SIZE) - center) ** 2
+    return CorruptionField(crop_geometry, table[squares[:, None, None] + squares[:, None] + squares],
+                           exponent)
 
 
 def _minmax_to_unit_range(values):
+    """Min-max normalise `values`, a float64 array, to [-1, 1] in place."""
     lo = values.min()
     hi = values.max()
     if hi == lo:
         raise DegenerateInputError("constant image; cannot normalize to [-1, 1]")
-    return 2.0 * (values - lo) / (hi - lo) - 1.0
+    # The bytes of 2.0 * (values - lo) / (hi - lo) - 1.0, without its temporaries.
+    values -= lo
+    values *= 2.0
+    values /= hi - lo
+    values -= 1.0
+
+
+def _normal_draws(rng, out):
+    rng.standard_normal(out=out)
+
+
+def _replacement_draws(rng, probs, noise, replaced):
+    """The uniform draws that choose the replaced voxels, then the noise that
+    replaces them, in the stream order of `corrupt_crop`."""
+    rng.random(out=noise)
+    np.less(noise, probs, out=replaced)
+    rng.standard_normal(out=noise)
 
 
 def corrupt_crop(image: ScalarVolume, labels: LabelVolume, field: CorruptionField,
@@ -109,6 +137,10 @@ def corrupt_crop(image: ScalarVolume, labels: LabelVolume, field: CorruptionFiel
     re-normalize, then replace every tumour voxel with a fresh Gaussian draw
     and every healthy voxel with probability given by the field. One seeded
     stream in a fixed draw order makes the output deterministic per seed.
+
+    The draws fill buffers in two `cores.Tasks` tasks, one after the other,
+    while this thread normalises; only the running task uses the stream, so
+    the bytes do not depend on the thread count.
     """
     common_geometry((image, labels, field))
     # numpy takes a negative seed with a bare ValueError and None as fresh entropy.
@@ -116,16 +148,24 @@ def corrupt_crop(image: ScalarVolume, labels: LabelVolume, field: CorruptionFiel
     if image.geometry.dims != (CROP_SIZE, CROP_SIZE, CROP_SIZE):
         raise ValidationError(f"crop inputs must be {CROP_SIZE}^3")
     rng = np.random.default_rng(rng_seed)
-    # The draws are C-ordered, and arithmetic on mixed orders is several times
-    # slower, so the image is copied into C order and the draws lead the mask:
-    # every array below is C-ordered whatever the inputs' order.
-    base = _minmax_to_unit_range(image.voxels.astype(np.float64, order="C"))
-    base = _minmax_to_unit_range(base + rng.standard_normal(base.shape))
-    uniforms = rng.random(base.shape)
-    noise = rng.standard_normal(base.shape)
-    replaced = (uniforms < field.probs) | (labels.voxels != 0)
-    out = np.where(replaced, noise, base)
-    result = ScalarVolume(image.geometry, out.astype(np.float32))
+    # The draws fill C-ordered buffers that this thread allocates, and
+    # arithmetic on mixed orders is several times slower, so the image and
+    # the tumour mask are made in C order, while the first draw runs: every
+    # array below is C-ordered whatever the inputs' order.
+    dims = image.geometry.dims
+    first, noise, replaced = np.empty(dims), np.empty(dims), np.empty(dims, bool)
+    with Tasks() as tasks:
+        tasks.run(_normal_draws, rng, first)
+        base = image.voxels.astype(np.float64, order="C")
+        _minmax_to_unit_range(base)
+        tumour = np.not_equal(labels.voxels, 0, order="C")
+    with Tasks() as tasks:
+        tasks.run(_replacement_draws, rng, field.probs, noise, replaced)
+        base += first
+        _minmax_to_unit_range(base)
+    replaced |= tumour
+    np.copyto(base, noise, where=replaced)
+    result = ScalarVolume(image.geometry, base.astype(np.float32))
     if return_mask:
         return result, BinaryMask(image.geometry, replaced)
     return result

@@ -214,3 +214,25 @@ def brute_thresholds(labels, thresholds, whole_region, neighbours):
             if lesion.sum() < thr:
                 out[lesion] = becomes
     return out
+
+
+def brute_corrupt(image, labels, probs, seed):
+    """The noisy generator input of a crop as one serial formulation: the
+    float32 output and the replaced mask.
+
+    The image is min-max normalised to [-1, 1], a normal draw is added and the
+    sum normalised again; then a uniform draw below `probs`, or a nonzero
+    label, replaces a voxel by a second normal draw. The three draws come from
+    one seeded stream, each into a fresh array, in that order."""
+    rng = np.random.default_rng(seed)
+
+    def unit(values):
+        lo, hi = values.min(), values.max()
+        return 2.0 * (values - lo) / (hi - lo) - 1.0
+
+    base = unit(np.asarray(image, dtype=np.float64))
+    base = unit(base + rng.standard_normal(base.shape))
+    uniforms = rng.random(base.shape)
+    noise = rng.standard_normal(base.shape)
+    replaced = (uniforms < probs) | (np.asarray(labels) != 0)
+    return np.where(replaced, noise, base).astype(np.float32), replaced

@@ -1,15 +1,19 @@
 import math
+import threading
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bratskit.cores
 from bratskit.errors import (DegenerateInputError, IncompatibleGeometryError, PlacementError,
                              ValidationError)
 from bratskit.synthprep import (
     CROP_SIZE,
     LambdaPair,
+    TumourGeometry,
     build_corruption_field,
     corrupt_crop,
     decay_exponent,
@@ -22,7 +26,8 @@ from bratskit.synthprep import (
 )
 from bratskit.volume import BinaryMask, Geometry, LabelVolume, ScalarVolume
 
-from conftest import labels_from_array
+from conftest import LAYOUTS, labels_from_array
+from oracles import brute_corrupt
 
 CROP_GEOM = Geometry((CROP_SIZE,) * 3)
 # Not a numeric array: a string, a ragged list, a dict, a complex number, bools, no number.
@@ -96,6 +101,26 @@ class TestReplacementProbability:
         probs = [replacement_probability(d, 1.2) for d in np.linspace(0, 80, 50)]
         assert all(a >= b for a, b in zip(probs, probs[1:]))
 
+    # NaN, None, a negative distance, a string, a ragged list, a NaN or a
+    # negative entry, complex numbers and bools.
+    @pytest.mark.parametrize("bad", [float("nan"), None, -5, -float("inf"), "a", [[1.0], [1.0, 2.0]],
+                                     [1.0, float("nan")], np.array([3.0, -0.5]), [1 + 2j], True,
+                                     [1.0, None]])
+    def test_distance_not_a_number_at_least_zero_refused(self, bad):
+        with pytest.raises(ValidationError, match="distance"):
+            replacement_probability(bad, 1.2)
+
+    def test_overflow_gives_zero_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert replacement_probability((1e6, 1e300), 1.1).tolist() == [0.0, 0.0]
+            assert replacement_probability(float("inf"), 1.3) == 0.0
+            assert replacement_probability(1e300, 1.0) == 1.0
+
+    def test_integer_distances_accepted(self):
+        assert replacement_probability(np.arange(4), 1.2).tolist() == [
+            replacement_probability(float(d), 1.2) for d in range(4)]
+
 
 class TestCorruptionField:
     def field(self, max_size=96):
@@ -139,6 +164,18 @@ class TestCorruptionField:
         distances, first = np.unique(dist, return_index=True)
         expected = [replacement_probability(float(d), field.exponent) for d in distances]
         assert field.probs.ravel()[first].tolist() == expected
+
+    def test_field_equals_the_distance_grid_formula_at_every_size(self):
+        # The field indexes a table over the squared radii; its bytes are
+        # those of the formula over the float64 sqrt distance grid.
+        c = np.arange(CROP_SIZE, dtype=np.float64) - 48
+        dist = np.sqrt(c[:, None, None] ** 2 + c[None, :, None] ** 2 + c[None, None, :] ** 2)
+        for max_size in range(1, CROP_SIZE + 1):
+            geom = TumourGeometry((0, 0, 0), (max_size - 1,) * 3, (0, 0, 0), max_size)
+            field = build_corruption_field(geom, CROP_GEOM)
+            expected = replacement_probability(dist, decay_exponent(max_size))
+            assert field.probs.dtype == np.float64 and field.probs.shape == dist.shape
+            assert field.probs.tobytes() == expected.tobytes(), max_size
 
     def test_array_call_keeps_the_shape(self):
         distances = np.linspace(0.0, 90.0, 12).reshape(3, 4)
@@ -223,6 +260,52 @@ class TestCorruptCrop:
                 n_replaced += bool(mask.bits[pt])
         sigma = math.sqrt(n_draws * p_expected * (1 - p_expected))
         assert abs(n_replaced - n_draws * p_expected) <= 3 * sigma
+
+
+def on_cores(monkeypatch, n):
+    """The package sees `n` usable cores, so a call runs up to `n` threads."""
+    monkeypatch.setattr(bratskit.cores, "usable_cores", lambda: n)
+
+
+class TestCorruptCropOracle:
+    """The draws fill buffers on `cores.Tasks` threads while the caller
+    normalises; the bytes are those of the serial formulation in any case."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    def test_bytes_equal_the_serial_draws(self, rng, monkeypatch, threads, layout):
+        on_cores(monkeypatch, threads)
+        img, labels, field = crop_inputs(rng, tumour_slice=np.s_[30:61, 38:52, 44:70])
+        img = ScalarVolume(CROP_GEOM, LAYOUTS[layout](img.voxels))
+        labels = labels_from_array(LAYOUTS[layout](labels.voxels))
+        for seed in (0, 11, 2**40 + 3):
+            expected, expected_mask = brute_corrupt(img.voxels, labels.voxels, field.probs, seed)
+            out, mask = corrupt_crop(img, labels, field, seed, return_mask=True)
+            assert out.voxels.dtype == np.float32
+            assert out.voxels.tobytes() == expected.tobytes()
+            assert mask.bits.tobytes() == expected_mask.tobytes()
+            assert corrupt_crop(img, labels, field, seed).voxels.tobytes() == expected.tobytes()
+
+    def test_inputs_are_left_alone(self, rng, monkeypatch):
+        on_cores(monkeypatch, 2)
+        img, labels, field = crop_inputs(rng)
+        img = ScalarVolume(CROP_GEOM, img.voxels.astype(np.float64))
+        before = img.voxels.copy(), labels.voxels.copy(), field.probs.copy()
+        corrupt_crop(img, labels, field, 4)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(before, (img.voxels, labels.voxels, field.probs)))
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_no_thread_outlives_the_call(self, rng, monkeypatch, threads):
+        on_cores(monkeypatch, threads)
+        img, labels, field = crop_inputs(rng)
+        flat = ScalarVolume(CROP_GEOM, np.ones((CROP_SIZE,) * 3, np.float32))
+        before = threading.active_count()
+        corrupt_crop(img, labels, field, 9)
+        assert threading.active_count() == before
+        with pytest.raises(DegenerateInputError):
+            corrupt_crop(flat, labels, field, 9)
+        assert threading.active_count() == before
 
 
 def brute_place(target, brain, candidate, seed, max_attempts=100):

@@ -13,13 +13,14 @@ import numpy as np
 
 import bratskit.cores
 import bratskit.metrics
+import bratskit.synthprep
 from bratskit.fusion import average_fusion, staple_fusion
 from bratskit.nifti import open_region_prob, write_volume
 from bratskit.phantom import Lesion, Perturbation, PhantomSpec, generate_phantom
 from bratskit.postprocess import ThresholdSpec
 from bratskit.ranking import MetricTable
 from bratskit.regions import REGIONS, Region, extract_region
-from bratskit.volume import RegionProbVolume
+from bratskit.volume import Geometry, LabelVolume, RegionProbVolume, ScalarVolume
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -105,8 +106,8 @@ def test_every_counter_reads_a_real_result(tmp_path):
 
 def test_no_traced_layer_runs_on_a_worker_thread(tmp_path, monkeypatch):
     # A recorder keeps one span stack for the process, so a wrapped function
-    # called from one of mean fusion's slab threads, or from one of the
-    # metrics' search threads, would corrupt it.
+    # called from one of mean fusion's slab threads, one of the metrics'
+    # search threads or one of the corrupt draw threads would corrupt it.
     spans = load_spans()
     threads = []
     targets = [getattr(importlib.import_module(f"bratskit.{m}"), f) for m, f, _ in spans.PASS_LAYERS]
@@ -138,4 +139,18 @@ def test_no_traced_layer_runs_on_a_worker_thread(tmp_path, monkeypatch):
     bratskit.metrics.case_metrics_legacy(big_gt, big_pred)
     bratskit.metrics.case_metrics_lesionwise(big_gt, big_pred)
     assert any(t is not threading.main_thread() for t in searched)
+    # The corrupt draws run as two tasks, off the main thread on 3 cores.
+    drawn = []
+    for name in ("_normal_draws", "_replacement_draws"):
+        monkeypatch.setattr(bratskit.synthprep, name,
+                            lambda *args, _draw=getattr(bratskit.synthprep, name):
+                            drawn.append(threading.current_thread()) or _draw(*args))
+    crop = Geometry((bratskit.synthprep.CROP_SIZE,) * 3)
+    tumour = np.zeros(crop.dims, np.uint8)
+    tumour[40:50, 44:52, 46:49] = 2
+    labels = LabelVolume(crop, tumour)
+    field = bratskit.synthprep.build_corruption_field(bratskit.synthprep.tumour_geometry(labels), crop)
+    image = ScalarVolume(crop, rng.random(crop.dims, np.float32))
+    bratskit.synthprep.corrupt_crop(image, labels, field, 5)
+    assert len(drawn) == 2 and threading.main_thread() not in drawn
     assert threads and set(threads) == {threading.main_thread()}
