@@ -5,23 +5,18 @@ DSC 0, HD95 374. The same 374 penalty is charged per unmatched lesion in the
 lesion-wise mode.
 
 HD95 counts each voxel on both surfaces as a 0.0 distance in both directions
-and searches only from the others. A search that builds a k-d tree is a task
-of the public call's `cores.Tasks`, and its result is read, in submission
-order, when the call assembles its result; the bytes do not depend on the
-thread count.
+and searches only from the others, on the calling thread.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import Future
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .cores import Tasks
 from .morphology import (Connectivity, connected_components, dilate, lesion_clusters,
                          surface_voxels)
 from .regions import REGIONS, Region, extract_region
@@ -136,10 +131,7 @@ def _directed_p95(src, dst, spacing, zeros=0):
     offsets have equal sums and the tree's distance is the correctly rounded
     root of the sum the EDT takes. On other grids offsets of equal length can
     round one bit apart and the EDT keeps the lesser, so the tree path
-    searches every dst point tied with the nearest and keeps the least sum.
-
-    It runs as a `cores.Tasks` task (`_directed`), so it calls numpy and
-    cKDTree only: no function that a tracer may wrap with a shared span stack."""
+    searches every dst point tied with the nearest and keeps the least sum."""
     if _all_pairs(src, dst, spacing):
         # one (src x dst) plane per axis keeps the temporaries small
         sq = sum(((src[:, None, i] - dst[None, :, i]) * s) ** 2 for i, s in enumerate(spacing))
@@ -156,40 +148,27 @@ def _directed_p95(src, dst, spacing, zeros=0):
     return _p95(np.sqrt(sq), zeros)
 
 
-def _directed(tasks, src, dst, spacing, zeros):
-    """The directed search `_directed_p95`, as its float or as its future on
-    `tasks`: 0.0 with no search when both p95 ranks read shared points, at
-    once when every pair is scored, and otherwise through `tasks.run`."""
+def _directed(src, dst, spacing, zeros):
+    """The directed search `_directed_p95`, or 0.0 with no search when both
+    p95 ranks read shared points."""
     if _ranks(len(src) + zeros)[1] < zeros:
         return 0.0
-    if _all_pairs(src, dst, spacing):
-        return _directed_p95(src, dst, spacing, zeros)
-    return tasks.run(_directed_p95, src, dst, spacing, zeros)
-
-
-def _settled(hd):
-    """The float of a pending HD95 (`_hd95`) once its `Tasks` block has ended."""
-    if isinstance(hd, float):
-        return hd
-    return max(d.result() if isinstance(d, Future) else d for d in hd)
+    return _directed_p95(src, dst, spacing, zeros)
 
 
 def hd95(a: BinaryMask, b: BinaryMask) -> float:
     # Callers may pass whole grids, so work on the boxes of the lesion clusters.
     # They hold every true voxel, and the erosion treats off-box voxels as false,
     # as they are within the one step it looks: the surfaces are the grid's.
-    with Tasks() as tasks:
-        hd = _hd95(_tight(_clusters(a, b, 1)), tasks)
-    return _settled(hd)
+    return _hd95(_tight(_clusters(a, b, 1)))
 
 
-def _hd95(pairs, tasks):
+def _hd95(pairs):
     """HD95 of a region split into (origin, a, b) pairs, a and b of each on one
     box: the surface points of every pair, shifted by its origin to grid
-    coordinates, scored together. A float, or the two directed searches
-    (`_directed`) on `tasks`, to be `_settled`. A voxel on both surfaces is
-    exactly 0.0 from the other, so each direction counts those and searches
-    from the rest."""
+    coordinates, scored together. A voxel on both surfaces is exactly 0.0
+    from the other, so each direction counts those and searches from the
+    rest (`_directed`)."""
     points, alone, shared = ([], []), ([], []), [0, 0]
     for origin, a, b in pairs:
         surfaces = [surface_voxels(m).bits if m.any() else None for m in (a, b)]
@@ -208,8 +187,8 @@ def _hd95(pairs, tasks):
         return HD95_PENALTY
     spacing = pairs[0][1].geometry.spacing
     sa, sb = (np.concatenate(p) for p in points)
-    return (_directed(tasks, np.concatenate(alone[0]), sb, spacing, shared[0]),
-            _directed(tasks, np.concatenate(alone[1]), sa, spacing, shared[1]))
+    return max(_directed(np.concatenate(alone[0]), sb, spacing, shared[0]),
+               _directed(np.concatenate(alone[1]), sa, spacing, shared[1]))
 
 
 def _clusters(x, y, reach):
@@ -249,10 +228,8 @@ def _region_masks(gt: LabelVolume, pred: LabelVolume, reach: int):
 
 def case_metrics_legacy(gt: LabelVolume, pred: LabelVolume, case_id: str = "") -> CaseMetrics:
     # Surfaces look one step past a voxel.
-    with Tasks() as tasks:
-        scores = [(region, _dice(pairs), _hd95(pairs, tasks))
-                  for region, pairs in _region_masks(gt, pred, 1)]
-    per_region = {region: MetricPair(dsc, _settled(hd)) for region, dsc, hd in scores}
+    per_region = {region: MetricPair(_dice(pairs), _hd95(pairs))
+                  for region, pairs in _region_masks(gt, pred, 1)}
     return CaseMetrics(case_id, per_region, "legacy")
 
 
@@ -271,29 +248,19 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
     whole grid.
     """
     gt_mask.geometry.require_compatible(pred_mask.geometry)
-    with Tasks() as tasks:
-        report = _match_clusters(_tight(_clusters(gt_mask, pred_mask, params.dilation_iterations)),
-                                 params, gt_mask.geometry.dims, tasks)
-    return _settled_report(report)
+    return _match_clusters(_tight(_clusters(gt_mask, pred_mask, params.dilation_iterations)),
+                           params, gt_mask.geometry.dims)
 
 
-def _settled_report(report):
-    """The report with every matched pair's pending hd95 (`_hd95`) settled."""
-    matched = [(gid, pids, MetricPair(pair.dsc, _settled(pair.hd95)))
-               for gid, pids, pair in report.matched]
-    return replace(report, matched=matched)
-
-
-def _match_clusters(pairs, params, dims, tasks):
+def _match_clusters(pairs, params, dims):
     """The lesion match of a region split into (origin, gt mask, pred mask)
     pairs, with whole-grid ids. Each id is the rank of its component's first
     voxel among those of every pair: a pair's own x-fastest order is the grid's
-    order restricted to its box, so with one pair its ids are already global.
-    Each matched pair's hd95 is pending on `tasks` (`_settled_report`)."""
+    order restricted to its box, so with one pair its ids are already global."""
     runs = []
     for origin, gt_mask, pred_mask in pairs:
         comps = [connected_components(m, params.connectivity) for m in (gt_mask, pred_mask)]
-        runs.append((origin, comps, _match(*comps, params, tasks)))
+        runs.append((origin, comps, _match(*comps, params)))
     if len(runs) == 1:
         return runs[0][2]
     gt_ids, pred_ids = (_global_ids([(origin, comps[side]) for origin, comps, _ in runs], dims)
@@ -325,9 +292,8 @@ def _global_ids(runs, dims):
     return [np.concatenate(([0], np.searchsorted(ranked, f) + 1)) for f in firsts]
 
 
-def _match(gt_comps, pred_comps, params, tasks):
-    """The lesion match of two component maps on one grid, in their own ids,
-    each matched pair's hd95 pending on `tasks`.
+def _match(gt_comps, pred_comps, params):
+    """The lesion match of two component maps on one grid, in their own ids.
 
     Each lesion is handled inside its `find_objects` box. The dilation reaches
     at most `dilation_iterations` voxels past the gt box, so it runs in that
@@ -365,14 +331,14 @@ def _match(gt_comps, pred_comps, params, tasks):
         box = hull([gt_boxes[gid - 1], *(pred_boxes[p - 1] for p in pids)], 0, dims)
         lesion = boxed_mask(gt_comps.ids[box] == gid, spacing)
         preds = boxed_mask(owner[pred_comps.ids[box]] == gid, spacing)
-        pair = MetricPair(dice(lesion, preds), _hd95([((0, 0, 0), lesion, preds)], tasks))
+        pair = MetricPair(dice(lesion, preds), _hd95([((0, 0, 0), lesion, preds)]))
         matched.append((gid, frozenset(pids), pair))
 
     return LesionMatchReport(matched, false_positives, false_negatives, params)
 
 
 def _lesionwise_region(report):
-    """A region's lesion-wise score from its settled match report."""
+    """A region's lesion-wise score from its match report."""
     dscs = [pair.dsc for _, _, pair in report.matched]
     hds = [pair.hd95 for _, _, pair in report.matched]
     n_penalty = len(report.false_positives) + len(report.false_negatives)
@@ -389,10 +355,8 @@ def case_metrics_lesionwise(gt: LabelVolume, pred: LabelVolume,
     union of its predictions; each FP/FN contributes (0, 374); region score is
     the arithmetic mean over all contributions. Each region is scored on the
     boxes of its lesion clusters (`_region_masks`), with whole-grid lesion ids."""
-    with Tasks() as tasks:
-        pending = {region: _match_clusters(pairs, params, gt.geometry.dims, tasks)
-                   for region, pairs in _region_masks(gt, pred, params.dilation_iterations)}
-    reports = {region: _settled_report(report) for region, report in pending.items()}
+    reports = {region: _match_clusters(pairs, params, gt.geometry.dims)
+               for region, pairs in _region_masks(gt, pred, params.dilation_iterations)}
     per_region = {region: _lesionwise_region(report) for region, report in reports.items()}
     return CaseMetrics(case_id, per_region, "lesionwise"), reports
 

@@ -19,6 +19,11 @@ from .regions import REGIONS
 METRICS = ("DSC", "HD95")
 
 
+def _first_ten(items) -> str:
+    """The first 10 items as a list, followed by "..." if there are more."""
+    return f"{items[:10]}" + ("..." if len(items) > 10 else "")
+
+
 @dataclass(frozen=True)
 class MetricTable:
     solutions: list[str]
@@ -43,8 +48,7 @@ class MetricTable:
         if nan:
             raise ValidationError(f"NaN entry at {nan[0]}")
         if bad:
-            raise ValidationError(f"incomplete table, missing entries: {bad[:10]}"
-                                  + ("..." if len(bad) > 10 else ""))
+            raise ValidationError(f"incomplete table, missing entries: {_first_ten(bad)}")
         return values
 
 
@@ -139,7 +143,10 @@ def build_table(csv_paths_by_solution: dict) -> MetricTable:
         if all_cases is None:
             all_cases = cases
         elif set(all_cases) != set(cases):
-            raise ValidationError(f"solution {sol} covers a different case set")
+            missing, extra = sorted({*all_cases} - {*cases}), sorted({*cases} - {*all_cases})
+            raise ValidationError(f"solution {sol} covers a different case set than solution "
+                                  f"{solutions[0]}: missing {_first_ten(missing)}, "
+                                  f"extra {_first_ten(extra)}")
     if len(modes) > 1:
         raise ValidationError(f"cannot rank a mix of {' and '.join(sorted(modes))} metrics")
     return MetricTable(solutions, sorted(all_cases or []), entries)

@@ -287,6 +287,23 @@ class TestRank:
         assert "legacy" in err and "lesionwise" in err
         assert not out.exists()
 
+    def test_different_case_sets_refused(self, tmp_path, capsys):
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=3)
+        paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        assert main(["evaluate", "--gt-dir", str(tmp_path / "gt"), "--pred-dir",
+                     str(tmp_path / "pred"), "--out", paths[0], "--mode", "legacy"]) == 0
+        (tmp_path / "pred" / "case001.nii").unlink()
+        assert main(["evaluate", "--gt-dir", str(tmp_path / "gt"), "--pred-dir",
+                     str(tmp_path / "pred"), "--out", paths[1], "--mode", "legacy"]) == 1
+        capsys.readouterr()
+        out = tmp_path / "rank.csv"
+        code = main(["rank", "--inputs", *paths, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: solution b covers a different case set than solution a: "
+                       "missing ['case001'], extra []\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("manifest,inputs", [
         ([], ["a/sol.csv", "b/sol.csv", "other.csv"]),
         ([("sol", "a/sol.csv"), ("sol", "b/sol.csv"), ("other", "other.csv")], []),
@@ -737,6 +754,8 @@ class TestSynthCommands:
         ' "shells": [[2]]}]}',
         '{"dims": [40000, 4, 4], "lesions": [{"center": [8, 2, 2], "radii": [1, 1, 1]}]}',
         '{"dims": [1000000000000, 4, 4], "lesions": [{"center": [8, 2, 2], "radii": [1, 1, 1]}]}',
+        '{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [3, 3, 3]}],'
+        ' "perturbation": {"kind": "bogus"}}',
     ], ids=["no-lesions", "not-json", "no-radii", "not-object", "zero-radius",
             "negative-radius", "nan-radius", "zero-shell-scale", "erode-0-iterations",
             "zero-fp-radius", "string-radius", "string-center", "string-dim",
@@ -744,7 +763,7 @@ class TestSynthCommands:
             "fractional-shift", "string-iterations", "bool-fp-center",
             "fractional-fp-label", "infinite-drop-index", "huge-center",
             "perturbation-not-object", "shell-label-256", "one-entry-shell",
-            "dim-past-nifti-limit", "dim-past-memory"])
+            "dim-past-nifti-limit", "dim-past-memory", "unknown-kind"])
     def test_malformed_phantom_spec_config_error(self, tmp_path, capsys, text):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(text)

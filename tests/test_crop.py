@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from bratskit.cores import Tasks
 from bratskit.errors import IncompatibleGeometryError
 from bratskit.fusion import staple_binary
 from bratskit.metrics import (
@@ -23,8 +22,6 @@ from bratskit.metrics import (
     _hd95,
     _lesionwise_region,
     _match_clusters,
-    _settled,
-    _settled_report,
     case_metrics_legacy,
     case_metrics_lesionwise,
     hd95,
@@ -379,16 +376,13 @@ def test_clusters_give_the_one_box_answer(seed):
     for region in REGIONS:
         a, b = extract_region(gt, region), extract_region(pred, region)
         whole = [((0, 0, 0), a, b)]
-        with Tasks() as tasks:
-            one_box_hd95 = _hd95(whole, tasks)
-        assert hd95(a, b) == _settled(one_box_hd95)
-        assert legacy[region] == MetricPair(_dice(whole), _settled(one_box_hd95))
+        one_box_hd95 = _hd95(whole)
+        assert hd95(a, b) == one_box_hd95
+        assert legacy[region] == MetricPair(_dice(whole), one_box_hd95)
         for k in (0, 2, 8, 9):
             for conn in Connectivity:
                 params = MatchParams(k, conn)
-                with Tasks() as tasks:
-                    report = _match_clusters(whole, params, gt.geometry.dims, tasks)
-                report = _settled_report(report)
+                report = _match_clusters(whole, params, gt.geometry.dims)
                 one_box = (_lesionwise_region(report), report)
                 assert lesion_match(a, b, params) == one_box[1]
                 case, reports = case_metrics_lesionwise(gt, pred, params)

@@ -1,6 +1,4 @@
-import os
 import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +7,6 @@ from scipy import ndimage
 
 import bratskit.cores
 from bratskit import metrics
-from bratskit.cli import main
 from bratskit.metrics import (
     HD95_PENALTY,
     MatchParams,
@@ -26,7 +23,6 @@ from bratskit.metrics import (
 )
 from bratskit.errors import IncompatibleGeometryError, ValidationError
 from bratskit.morphology import Connectivity
-from bratskit.nifti import write_volume
 from bratskit.phantom import (
     Lesion,
     Perturbation,
@@ -728,7 +724,7 @@ def test_mean_rows_average_the_written_strings():
 
 
 def on_cores(monkeypatch, n):
-    """The package sees `n` usable cores, so a call runs up to `n` search threads."""
+    """The package sees `n` usable cores."""
     monkeypatch.setattr(bratskit.cores, "usable_cores", lambda: n)
 
 
@@ -746,10 +742,8 @@ def threads_case(spacing=(1.0, 1.0, 1.0)):
 
 
 class TestSearchThreads:
-    """Tree searches are tasks of one call's `cores.Tasks`, on up to one
-    thread per usable core. The bytes do not depend on the thread count, no
-    thread outlives the call, and the first failed search in submission order
-    is raised."""
+    """Every search runs on the thread of the call that asks for it: the
+    bytes do not depend on the usable core count, and no thread starts."""
 
     @pytest.fixture
     def seen(self, monkeypatch):
@@ -764,121 +758,34 @@ class TestSearchThreads:
         return threads
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)])
-    def test_rows_do_not_depend_on_the_thread_count(self, monkeypatch, seen, spacing):
+    def test_rows_do_not_depend_on_the_core_count(self, monkeypatch, seen, spacing):
         gt, pred = threads_case(spacing)
         calls = (lambda: metrics_rows(case_metrics_legacy(gt, pred, "c")),
                  lambda: metrics_rows(*case_metrics_lesionwise(gt, pred, case_id="c")))
         rows = {}
-        for threads in (1, 2, 3):
-            on_cores(monkeypatch, threads)
-            rows[threads] = []
+        for cores in (1, 2, 3):
+            on_cores(monkeypatch, cores)
+            rows[cores] = []
             for call in calls:
                 seen.clear()
                 before = threading.active_count()
-                rows[threads] += call()
+                rows[cores] += call()
                 assert threading.active_count() == before
-                workers = {t for t, _ in seen if t is not threading.main_thread()}
-                assert 0 < len(workers) <= threads if threads > 1 else workers == set()
-                if threads == 1:  # no thread starts
-                    assert seen and {alive for _, alive in seen} == {before}
+                assert seen and {(t, alive) for t, alive in seen} == {(threading.main_thread(), before)}
         assert rows[1] == rows[2] == rows[3]
         legacy = case_metrics_legacy(gt, pred).per_region
         for region in REGIONS:
             a, b = extract_region(gt, region).bits, extract_region(pred, region).bits
             assert legacy[region].hd95 == edt_hd95(a, b, spacing)
 
-    def test_hd95_and_lesion_match_on_threads(self, monkeypatch, seen):
+    def test_hd95_and_lesion_match_on_the_calling_thread(self, monkeypatch, seen):
         gt, pred = threads_case()
         pairs = [(extract_region(gt, r), extract_region(pred, r)) for r in REGIONS]
         want = {}
-        for threads in (1, 3):
-            on_cores(monkeypatch, threads)
+        for cores in (1, 3):
+            on_cores(monkeypatch, cores)
             before = threading.active_count()
-            want[threads] = [(hd95(a, b), lesion_match(a, b)) for a, b in pairs]
+            want[cores] = [(hd95(a, b), lesion_match(a, b)) for a, b in pairs]
             assert threading.active_count() == before
         assert want[1] == want[3]
-        assert any(t is not threading.main_thread() for t, _ in seen)
-
-    def test_the_first_failed_search_in_submission_order_is_raised(self, monkeypatch):
-        class SearchFailed(Exception):
-            pass
-
-        submitted = []
-
-        class Pool(bratskit.cores.ThreadPoolExecutor):
-            def submit(self, fn, *args):
-                submitted.append(args[0])
-                return super().submit(fn, *args)
-
-        def failing(src, *args):
-            if src is submitted[0]:
-                time.sleep(0.05)  # the first search fails last
-            raise SearchFailed(id(src))
-
-        on_cores(monkeypatch, 3)
-        force_tree(monkeypatch)
-        monkeypatch.setattr(bratskit.cores, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(metrics, "_directed_p95", failing)
-        gt, pred = threads_case()
-        a, b = extract_region(gt, Region.WT), extract_region(pred, Region.WT)
-        for score in (lambda: case_metrics_legacy(gt, pred), lambda: case_metrics_lesionwise(gt, pred),
-                      lambda: hd95(a, b), lambda: lesion_match(a, b)):
-            submitted.clear()
-            before = threading.active_count()
-            with pytest.raises(SearchFailed) as raised:
-                score()
-            assert len(submitted) > 1 and raised.value.args == (id(submitted[0]),)
-            assert threading.active_count() == before
-
-    @pytest.mark.parametrize("workers,cores", [(2, 2), (2, 4), (3, 7)])
-    def test_an_evaluate_worker_runs_its_share_of_the_cores(self, tmp_path, monkeypatch,
-                                                             workers, cores):
-        # Forked pool workers inherit these patches; each notes its pools and
-        # the threads of its searches in a file.
-        log = tmp_path / "threads.log"
-        core = metrics._directed_p95
-
-        def note(*words):
-            with open(log, "a") as fh:
-                fh.write(" ".join(map(str, (os.getpid(), *words))) + "\n")
-
-        class Pool(bratskit.cores.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                note("pool", max_workers)
-                super().__init__(max_workers)
-
-        def noting(*args):
-            note("search", threading.get_ident(), threading.current_thread() is threading.main_thread())
-            return core(*args)
-
-        on_cores(monkeypatch, cores)
-        force_tree(monkeypatch)
-        monkeypatch.setattr(bratskit.cores, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(metrics, "_directed_p95", noting)
-        for side in ("gt", "pred"):
-            (tmp_path / side).mkdir()
-        gt, pred = threads_case()
-        for i in range(2 * workers):
-            write_volume(gt, tmp_path / "gt" / f"c{i}.nii")
-            write_volume(pred, tmp_path / "pred" / f"c{i}.nii")
-        outs = []
-        for n in (1, workers):
-            outs.append(tmp_path / f"w{n}.csv")
-            assert main(["evaluate", "--gt-dir", str(tmp_path / "gt"), "--pred-dir",
-                         str(tmp_path / "pred"), "--out", str(outs[-1]), "--workers", str(n)]) == 0
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-        share = max(1, cores // workers)
-        pools, threads = {}, {}
-        for pid, kind, *words in (line.split() for line in log.read_text().splitlines()):
-            if pid != str(os.getpid()):  # the --workers 1 call ran in this process
-                threads.setdefault(pid, set())
-                if kind == "pool":
-                    pools.setdefault(pid, []).append(int(words[0]))
-                elif words[1] == "False":
-                    threads[pid].add(words[0])
-        assert threads
-        for pid, idents in threads.items():
-            if share == 1:
-                assert pid not in pools and idents == set()
-            else:
-                assert set(pools[pid]) == {share} and 0 < len(idents) <= share
+        assert seen and {t for t, _ in seen} == {threading.main_thread()}

@@ -123,16 +123,21 @@ def test_lesion_outside_dims_rejected():
     (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="add_fp", fp_label=256)),
     (Lesion((8, 8, 8), (3, 3, 3), shells=((2,),)), Perturbation()),
     (Lesion((8, 8, 8), (3, 3, 3), shells=((2, 1.0, 0.5),)), Perturbation()),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="drop_lesion", drop_index=1)),
+    (Lesion((8, 8, 8), (3, 3, 3)), Perturbation(kind="bogus")),
 ], ids=["zero-radius", "negative-radius", "nan-radius", "inf-radius", "zero-shell-scale",
         "negative-shell-scale", "erode-0-iterations", "erode-negative-iterations",
         "zero-fp-radius", "inf-fp-radius", "short-center", "long-center", "short-radii",
         "short-shift", "short-fp-center", "short-unused-shift", "fractional-drop-index",
         "fractional-fp-label", "fractional-shell-label", "negative-fp-label",
         "fractional-shift", "fractional-iterations", "shell-label-256", "fp-label-256",
-        "one-entry-shell", "three-entry-shell"])
+        "one-entry-shell", "three-entry-shell", "drop-index-past-the-last-lesion",
+        "unknown-kind"])
 def test_degenerate_spec_rejected(lesion, pert):
-    # Let through, each would build an empty, mirrored or whole-grid lesion, or
-    # (for a vector without 3 entries) one whose missing axes zip drops.
+    # Let through, each would build an empty, mirrored or whole-grid lesion,
+    # (for a vector without 3 entries) one whose missing axes zip drops, (for
+    # a drop_index past the last lesion) a prediction with nothing dropped, or
+    # (for an unknown kind) a bare UnboundLocalError.
     with pytest.raises(ValidationError):
         generate_phantom(PhantomSpec((16, 16, 16), (lesion,), pert))
 

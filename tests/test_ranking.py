@@ -168,6 +168,37 @@ def test_empty_case_set_rejected():
         rank_solutions(MetricTable(["A", "B"], [], {}))
 
 
+def test_no_solution_rejected():
+    with pytest.raises(ValidationError, match="need at least one solution"):
+        rank_solutions(MetricTable([], ["c1"], {}))
+
+
+def write_cases(path, cases):
+    """A complete legacy metrics CSV over `cases`."""
+    write_metrics_csv(path, [[case, "legacy", region.value, "0.500000", "1.000000", "", "", ""]
+                             for case in cases for region in REGIONS])
+    return path
+
+
+def test_different_case_sets_name_the_cases(tmp_path):
+    paths = {"a": write_cases(tmp_path / "a.csv", ["c1", "c2", "c3"]),
+             "b": write_cases(tmp_path / "b.csv", ["c4", "c2"])}
+    with pytest.raises(ValidationError, match=r"solution b covers a different case set than "
+                       r"solution a: missing \['c1', 'c3'\], extra \['c4'\]$"):
+        build_table(paths)
+
+
+def test_different_case_sets_name_ten_cases_of_each_kind(tmp_path):
+    paths = {"a": write_cases(tmp_path / "a.csv", [f"g{i:02}" for i in range(12)]),
+             "b": write_cases(tmp_path / "b.csv", [f"p{i:02}" for i in range(10)])}
+    with pytest.raises(ValidationError) as raised:
+        build_table(paths)
+    message = str(raised.value)
+    missing = [f"g{i:02}" for i in range(10)]
+    assert f"missing {missing}..., extra {[f'p{i:02}' for i in range(10)]}" in message
+    assert "g10" not in message and not message.endswith("...")
+
+
 def test_unknown_normalization_rejected(rng):
     table = make_table(rng, ["A", "B"], ["c1"])
     with pytest.raises(ValidationError, match="unknown normalization 'rank'"):

@@ -106,8 +106,8 @@ def test_every_counter_reads_a_real_result(tmp_path):
 
 def test_no_traced_layer_runs_on_a_worker_thread(tmp_path, monkeypatch):
     # A recorder keeps one span stack for the process, so a wrapped function
-    # called from one of mean fusion's slab threads, one of the metrics'
-    # search threads or one of the corrupt draw threads would corrupt it.
+    # called from one of mean fusion's slab threads or one of the corrupt
+    # draw threads would corrupt it.
     spans = load_spans()
     threads = []
     targets = [getattr(importlib.import_module(f"bratskit.{m}"), f) for m, f, _ in spans.PASS_LAYERS]
@@ -129,7 +129,7 @@ def test_no_traced_layer_runs_on_a_worker_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(bratskit.cores, "usable_cores", lambda: 3)
     average_fusion([open_region_prob(p) for p in paths])
     staple_fusion([gt, pred, gt])
-    # Surfaces large enough for the k-d tree, so that searches run on threads.
+    # Surfaces large enough for the k-d tree: every search runs on the calling thread.
     searched, search = [], bratskit.metrics._directed_p95
     monkeypatch.setattr(bratskit.metrics, "_directed_p95",
                         lambda *args: searched.append(threading.current_thread()) or search(*args))
@@ -138,7 +138,7 @@ def test_no_traced_layer_runs_on_a_worker_thread(tmp_path, monkeypatch):
         Perturbation("shift", shift=(1, 1, 0))))
     bratskit.metrics.case_metrics_legacy(big_gt, big_pred)
     bratskit.metrics.case_metrics_lesionwise(big_gt, big_pred)
-    assert any(t is not threading.main_thread() for t in searched)
+    assert searched and set(searched) == {threading.main_thread()}
     # The corrupt draws run as two tasks, off the main thread on 3 cores.
     drawn = []
     for name in ("_normal_draws", "_replacement_draws"):

@@ -201,6 +201,19 @@ class TestVolumeTypes:
         assert LabelVolume(g, ones.astype(np.uint8)) != BinaryMask(g, ones.astype(bool))
         assert LabelVolume(g, ones.astype(np.uint8)) != ScalarVolume(g, ones)
 
+    def test_label_outside_the_four_labels_rejected(self):
+        vox = np.zeros((2, 2, 2), np.uint8)
+        vox[1, 0, 1] = 4
+        with pytest.raises(ValidationError, match=r"label value 4 outside \{0,1,2,3\}"):
+            LabelVolume(Geometry((2, 2, 2)), vox)
+
+    def test_mask_is_not_written(self, tmp_path):
+        mask = BinaryMask(Geometry((2, 2, 2)), np.ones((2, 2, 2), bool))
+        path = tmp_path / "m.nii"
+        with pytest.raises(ValidationError, match="unsupported volume type BinaryMask"):
+            write_volume(mask, path)
+        assert not path.exists()
+
     def test_legacy_remapped_not_compared(self):
         g = Geometry((2, 2, 2))
         vox = np.full((2, 2, 2), 3, np.uint8)
