@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import functools
 import json
@@ -290,7 +291,19 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _steady_heap():
+    """Fix glibc's mmap and trim thresholds at 32 MiB, once per process. Left
+    to move, they let a process's first frees decide whether later commands
+    reuse freed grid-sized buffers or fault them in again, 30% slower."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt:  # glibc
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None):
+    _steady_heap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

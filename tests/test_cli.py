@@ -3,8 +3,12 @@ import csv
 import dataclasses
 import inspect
 import json
+import os
+import platform
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -209,6 +213,35 @@ class TestEvaluate:
         assert err.startswith("error:") and "workers" in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+    def test_later_calls_reuse_the_heap(self, tmp_path):
+        # With glibc's moving thresholds a process may give every freed
+        # grid-sized buffer back to the kernel and fault its pages in again on
+        # the next call (about 1,500 faults a call on this case); with them
+        # fixed, every call after the first finds its buffers in the heap.
+        spec = PhantomSpec((240, 240, 155), (Lesion((80, 90, 70), (20, 16, 14)),
+                                             Lesion((160, 150, 90), (10, 12, 9))),
+                           Perturbation(kind="shift", shift=(2, 0, 0)))
+        for sub, volume in zip(("gt", "pred"), generate_phantom(spec)):
+            (tmp_path / sub).mkdir()
+            write_volume(volume, tmp_path / sub / "c.nii")
+        argv = ["evaluate", "--gt-dir", str(tmp_path / "gt"), "--pred-dir", str(tmp_path / "pred"),
+                "--out", str(tmp_path / "m.csv")]
+        code = f"""
+import contextlib, io, resource, bratskit.cli
+faults = []
+for mode in ["lesionwise", "legacy"] * 3:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert bratskit.cli.main({argv!r} + ["--mode", mode]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(max(faults[2:]))
+"""
+        src = str(Path(bratskit.cli.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert int(out.stdout) < 200
 
     def test_missing_dir_config_error(self, tmp_path, capsys):
         code = main(["evaluate", "--gt-dir", str(tmp_path / "nope"),
