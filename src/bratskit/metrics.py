@@ -4,8 +4,8 @@ Empty-mask conventions: both masks empty -> DSC 1, HD95 0; exactly one empty ->
 DSC 0, HD95 374. The same 374 penalty is charged per unmatched lesion in the
 lesion-wise mode.
 
-HD95 counts each voxel on both surfaces as a 0.0 distance in both directions
-and searches only from the others, on the calling thread.
+HD95 is two stages: `_hd95` counts voxels on both surfaces as 0.0 and skips the
+searches they settle; `_directed_p95` picks and runs a search, on the calling thread.
 """
 
 from __future__ import annotations
@@ -108,16 +108,6 @@ def _p95(x, zeros=0):
     return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
-def _exact(spacing):
-    """Whether every spacing is an integer of at most 512 mm (`_directed_p95`)."""
-    return all(float(s).is_integer() and s <= 512 for s in spacing)
-
-
-def _all_pairs(src, dst, spacing):
-    """Whether every (src, dst) pair is scored, rather than a k-d tree built."""
-    return len(src) * len(dst) <= (_ALL_PAIRS_MAX_EXACT if _exact(spacing) else _ALL_PAIRS_MAX)
-
-
 def _directed_p95(src, dst, spacing, zeros=0):
     """95th percentile (linear interpolation, `_p95`) of the distances (mm)
     from each src point, and from `zeros` more points that dst holds, to the
@@ -131,29 +121,24 @@ def _directed_p95(src, dst, spacing, zeros=0):
     offsets have equal sums and the tree's distance is the correctly rounded
     root of the sum the EDT takes. On other grids offsets of equal length can
     round one bit apart and the EDT keeps the lesser, so the tree path
-    searches every dst point tied with the nearest and keeps the least sum."""
-    if _all_pairs(src, dst, spacing):
+    searches every dst point tied with the nearest and keeps the least sum.
+    Up to `_ALL_PAIRS_MAX_EXACT` (exact grid) or `_ALL_PAIRS_MAX` pairs, every
+    (src, dst) pair is scored instead; `_hd95` skips the needless searches."""
+    exact = all(float(s).is_integer() and s <= 512 for s in spacing)
+    if len(src) * len(dst) <= (_ALL_PAIRS_MAX_EXACT if exact else _ALL_PAIRS_MAX):
         # one (src x dst) plane per axis keeps the temporaries small
         sq = sum(((src[:, None, i] - dst[None, :, i]) * s) ** 2 for i, s in enumerate(spacing))
         sq = sq.min(axis=1)
     else:
         tree = cKDTree(dst * spacing)
         near, _ = tree.query(src * spacing)
-        if _exact(spacing):
+        if exact:
             return _p95(near, zeros)
         ties = tree.query_ball_point(src * spacing, near * (1 + 1e-9), return_sorted=False)
         counts = [len(t) for t in ties]
         offsets = src.repeat(counts, axis=0) - dst[np.concatenate(ties)]
         sq = np.minimum.reduceat(((offsets * spacing) ** 2).sum(axis=1), np.cumsum(counts) - counts)
     return _p95(np.sqrt(sq), zeros)
-
-
-def _directed(src, dst, spacing, zeros):
-    """The directed search `_directed_p95`, or 0.0 with no search when both
-    p95 ranks read shared points."""
-    if _ranks(len(src) + zeros)[1] < zeros:
-        return 0.0
-    return _directed_p95(src, dst, spacing, zeros)
 
 
 def hd95(a: BinaryMask, b: BinaryMask) -> float:
@@ -168,8 +153,8 @@ def _hd95(pairs):
     box: the surface points of every pair, shifted by its origin to grid
     coordinates, scored together. A voxel on both surfaces is exactly 0.0
     from the other, so each direction counts those and searches from the
-    rest (`_directed`)."""
-    points, alone, shared = ([], []), ([], []), [0, 0]
+    rest (`_directed_p95`), or reads 0.0 unsearched if both p95 ranks do."""
+    points, alone, shared = ([], []), ([], []), 0
     for origin, a, b in pairs:
         surfaces = [surface_voxels(m).bits if m.any() else None for m in (a, b)]
         for side, (mine, theirs) in enumerate((surfaces, surfaces[::-1])):
@@ -180,15 +165,17 @@ def _hd95(pairs):
             both = np.zeros(len(p), bool) if theirs is None else theirs[mine]
             points[side].append(p)
             alone[side].append(p[~both])
-            shared[side] += int(np.count_nonzero(both))
+            shared += int(np.count_nonzero(both))
+    shared //= 2  # each voxel on both surfaces was counted once from each side
     if not points[0] and not points[1]:
         return 0.0
     if not points[0] or not points[1]:
         return HD95_PENALTY
     spacing = pairs[0][1].geometry.spacing
     sa, sb = (np.concatenate(p) for p in points)
-    return max(_directed(np.concatenate(alone[0]), sb, spacing, shared[0]),
-               _directed(np.concatenate(alone[1]), sa, spacing, shared[1]))
+    return max(0.0 if _ranks(len(src) + shared)[1] < shared
+               else _directed_p95(src, dst, spacing, shared)
+               for src, dst in ((np.concatenate(alone[0]), sb), (np.concatenate(alone[1]), sa)))
 
 
 def _clusters(x, y, reach):
