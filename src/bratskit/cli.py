@@ -67,7 +67,18 @@ def _evaluate_case(pair, mode, params):
         return case_id, [], str(exc)
 
 
+def _refuse_given(options, context):
+    """Refuse each option of `options` (dest: value, None when not given) that
+    was given, as the command would ignore it: never drop one in silence."""
+    for dest, value in options.items():
+        if value is not None:
+            raise ValidationError(f"--{dest.replace('_', '-')} does not apply to {context}")
+
+
 def cmd_evaluate(args):
+    match = {"dilation_iterations": args.dilation_iterations, "connectivity": args.connectivity}
+    if args.mode == "legacy":
+        _refuse_given(match, "--mode legacy")
     gt_dir = Path(args.gt_dir)
     pred_dir = Path(args.pred_dir)
     if not gt_dir.is_dir() or not pred_dir.is_dir():
@@ -81,7 +92,7 @@ def cmd_evaluate(args):
                  for cid, paths in clashes.items() if paths}
     paired = sorted((set(gt_files) & set(pred_files)) - set(ambiguous))
     unpaired = sorted((set(gt_files) ^ set(pred_files)) - set(ambiguous))
-    params = MatchParams(args.dilation_iterations, int(args.connectivity))
+    params = MatchParams(**{dest: int(value) for dest, value in match.items() if value is not None})
     jobs = [(cid, gt_files[cid][0], pred_files[cid][0]) for cid in paired]
 
     # A pool starts all its processes at its first submit: no more than there are jobs.
@@ -144,11 +155,8 @@ def _warn_unconverged(region, result):
 
 
 def cmd_fuse(args):
-    # An option the method would ignore is refused, not dropped in silence.
-    option, value = {"mean": ("--max-iters", args.max_iters),
-                     "staple": ("--prob-out", args.prob_out)}[args.method]
-    if value is not None:
-        raise ValidationError(f"{option} does not apply to --method {args.method}")
+    _refuse_given({"mean": {"max_iters": args.max_iters},
+                   "staple": {"prob_out": args.prob_out}}[args.method], f"--method {args.method}")
     if args.method == "mean":
         # Every header is checked before any channel is read, and every channel
         # is read before anything is written, so an output may name an input.
@@ -166,9 +174,11 @@ def cmd_fuse(args):
 
 
 def cmd_postprocess(args):
+    if args.scope == ThresholdScope.WholeRegion.value:
+        _refuse_given({"connectivity": args.connectivity}, "--scope whole_region")
     pred = read_volume(args.input, "label")
     spec = ThresholdSpec(args.wt, args.tc, args.et, args.scope)
-    out = apply_thresholds(pred, spec, int(args.connectivity))
+    out = apply_thresholds(pred, spec, int(args.connectivity or 26))
     if args.legacy_et_threshold is not None:
         legacy = ThresholdSpec(et=args.legacy_et_threshold, scope=ThresholdScope.WholeRegion)
         out = apply_thresholds(out, legacy)
@@ -234,8 +244,8 @@ def build_parser():
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=["legacy", "lesionwise"], default="lesionwise")
-    p.add_argument("--dilation-iterations", type=int, default=3)
-    p.add_argument("--connectivity", choices=["6", "26"], default="26")
+    p.add_argument("--dilation-iterations", type=int, help="lesion-wise only (default 3)")
+    p.add_argument("--connectivity", choices=["6", "26"], help="lesion-wise only (default 26)")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_evaluate)
 
@@ -263,7 +273,7 @@ def build_parser():
     p.add_argument("--et", type=int, default=0)
     p.add_argument("--scope", choices=[s.value for s in ThresholdScope],
                    default=ThresholdScope.PerComponent.value)
-    p.add_argument("--connectivity", choices=["6", "26"], default="26")
+    p.add_argument("--connectivity", choices=["6", "26"], help="per_component only (default 26)")
     p.add_argument("--legacy-et-threshold", type=int)
     p.set_defaults(func=cmd_postprocess)
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from .cores import Tasks
 from .errors import DegenerateInputError, IncompatibleGeometryError, PlacementError, ValidationError
-from .volume import (BinaryMask, Geometry, LabelVolume, ScalarVolume, common_geometry, integral,
-                     real, tumour_box)
+from .volume import (BinaryMask, Geometry, LabelVolume, ScalarVolume, _Volume, common_geometry,
+                     integral, real, require_probabilities, tumour_box)
 
 CROP_SIZE = 96
 
@@ -28,11 +28,19 @@ class TumourGeometry:
     max_size: int
 
 
-@dataclass(frozen=True)
-class CorruptionField:
+@dataclass(frozen=True, eq=False)
+class CorruptionField(_Volume):
+    """Replacement probability per crop voxel and the decay exponent it was
+    built with; the probabilities are checked as `RegionProbVolume`'s are."""
+
     geometry: Geometry
-    probs: np.ndarray  # shape = geometry.dims, values in [0, 1]
+    probs: np.ndarray  # float64, shape = geometry.dims, values in [0, 1]
     exponent: float
+
+    _payload = "probs"
+
+    def __post_init__(self):
+        require_probabilities(self._freeze(np.float64, self.geometry.dims, "probs"))
 
 
 @dataclass(frozen=True)

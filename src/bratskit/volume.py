@@ -120,8 +120,24 @@ class _Volume:
 
         A volume takes ownership of its array: when no cast is needed the
         caller's array is stored uncopied and made read-only, and a write
-        through another view of its buffer would change the volume."""
-        array = np.asarray(self.payload, dtype=dtype)
+        through another view of its buffer would change the volume. Only a
+        bool, integer or real payload is cast, and a cast to an integer
+        dtype must keep every value."""
+        try:
+            array = np.asarray(self.payload)
+        except ValueError as exc:  # a ragged nesting
+            raise ValidationError(f"{what} payload is not an array: {exc}") from None
+        if array.dtype != dtype:
+            if array.dtype.kind not in "biuf":
+                raise ValidationError(f"{what} payload must be bool, integer or real, "
+                                      f"got {array.dtype}")
+            # No cast warning: the label check below, or the volume type's own
+            # check, refuses what NaN, Inf or an overflow becomes.
+            with np.errstate(invalid="ignore", over="ignore"):
+                given, array = array, array.astype(dtype)
+            if array.dtype.kind == "u" and not np.array_equal(array, given):
+                raise ValidationError(f"{what} payload holds values that {array.dtype} "
+                                      "does not: a cast would change them")
         if array.shape != shape:
             raise ValidationError(f"{what} shape {array.shape} does not match {shape}")
         array.setflags(write=False)

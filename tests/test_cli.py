@@ -156,6 +156,30 @@ class TestEvaluate:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", [["--dilation-iterations", "7"], ["--connectivity", "6"],
+                                        ["--dilation-iterations", "3"], ["--connectivity", "26"]])
+    def test_legacy_refuses_the_lesion_match_options(self, tmp_path, capsys, option):
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=1)
+        out = tmp_path / "m.csv"
+        code = main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
+                     "--pred-dir", str(tmp_path / "pred"), "--out", str(out),
+                     "--mode", "legacy", *option])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert option[0] in err and "legacy" in err
+        assert not out.exists() and not out.with_suffix(".skipped.txt").exists()
+
+    def test_lesionwise_defaults_are_the_match_defaults(self, tmp_path):
+        write_corpus(tmp_path / "gt", tmp_path / "pred")
+        outputs = []
+        for option in ([], ["--dilation-iterations", "3", "--connectivity", "26"]):
+            out = tmp_path / f"m{len(outputs)}.csv"
+            assert main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
+                         "--pred-dir", str(tmp_path / "pred"), "--out", str(out), *option]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_huge_dilation_count_scores_as_the_grid_fill(self, tmp_path):
         # On a 16^3 grid, 48 steps already fill the grid from any lesion.
         gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
@@ -632,6 +656,32 @@ class TestPostprocessCommand:
             assert int((result.voxels == 1).sum()) == n_et
         else:
             assert out.read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("connectivity", ["6", "26"])
+    def test_whole_region_refuses_a_connectivity(self, tmp_path, capsys, connectivity):
+        src = tmp_path / "in.nii"
+        write_volume(labels_from_array(np.full((4, 4, 4), 3, np.uint8)), src)
+        out = tmp_path / "out.nii"
+        code = main(["postprocess", "--input", str(src), "--out", str(out), "--et", "100",
+                     "--scope", "whole_region", "--connectivity", connectivity])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "--connectivity" in err and "whole_region" in err
+        assert not out.exists()
+
+    def test_per_component_connectivity_defaults_to_26(self, tmp_path):
+        vox = np.zeros((8, 8, 8), np.uint8)
+        vox[2, 2, 2] = vox[3, 3, 3] = 3  # one 26-connected lesion, two 6-connected ones
+        src = tmp_path / "in.nii"
+        write_volume(labels_from_array(vox), src)
+        outputs = []
+        for option in ([], ["--connectivity", "26"], ["--connectivity", "6"]):
+            out = tmp_path / f"out{len(outputs)}.nii"
+            assert main(["postprocess", "--input", str(src), "--out", str(out),
+                         "--et", "2", *option]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == src.read_bytes() != outputs[2]
 
     @pytest.mark.parametrize("flag", ["--wt", "--tc", "--et", "--legacy-et-threshold"])
     def test_negative_threshold_config_error(self, tmp_path, capsys, flag):

@@ -12,6 +12,7 @@ from bratskit.errors import (DegenerateInputError, IncompatibleGeometryError, Pl
                              ValidationError)
 from bratskit.synthprep import (
     CROP_SIZE,
+    CorruptionField,
     LambdaPair,
     TumourGeometry,
     build_corruption_field,
@@ -190,6 +191,28 @@ class TestCorruptionField:
         geom = tumour_geometry(labels_from_array(vox))
         with pytest.raises(ValidationError):
             build_corruption_field(geom, Geometry((64, 64, 64)))
+
+    @pytest.mark.parametrize("probs", [np.zeros((2, 2, 2)), np.full((4, 4, 4), "x"),
+                                       np.full((4, 4, 4), np.nan), np.full((4, 4, 4), 7.0),
+                                       np.full((4, 4, 4), -0.5)],
+                             ids=["shape", "str", "nan", "above-1", "below-0"])
+    def test_hand_built_field_checked(self, probs):
+        with pytest.raises(ValidationError, match="probs|probabilit"):
+            CorruptionField(Geometry((4, 4, 4)), probs, 1.1)
+
+    def test_field_is_float64_and_read_only(self):
+        field = CorruptionField(Geometry((4, 4, 4)), np.full((4, 4, 4), 0.5, np.float32), 1.1)
+        assert field.probs.dtype == np.float64 and not field.probs.flags.writeable
+        built = self.field(40)
+        assert not built.probs.flags.writeable
+        assert CorruptionField(built.geometry, built.probs, built.exponent).probs is built.probs
+
+    def test_corrupt_crop_refuses_a_small_grid(self, rng):
+        g = Geometry((10, 10, 10))
+        image = ScalarVolume(g, rng.standard_normal(g.dims).astype(np.float32))
+        field = CorruptionField(g, np.full(g.dims, 0.5), 1.1)
+        with pytest.raises(ValidationError, match=r"crop inputs must be 96\^3"):
+            corrupt_crop(image, labels_from_array(np.ones(g.dims, np.uint8)), field, 0)
 
 
 def crop_inputs(rng, tumour_slice=None):

@@ -207,6 +207,43 @@ class TestVolumeTypes:
         with pytest.raises(ValidationError, match=r"label value 4 outside \{0,1,2,3\}"):
             LabelVolume(Geometry((2, 2, 2)), vox)
 
+    @pytest.mark.parametrize("value", [257, -255, 1.7, 3.5, np.nan, np.inf, 1e300])
+    def test_a_cast_that_changes_a_label_is_refused(self, value):
+        payload = np.zeros((2, 2, 2), np.asarray(value).dtype)
+        payload[1, 0, 1] = value
+        with pytest.raises(ValidationError, match="label"):
+            LabelVolume(Geometry((2, 2, 2)), payload)
+
+    @pytest.mark.parametrize("payload", [np.arange(8, dtype=np.int64) % 4,
+                                         np.arange(8, dtype=np.float64) % 4,
+                                         np.arange(8) % 2 == 1, [0, 1, 2, 3, 3, 2, 1, 0]])
+    def test_a_cast_that_keeps_every_label_is_accepted(self, payload):
+        vol = LabelVolume(Geometry((8, 1, 1)), np.reshape(payload, (8, 1, 1)))
+        assert vol.voxels.dtype == np.uint8
+        assert vol.voxels.ravel().tolist() == np.asarray(payload, np.int64).tolist()
+
+    def test_a_mask_cast_keeps_nonzero_is_true(self):
+        mask = BinaryMask(Geometry((4, 1, 1)), np.array([0.0, 0.5, -2.0, np.nan]).reshape(4, 1, 1))
+        assert mask.bits.ravel().tolist() == [False, True, True, True]
+
+    TYPES = {"label": (LabelVolume, ()), "scalar": (ScalarVolume, ()),
+             "mask": (BinaryMask, ()), "region_prob": (RegionProbVolume, (3,))}
+
+    @pytest.mark.parametrize("payload", ["x", None, [[0, 0], [0]], {"a": 0}, object(),
+                                         np.zeros((2, 1, 1), complex)],
+                             ids=["str", "None", "ragged", "dict", "object", "complex"])
+    @pytest.mark.parametrize("kind", sorted(TYPES))
+    def test_a_payload_that_cannot_be_cast_is_refused(self, kind, payload):
+        make, _ = self.TYPES[kind]
+        with pytest.raises(ValidationError):
+            make(Geometry((2, 1, 1)), payload)
+
+    @pytest.mark.parametrize("kind", ["scalar", "region_prob"])
+    def test_a_float_cast_that_overflows_is_refused(self, kind):
+        make, channels = self.TYPES[kind]
+        with pytest.raises(ValidationError):
+            make(Geometry((2, 1, 1)), np.full(channels + (2, 1, 1), 1e300))
+
     def test_mask_is_not_written(self, tmp_path):
         mask = BinaryMask(Geometry((2, 2, 2)), np.ones((2, 2, 2), bool))
         path = tmp_path / "m.nii"
