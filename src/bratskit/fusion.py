@@ -47,9 +47,9 @@ def average_fusion(maps: Iterable[RegionProbVolume]):
     """Channelwise mean of the probability maps, binarized at >= 0.5 and
     reconstructed into a label volume.
 
-    A map is a RegionProbVolume or anything with its `geometry` and
-    `channels` indexable as `[c, :, :, z0:z1]`, such as
-    `nifti.RegionProbFile`, which reads those planes from disk when indexed.
+    A map is a RegionProbVolume or anything with its `geometry` and its
+    `planes(c, z0, z1)`, such as `nifti.RegionProbFile`, which reads those
+    planes from disk when asked for them.
     The grid is fused in slabs of `_SLAB_PLANES` z-planes, one `cores.Tasks`
     task each, submitted in z order. In each slab the maps' channels are
     summed in input order into a float64 accumulator, divided once and cast
@@ -82,11 +82,10 @@ def _fuse_slab(maps, fused, voxels, z0):
     z1 = min(z0 + _SLAB_PLANES, nz)
     slab, acc = fused[:, :, :, z0:z1], np.empty((nx, ny, z1 - z0), np.float64, order="F")
     for c in range(3):
-        key = (c, slice(None), slice(None), slice(z0, z1))
         # The first map is copied, not added to zeros, which would turn -0.0 into 0.0.
-        np.copyto(acc, maps[0].channels[key])
+        np.copyto(acc, maps[0].planes(c, z0, z1))
         for m in maps[1:]:
-            acc += m.channels[key]
+            acc += m.planes(c, z0, z1)
         # The float64 quotient, cast once to float32 as it is stored.
         np.divide(acc, len(maps), out=slab[c], casting="unsafe")
     # Flat views: np.take into a 3-D F-ordered `out` goes through a C-ordered copy.

@@ -232,9 +232,8 @@ def lesion_match(gt_mask: BinaryMask, pred_mask: BinaryMask,
     The masks are split into lesion clusters more than
     max(8, dilation_iterations) steps apart (`morphology.lesion_clusters`),
     and each cluster is matched on its own box; the ids are those of the
-    whole grid.
+    whole grid. The split refuses masks on two grids.
     """
-    gt_mask.geometry.require_compatible(pred_mask.geometry)
     return _match_clusters(_tight(_clusters(gt_mask, pred_mask, params.dilation_iterations)),
                            params, gt_mask.geometry.dims)
 

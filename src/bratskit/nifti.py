@@ -8,8 +8,8 @@ Label volumes are 3D uint8; scalar volumes 3D float32; region-probability
 volumes 4D float32 with the 4th dimension of size 3 (channel order WT, TC, ET).
 Every payload is read once into a new read-only array, in the file's
 x-fastest (F) order; legacy label 4 is remapped in place. A region-probability
-file can also be opened and read one channel, or a slab of z-planes of one
-channel, at a time (`open_region_prob`): its channels are indexed as those
+file can also be opened and read one slab of z-planes of one channel at a
+time (`open_region_prob`): it has the `geometry` and the `planes(c, z0, z1)`
 of a volume in memory, and each read opens and closes the file.
 A payload already in file order is written without a copy.
 """
@@ -194,40 +194,31 @@ def read_volume(path, kind):
     return spec.volume(geometry, payload)
 
 
-class _FileChannels:
-    """The channels of a region-probability file, indexed like
-    `RegionProbVolume.channels`: `[c]` reads channel c and `[c, :, :, z0:z1]`
-    its planes z0 to z1 from the file, in file order, and checks them against
-    the [0, 1] rule. Each read opens the file and closes it again, whether
-    the read succeeds or fails."""
-
-    def __init__(self, path, geometry, offset):
-        self.path, self.geometry, self.offset = path, geometry, offset
-
-    def __getitem__(self, key):
-        c, *rest = key if isinstance(key, tuple) else (key,)
-        if rest and (len(rest) != 3 or rest[:2] != [slice(None)] * 2
-                     or not isinstance(rest[2], slice) or rest[2].step not in (None, 1)):
-            raise IndexError(f"file channels are indexed [c] or [c, :, :, z0:z1], got {key!r}")
-        nx, ny, nz = self.geometry.dims
-        planes = range(nz)[rest[2] if rest else slice(None)]
-        dtype = _KINDS["region_prob"].dtype
-        offset = self.offset + (range(3)[c] * nz + planes.start) * nx * ny * dtype.itemsize
-        return require_probabilities(_read_range(self.path, offset, (nx, ny, len(planes)), dtype))
-
-
 class RegionProbFile(NamedTuple):
     """A region-probability file with a checked header and length. It has the
-    `geometry` and `channels` of a RegionProbVolume, but holds no voxels: each
-    `channels[c]` or `channels[c, :, :, z0:z1]` is read from the file when
-    indexed."""
+    `geometry` and `planes` of a RegionProbVolume, but holds no voxels: each
+    slab is read from the payload at byte `offset` when asked for."""
 
+    path: str | os.PathLike
     geometry: Geometry
-    channels: _FileChannels
+    offset: int
+
+    def planes(self, c, z0, z1):
+        """Planes z0 to z1 of channel c, read from the file in file order and
+        checked against the [0, 1] rule. Each read opens the file and closes
+        it again, whether the read succeeds or fails. A range outside one
+        channel's planes, which would read another channel's bytes, is refused."""
+        nx, ny, nz = self.geometry.dims
+        if not (c in range(3) and z0 in range(nz + 1) and z1 in range(z0, nz + 1)):
+            raise ValidationError(f"cannot read planes {z0} to {z1} of channel {c}: "
+                                  f"a file has channels 0 to 2 of {nz} planes each")
+        dtype = _KINDS["region_prob"].dtype
+        offset = self.offset + (c * nz + z0) * nx * ny * dtype.itemsize
+        return require_probabilities(_read_range(self.path, offset, (nx, ny, z1 - z0), dtype))
 
 
 def open_region_prob(path):
     """Check a region-probability file's header and length, as `read_volume`
-    does, reading only the header; its channels are read when indexed."""
+    does, reading only the header; its planes are read when asked for."""
     _, geometry, offset = _checked_header(path, "region_prob")
-    return RegionProbFile(geometry, _FileChannels(path, geometry, offset))
+    return RegionProbFile(path, geometry, offset)

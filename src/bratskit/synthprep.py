@@ -30,12 +30,11 @@ class TumourGeometry:
 
 @dataclass(frozen=True, eq=False)
 class CorruptionField(_Volume):
-    """Replacement probability per crop voxel and the decay exponent it was
-    built with; the probabilities are checked as `RegionProbVolume`'s are."""
+    """Replacement probability per crop voxel, checked as `RegionProbVolume`'s
+    probabilities are."""
 
     geometry: Geometry
     probs: np.ndarray  # float64, shape = geometry.dims, values in [0, 1]
-    exponent: float
 
     _payload = "probs"
 
@@ -108,8 +107,7 @@ def build_corruption_field(geom: TumourGeometry, crop_geometry: Geometry) -> Cor
     center = CROP_SIZE // 2
     table = replacement_probability(np.sqrt(np.arange(3 * center**2 + 1.0)), exponent)
     squares = (np.arange(CROP_SIZE) - center) ** 2
-    return CorruptionField(crop_geometry, table[squares[:, None, None] + squares[:, None] + squares],
-                           exponent)
+    return CorruptionField(crop_geometry, table[squares[:, None, None] + squares[:, None] + squares])
 
 
 def _minmax_to_unit_range(values):

@@ -189,6 +189,10 @@ class RegionProbVolume(_Volume):
     def __post_init__(self):
         require_probabilities(self._freeze(np.float32, (3,) + self.geometry.dims, "channels"))
 
+    def planes(self, c, z0, z1):
+        """Planes z0 to z1 of channel c, the slab `nifti.RegionProbFile` reads."""
+        return self.channels[c, :, :, z0:z1]
+
 
 def require_probabilities(array):
     """Refuse region probabilities outside [0, 1], NaN included; return the array."""

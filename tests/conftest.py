@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import bratskit.cores
 from bratskit.volume import BinaryMask, Geometry, LabelVolume
 
 
@@ -14,6 +15,11 @@ def mask_from_coords(dims, coords, spacing=(1.0, 1.0, 1.0)):
 def labels_from_array(array, spacing=(1.0, 1.0, 1.0)):
     array = np.asarray(array, dtype=np.uint8)
     return LabelVolume(Geometry(array.shape, spacing), array)
+
+
+def on_cores(monkeypatch, n):
+    """The package sees `n` usable cores, so a `cores.Tasks` call runs up to `n` threads."""
+    monkeypatch.setattr(bratskit.cores, "usable_cores", lambda: n)
 
 
 # Memory layouts a caller may hand a volume type: C order, F order, the first

@@ -9,7 +9,6 @@ import pytest
 
 from bratskit.cli import main
 from bratskit.errors import FormatError, IncompatibleGeometryError, ValidationError
-import bratskit.cores
 import bratskit.fusion
 from bratskit.fusion import (
     MAX_RATERS,
@@ -23,7 +22,7 @@ from bratskit.nifti import VOX_OFFSET, open_region_prob, read_volume, write_volu
 from bratskit.regions import CODE_LABEL, REGIONS, Region, extract_region, reconstruct_labels
 from bratskit.volume import BinaryMask, Geometry, LabelVolume, RegionProbVolume, tumour_box
 
-from conftest import LAYOUTS, labels_from_array, relaid
+from conftest import LAYOUTS, labels_from_array, on_cores, relaid
 from oracles import brute_labels, staple_em_oracle
 
 
@@ -152,10 +151,6 @@ def written_maps(maps, directory):
         write_volume(m, path)
     return paths
 
-
-def on_cores(monkeypatch, n):
-    """Mean fusion sees `n` usable cores, so it runs up to `n` threads."""
-    monkeypatch.setattr(bratskit.cores, "usable_cores", lambda: n)
 
 
 def set_voxel(path, dims, c, voxel, value):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-import bratskit.cores
 from bratskit import metrics
 from bratskit.metrics import (
     HD95_PENALTY,
@@ -33,7 +32,7 @@ from bratskit.phantom import (
 from bratskit.regions import REGIONS, Region, extract_region
 from bratskit.volume import BinaryMask, Geometry, LabelVolume
 
-from conftest import labels_from_array, mask_from_coords
+from conftest import labels_from_array, mask_from_coords, on_cores
 from oracles import (
     NEIGHBOURS_6,
     NEIGHBOURS_26,
@@ -722,10 +721,6 @@ def test_mean_rows_average_the_written_strings():
     ]
     assert mean_rows([], "legacy") == []
 
-
-def on_cores(monkeypatch, n):
-    """The package sees `n` usable cores."""
-    monkeypatch.setattr(bratskit.cores, "usable_cores", lambda: n)
 
 
 def threads_case(spacing=(1.0, 1.0, 1.0)):

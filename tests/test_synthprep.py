@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bratskit.cores
 from bratskit.errors import (DegenerateInputError, IncompatibleGeometryError, PlacementError,
                              ValidationError)
 from bratskit.synthprep import (
@@ -27,7 +26,7 @@ from bratskit.synthprep import (
 )
 from bratskit.volume import BinaryMask, Geometry, LabelVolume, ScalarVolume
 
-from conftest import LAYOUTS, labels_from_array
+from conftest import LAYOUTS, labels_from_array, on_cores
 from oracles import brute_corrupt
 
 CROP_GEOM = Geometry((CROP_SIZE,) * 3)
@@ -151,8 +150,7 @@ class TestCorruptionField:
         assert expected == pytest.approx(0.0297, abs=1e-3)
 
     def test_pointwise_formula(self):
-        field = self.field(40)
-        e = field.exponent
+        field, e = self.field(40), decay_exponent(40)
         for p in [(10, 20, 30), (48, 48, 0), (90, 48, 48)]:
             d = math.dist(p, (48, 48, 48))
             assert field.probs[p] == pytest.approx(replacement_probability(d, e))
@@ -163,7 +161,8 @@ class TestCorruptionField:
         c = np.arange(CROP_SIZE) - 48
         dist = np.sqrt(c[:, None, None] ** 2 + c[None, :, None] ** 2 + c[None, None, :] ** 2)
         distances, first = np.unique(dist, return_index=True)
-        expected = [replacement_probability(float(d), field.exponent) for d in distances]
+        expected = [replacement_probability(float(d), decay_exponent(max_size))
+                    for d in distances]
         assert field.probs.ravel()[first].tolist() == expected
 
     def test_field_equals_the_distance_grid_formula_at_every_size(self):
@@ -198,19 +197,19 @@ class TestCorruptionField:
                              ids=["shape", "str", "nan", "above-1", "below-0"])
     def test_hand_built_field_checked(self, probs):
         with pytest.raises(ValidationError, match="probs|probabilit"):
-            CorruptionField(Geometry((4, 4, 4)), probs, 1.1)
+            CorruptionField(Geometry((4, 4, 4)), probs)
 
     def test_field_is_float64_and_read_only(self):
-        field = CorruptionField(Geometry((4, 4, 4)), np.full((4, 4, 4), 0.5, np.float32), 1.1)
+        field = CorruptionField(Geometry((4, 4, 4)), np.full((4, 4, 4), 0.5, np.float32))
         assert field.probs.dtype == np.float64 and not field.probs.flags.writeable
         built = self.field(40)
         assert not built.probs.flags.writeable
-        assert CorruptionField(built.geometry, built.probs, built.exponent).probs is built.probs
+        assert CorruptionField(built.geometry, built.probs).probs is built.probs
 
     def test_corrupt_crop_refuses_a_small_grid(self, rng):
         g = Geometry((10, 10, 10))
         image = ScalarVolume(g, rng.standard_normal(g.dims).astype(np.float32))
-        field = CorruptionField(g, np.full(g.dims, 0.5), 1.1)
+        field = CorruptionField(g, np.full(g.dims, 0.5))
         with pytest.raises(ValidationError, match=r"crop inputs must be 96\^3"):
             corrupt_crop(image, labels_from_array(np.ones(g.dims, np.uint8)), field, 0)
 
@@ -284,10 +283,6 @@ class TestCorruptCrop:
         sigma = math.sqrt(n_draws * p_expected * (1 - p_expected))
         assert abs(n_replaced - n_draws * p_expected) <= 3 * sigma
 
-
-def on_cores(monkeypatch, n):
-    """The package sees `n` usable cores, so a call runs up to `n` threads."""
-    monkeypatch.setattr(bratskit.cores, "usable_cores", lambda: n)
 
 
 class TestCorruptCropOracle:

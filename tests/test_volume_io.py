@@ -17,6 +17,7 @@ from bratskit.errors import (
     ValidationError,
 )
 from bratskit.fusion import average_fusion, staple_binary, staple_fusion
+from bratskit.metrics import case_metrics_legacy, case_metrics_lesionwise, dice, hd95, lesion_match
 from bratskit.nifti import open_region_prob, read_volume, write_volume
 from bratskit.regions import reconstruct_labels
 from bratskit.synthprep import CROP_SIZE, CorruptionField, corrupt_crop
@@ -93,19 +94,26 @@ def _prob(g):
     return RegionProbVolume(g, np.full((3, *g.dims), 0.5, np.float32))
 
 
-def _mask(g):
-    return BinaryMask(g, np.zeros(g.dims, bool))
+def _marked(g, value):
+    """Zeros on the grid of g, with `value` at voxel (1, 1, 1)."""
+    voxels = np.zeros(g.dims, np.uint8)
+    voxels[1, 1, 1] = value
+    return voxels
 
 
-def _labels(g):
-    return LabelVolume(g, np.zeros(g.dims, np.uint8))
+def _mask(g, filled=False):
+    return BinaryMask(g, _marked(g, filled))
+
+
+def _labels(g, filled=False):
+    return LabelVolume(g, _marked(g, 3 * filled))
 
 
 def _corrupt(geometries):
     image, labels, field = geometries
     voxels = np.random.default_rng(0).standard_normal(image.dims).astype(np.float32)
     return corrupt_crop(ScalarVolume(image, voxels), _labels(labels),
-                        CorruptionField(field, np.zeros(field.dims), 1.1), 0)
+                        CorruptionField(field, np.zeros(field.dims)), 0)
 
 
 # Each caller of the shared geometry check: its grid and a call on the
@@ -127,6 +135,31 @@ def test_geometry_check_callers_refuse_one_mismatch(caller, bad_index):
     call([Geometry(dims), Geometry(dims), Geometry(dims)])  # agreeing inputs pass
     with pytest.raises(IncompatibleGeometryError):
         call([Geometry(odd if i == bad_index else dims) for i in range(3)])
+
+
+# Each metrics entry point: the input it takes, from a grid and whether a
+# voxel is marked, and the call on two of them.
+METRICS_CALLERS = {
+    "dice": (_mask, dice),
+    "hd95": (_mask, hd95),
+    "lesion_match": (_mask, lesion_match),
+    "case_metrics_legacy": (_labels, case_metrics_legacy),
+    "case_metrics_lesionwise": (_labels, case_metrics_lesionwise),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(METRICS_CALLERS))
+@pytest.mark.parametrize("other", [Geometry((4, 4, 5)), Geometry((4, 4, 4), (1.0, 1.0, 1.5))],
+                         ids=["dims", "spacing"])
+@pytest.mark.parametrize("filled", [(False, False), (True, True), (True, False)],
+                         ids=["empty", "non-empty", "one-empty"])
+def test_metrics_callers_refuse_two_grids(caller, other, filled):
+    make, call = METRICS_CALLERS[caller]
+    g = Geometry((4, 4, 4))
+    call(make(g, filled[0]), make(g, filled[1]))  # agreeing inputs pass
+    for first, second in ((g, other), (other, g)):
+        with pytest.raises(IncompatibleGeometryError):
+            call(make(first, filled[0]), make(second, filled[1]))
 
 
 class TestScalarValidation:
@@ -548,8 +581,8 @@ def test_header_mutation_gives_volume_or_toolkit_error(tmp_path, kind, mutations
     if kind == "region_prob":
         # Both readers share one header check and one range read: the same
         # error, or the same channels.
-        opened = _outcome(lambda: [open_region_prob(path).channels[c].tobytes(order="F")
-                                   for c in range(3)])
+        opened = _outcome(lambda: [planes.tobytes(order="F")
+                                   for planes in whole_channels(open_region_prob(path))])
         assert opened == (vol if isinstance(vol, tuple)
                           else [c.tobytes(order="F") for c in vol.channels])
     if isinstance(vol, tuple):
@@ -637,6 +670,11 @@ def read_peak(path, kind):
         tracemalloc.stop()
 
 
+def whole_channels(opened):
+    """Every plane of each channel of an opened region-probability file."""
+    return [opened.planes(c, 0, opened.geometry.dims[2]) for c in range(3)]
+
+
 def _truncated(raw):
     return raw[:-4]
 
@@ -665,8 +703,7 @@ class TestOpenRegionProb:
         write_volume(random_prob(rng, (5, 4, 3), (1.5, 1.0, 2.0)), path)
         opened, read = open_region_prob(path), read_volume(path, "region_prob")
         assert opened.geometry == read.geometry
-        for c in range(3):
-            channel = opened.channels[c]
+        for c, channel in enumerate(whole_channels(opened)):
             assert channel.flags.f_contiguous
             assert channel.tobytes() == read.channels[c].tobytes()
 
@@ -689,36 +726,37 @@ class TestOpenRegionProb:
         raw[-4:] = np.float32(bad).tobytes()  # the last voxel of the last channel
         path.write_bytes(bytes(raw))
         opened = open_region_prob(path)
-        opened.channels[0], opened.channels[1]
+        opened.planes(0, 0, 3), opened.planes(1, 0, 3), opened.planes(2, 0, 2)
         with pytest.raises(ValidationError, match=r"region probabilities must lie in \[0, 1\]"):
-            opened.channels[2]
+            opened.planes(2, 2, 3)
 
     def test_planes_equal_the_read_volume(self, rng, tmp_path):
         path = tmp_path / "p.nii"
         write_volume(random_prob(rng, (5, 4, 7), (1.5, 1.0, 2.0)), path)
         opened, read = open_region_prob(path), read_volume(path, "region_prob")
         for c in range(3):
-            for planes in (slice(0, 1), slice(2, 6), slice(5, 7), slice(6, 9), slice(7, 9),
-                           slice(-3, None), slice(None, 2)):
-                key = (c, slice(None), slice(None), planes)
-                expected, got = read.channels[key], opened.channels[key]
+            for z0, z1 in ((0, 1), (2, 6), (5, 7), (6, 7), (0, 7), (7, 7), (3, 3)):
+                expected, got = read.planes(c, z0, z1), opened.planes(c, z0, z1)
+                assert expected.shape == read.channels[c, :, :, z0:z1].shape == (5, 4, z1 - z0)
+                assert expected.tobytes() == read.channels[c, :, :, z0:z1].tobytes()
                 assert got.flags.f_contiguous and got.shape == expected.shape
                 assert got.tobytes(order="F") == expected.tobytes(order="F")
 
-    @pytest.mark.parametrize("key", [(0, 1), (0, slice(None), slice(None), slice(0, 4, 2)),
-                                     (0, slice(1, 2), slice(None), slice(0, 1)),
-                                     (0, slice(None), slice(None), 1), (3,)])
-    def test_refuses_a_key_it_cannot_read(self, rng, tmp_path, key):
+    @pytest.mark.parametrize("c, z0, z1", [(0, 0, 4), (1, 2, 4), (2, 3, 5), (0, 4, 4), (1, 2, 1),
+                                           (0, -1, 2), (-1, 0, 3), (3, 0, 1), (0, 0.5, 2)])
+    def test_refuses_a_range_outside_one_channel(self, rng, tmp_path, c, z0, z1):
+        # Each of these ranges would read bytes of another channel, or of none.
         path = tmp_path / "p.nii"
         write_volume(random_prob(rng, (5, 4, 3)), path)
-        with pytest.raises(IndexError):
-            open_region_prob(path).channels[key]
+        message = f"cannot read planes {z0} to {z1} of channel {c}: "
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            open_region_prob(path).planes(c, z0, z1)
 
     def test_file_cut_short_after_open(self, rng, tmp_path):
         path = tmp_path / "p.nii"
         write_volume(random_prob(rng, (5, 4, 3)), path)
         opened = open_region_prob(path)
         path.write_bytes(path.read_bytes()[:-4])
-        opened.channels[1]
+        opened.planes(1, 0, 3), opened.planes(2, 0, 2)
         with pytest.raises(FormatError, match="payload truncated"):
-            opened.channels[2]
+            opened.planes(2, 2, 3)
