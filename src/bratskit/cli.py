@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -154,9 +155,20 @@ def _warn_unconverged(region, result):
               "iterations without converging", file=sys.stderr)
 
 
+def _same_file(a, b):
+    """Whether paths `a` and `b` name one file: the same inode when both
+    exist, else the same resolved path."""
+    try:
+        return os.path.samefile(a, b)
+    except FileNotFoundError:
+        return Path(a).resolve() == Path(b).resolve()
+
+
 def cmd_fuse(args):
     _refuse_given({"mean": {"max_iters": args.max_iters},
                    "staple": {"prob_out": args.prob_out}}[args.method], f"--method {args.method}")
+    if args.prob_out and _same_file(args.out, args.prob_out):
+        raise ValidationError(f"--prob-out {args.prob_out} names the --out file {args.out}")
     if args.method == "mean":
         # Every header is checked before any channel is read, and every channel
         # is read before anything is written, so an output may name an input.

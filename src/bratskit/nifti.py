@@ -11,7 +11,9 @@ x-fastest (F) order; legacy label 4 is remapped in place. A region-probability
 file can also be opened and read one slab of z-planes of one channel at a
 time (`open_region_prob`): it has the `geometry` and the `planes(c, z0, z1)`
 of a volume in memory, and each read opens and closes the file.
-A payload already in file order is written without a copy.
+A payload already in file order is written without a copy. An existing output
+is overwritten in place with its header written last, so a write cut short
+leaves a file the reader refuses.
 """
 
 from __future__ import annotations
@@ -81,19 +83,43 @@ def write_volume(volume, path):
 
     Emits a 348-byte header, 4 zero pad bytes (no extensions) and the raw
     little-endian payload in x-fastest order. Output bytes are deterministic.
+    An existing file is overwritten in place, header last: the header is
+    zeroed, the payload written and the file cut to length, and only then is
+    the header written. A write cut short leaves a file `read_volume` refuses,
+    and a refused volume leaves an existing file as it was.
     """
     kind = next((k for k in _KINDS.values() if type(volume) is k.volume), None)
     if kind is None:
         raise ValidationError(f"unsupported volume type {type(volume).__name__}")
     dims = volume.geometry.dims
+    header = _build_header(dims, volume.geometry.spacing, kind) + bytes(VOX_OFFSET - HEADER_SIZE)
     # File order (x fastest, 4th dim slowest) is F order with the channel axis
     # last. The F ravel of a payload already in file order is a view, written
     # through its buffer with no copy; any other layout is copied once.
     payload = np.moveaxis(volume.payload.reshape((kind.dim4,) + dims), 0, 3)
-    with open(path, "wb") as fh:
-        fh.write(_build_header(dims, volume.geometry.spacing, kind))
-        fh.write(b"\x00" * (VOX_OFFSET - HEADER_SIZE))
-        fh.write(memoryview(payload.astype(kind.dtype, copy=False).ravel(order="F")))
+    data = memoryview(payload.astype(kind.dtype, copy=False).ravel(order="F")).cast("B")
+    # No O_TRUNC: on ext4 a truncate of a file that holds data starts its
+    # writeback at close, and the next truncate waits for it.
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        _pwrite_all(fd, bytes(VOX_OFFSET), 0)
+        _pwrite_all(fd, data, VOX_OFFSET)
+        if os.fstat(fd).st_size > VOX_OFFSET + len(data):
+            os.ftruncate(fd, VOX_OFFSET + len(data))
+        _pwrite_all(fd, header, 0)
+    finally:
+        os.close(fd)
+
+
+def _pwrite_all(fd, data, offset):
+    """Write all of `data` to `fd` at byte `offset`, raising OSError on a
+    write that makes no progress."""
+    view = memoryview(data)
+    while view:
+        wrote = os.pwrite(fd, view, offset)
+        if not wrote:
+            raise OSError(f"write at byte {offset} made no progress")
+        view, offset = view[wrote:], offset + wrote
 
 
 def _checked_header(path, kind):

@@ -1,6 +1,8 @@
 import argparse
 import csv
 import dataclasses
+import errno
+import filecmp
 import inspect
 import json
 import os
@@ -543,6 +545,38 @@ class TestFuse:
         assert Path(paths[-1]).read_bytes() == fresh.read_bytes()
         assert (tmp_path / "a.nii").read_bytes() == (tmp_path / "b.nii").read_bytes()
 
+    # How --prob-out names the --out file, and whether that file exists.
+    @pytest.mark.parametrize("alias, exists", [("same", False), ("same", True),
+                                               ("dotted", False), ("symlink", False),
+                                               ("symlink", True), ("hardlink", True)])
+    def test_mean_refuses_a_prob_out_that_names_the_out_file(self, tmp_path, capsys,
+                                                              alias, exists):
+        paths = self.write_probs(tmp_path, 3)
+        out = tmp_path / "fused.nii"
+        if exists:
+            out.write_bytes(b"kept")
+        prob_out = {"same": out, "dotted": tmp_path / "." / "fused.nii",
+                    "symlink": tmp_path / "sym.nii", "hardlink": tmp_path / "hard.nii"}[alias]
+        if alias == "symlink":
+            prob_out.symlink_to(out)
+        elif alias == "hardlink":
+            os.link(out, prob_out)
+        code = main(["fuse", "--method", "mean", "--inputs", *paths,
+                     "--out", str(out), "--prob-out", str(prob_out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+        assert "--prob-out" in err and "--out" in err
+        assert out.read_bytes() == b"kept" if exists else not out.exists()
+
+    def test_mean_refuses_the_out_file_before_reading_a_map(self, tmp_path, capsys, monkeypatch):
+        paths = self.write_probs(tmp_path, 2)
+        monkeypatch.setattr(bratskit.cli, "open_region_prob", None)  # a read would raise
+        out = str(tmp_path / "fused.nii")
+        assert main(["fuse", "--method", "mean", "--inputs", *paths,
+                     "--out", out, "--prob-out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: --prob-out")
+
     def test_staple(self, tmp_path):
         rng = np.random.default_rng(4)
         vox = rng.integers(0, 4, (6, 6, 6)).astype(np.uint8)
@@ -884,6 +918,80 @@ class TestSynthCommands:
             for built, expected in zip(generate_phantom(parsed), generate_phantom(spec)):
                 assert built.geometry == expected.geometry
                 assert built.voxels.tobytes() == expected.voxels.tobytes()
+
+
+WRITING_COMMANDS = ["fuse-staple", "fuse-mean", "postprocess", "corrupt", "place", "phantom"]
+
+
+def writing_command(tmp_path, command):
+    """A function of an output directory that gives the argv of `command`, with
+    its inputs written in `tmp_path`, and the names of the files it writes there."""
+    rng = np.random.default_rng(11)
+    vox = rng.integers(0, 4, (8, 8, 8)).astype(np.uint8)
+
+    def put(name, volume):
+        write_volume(volume, tmp_path / name)
+        return str(tmp_path / name)
+
+    if command == "phantom":
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [4, 3, 3]}]}')
+        return lambda d: ["phantom", "--spec", str(spec), "--out", str(d)], ["gt.nii", "pred.nii"]
+    if command == "fuse-staple":
+        inputs = [put(f"l{i}.nii", labels_from_array(np.roll(vox, i, 0))) for i in range(3)]
+        argv = ["fuse", "--method", "staple", "--inputs", *inputs]
+    elif command == "fuse-mean":
+        inputs = [put(f"p{i}.nii", RegionProbVolume(Geometry((8, 8, 8)),
+                                                    rng.random((3, 8, 8, 8), np.float32)))
+                  for i in range(3)]
+        argv = ["fuse", "--method", "mean", "--inputs", *inputs, "--prob-out", "prob.nii"]
+    elif command == "postprocess":
+        argv = ["postprocess", "--input", put("in.nii", labels_from_array(vox)), "--et", "3"]
+    elif command == "corrupt":
+        crop = np.zeros((96, 96, 96), np.uint8)
+        crop[40:60, 40:60, 40:60] = 1
+        image = ScalarVolume(Geometry(crop.shape), rng.standard_normal(crop.shape, np.float32))
+        argv = ["corrupt", "--image", put("img.nii", image),
+                "--label", put("lab.nii", labels_from_array(crop)), "--seed", "3"]
+    else:
+        argv = ["place", "--target", put("t.nii", labels_from_array(np.zeros((16, 16, 16)))),
+                "--brain-mask", put("b.nii", labels_from_array(np.ones((16, 16, 16)))),
+                "--candidate", put("c.nii", labels_from_array(np.full((3, 3, 3), 3))),
+                "--seed", "1"]
+    argv += ["--out", "out.nii"]
+    names = [a for a in argv if a in ("out.nii", "prob.nii")]
+    return lambda d: [str(d / a) if a in names else a for a in argv], names
+
+
+@pytest.mark.parametrize("command", WRITING_COMMANDS)
+def test_a_rerun_rewrites_its_outputs_byte_for_byte(tmp_path, command):
+    argv_for, names = writing_command(tmp_path, command)
+    fresh, again = tmp_path / "fresh", tmp_path / "again"
+    fresh.mkdir()
+    again.mkdir()
+    assert main(argv_for(fresh)) == 0
+    for name in names:  # outputs longer than what the command writes
+        (again / name).write_bytes((fresh / name).read_bytes() * 2)
+    for _ in range(2):
+        assert main(argv_for(again)) == 0
+        for name in names:
+            assert filecmp.cmp(fresh / name, again / name, shallow=False), name
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_fifo_output_is_refused(tmp_path, capsys):
+    # Outputs are written at offsets, which a pipe does not have.
+    argv_for, (name,) = writing_command(tmp_path, "postprocess")
+    os.mkfifo(tmp_path / name)
+    # With a reader open, the command's open of the pipe does not wait.
+    reader = os.open(tmp_path / name, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(argv_for(tmp_path)) == 2
+        assert os.read(reader, 1) == b""  # the writer closed without writing
+    finally:
+        os.close(reader)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == f"error: [Errno {errno.ESPIPE}] {os.strerror(errno.ESPIPE)}"
 
 
 def test_no_handler_refuses_by_itself():

@@ -1,3 +1,4 @@
+import errno
 import functools
 import os
 import sys
@@ -327,24 +328,40 @@ class TestAverageFusionSlabs:
 
         monkeypatch.setattr(os, "open", opening)
         monkeypatch.setattr(os, "close", closing)
-        args = ["fuse", "--method", "mean", "--inputs", *map(str, paths),
-                "--out", str(tmp_path / "fused.nii")]
+        out = tmp_path / "fused.nii"
+        args = ["fuse", "--method", "mean", "--inputs", *map(str, paths), "--out", str(out)]
         average_fusion([open_region_prob(p) for p in paths])
         assert opened and held == set()
         assert main(args) == 0
+        assert held == set() and str(out) in opened
+        # A write that fails after the zeroed header
+        os_pwrite = os.pwrite
+
+        def payload_fails(fd, data, offset):
+            if offset:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return os_pwrite(fd, data, offset)
+
+        with monkeypatch.context() as failing:
+            failing.setattr(os, "pwrite", payload_fails)
+            assert main(args) == 2
+        assert held == set() and opened[-1] == str(out)
+        with pytest.raises(FormatError, match="sizeof_hdr is 0"):
+            read_volume(out, "label")
         assert held == set()
         set_voxel(paths[1], g.dims, 1, (0, 0, 3), np.nan)
         with pytest.raises(ValidationError):
             average_fusion([open_region_prob(p) for p in paths])
         assert held == set()
+        before = len(opened)
         assert main(args) == 2
-        assert held == set()
+        assert held == set() and str(out) not in opened[before:]
         maps = [open_region_prob(p) for p in (paths[0], paths[2])]
         paths[2].write_bytes(paths[2].read_bytes()[:-4])
         with pytest.raises(FormatError, match="payload truncated"):
             average_fusion(maps)
         assert held == set()
-        assert set(opened) == set(map(str, paths))
+        assert set(opened) == {*map(str, paths), str(out)}
         # read_volume reads through the same range read
         label = tmp_path / "label.nii"
         write_volume(LabelVolume(g, np.zeros(g.dims, np.uint8)), label)

@@ -1,5 +1,8 @@
+import errno
 import gzip
+import os
 import re
+import stat
 import struct
 import tracemalloc
 
@@ -18,7 +21,7 @@ from bratskit.errors import (
 )
 from bratskit.fusion import average_fusion, staple_binary, staple_fusion
 from bratskit.metrics import case_metrics_legacy, case_metrics_lesionwise, dice, hd95, lesion_match
-from bratskit.nifti import open_region_prob, read_volume, write_volume
+from bratskit.nifti import VOX_OFFSET, open_region_prob, read_volume, write_volume
 from bratskit.regions import reconstruct_labels
 from bratskit.synthprep import CROP_SIZE, CorruptionField, corrupt_crop
 from bratskit.volume import (
@@ -279,10 +282,14 @@ class TestVolumeTypes:
 
     def test_mask_is_not_written(self, tmp_path):
         mask = BinaryMask(Geometry((2, 2, 2)), np.ones((2, 2, 2), bool))
-        path = tmp_path / "m.nii"
-        with pytest.raises(ValidationError, match="unsupported volume type BinaryMask"):
-            write_volume(mask, path)
+        path, existing = tmp_path / "m.nii", tmp_path / "existing.nii"
+        write_volume(LabelVolume(mask.geometry, np.ones((2, 2, 2), np.uint8)), existing)
+        before = existing.read_bytes()
+        for out in (path, existing):
+            with pytest.raises(ValidationError, match="unsupported volume type BinaryMask"):
+                write_volume(mask, out)
         assert not path.exists()
+        assert existing.read_bytes() == before
 
     def test_legacy_remapped_not_compared(self):
         g = Geometry((2, 2, 2))
@@ -589,6 +596,99 @@ def test_header_mutation_gives_volume_or_toolkit_error(tmp_path, kind, mutations
         return
     assert type(vol) is expected
     assert all(0.0 < s < np.inf for s in vol.geometry.spacing)
+
+
+class TestInPlaceWrite:
+    """An existing file is overwritten in place, with its header written last."""
+
+    @pytest.mark.parametrize("old_dims", [(6, 5, 4), (2, 2, 2), (9, 9, 9)])
+    @pytest.mark.parametrize("old_kind", sorted(MUTATED_KINDS))
+    def test_overwrite_equals_a_fresh_write(self, rng, tmp_path, old_kind, old_dims):
+        # Longer, shorter and equal-length files under a label and a map.
+        for kind in ("label", "region_prob"):
+            path, fresh = tmp_path / f"{kind}.nii", tmp_path / f"{kind}.fresh.nii"
+            write_volume(MUTATED_KINDS[old_kind][0](rng, old_dims), path)
+            vol = MUTATED_KINDS[kind][0](rng, (6, 5, 4))
+            write_volume(vol, path)
+            write_volume(vol, fresh)
+            assert path.read_bytes() == fresh.read_bytes()
+
+    def test_symlink_is_written_through(self, rng, tmp_path):
+        for target in (tmp_path / "target.nii", tmp_path / "dangling.nii"):
+            if target.name == "target.nii":
+                write_volume(random_prob(rng, (6, 5, 4)), target)
+            link = tmp_path / f"link-{target.name}"
+            link.symlink_to(target)
+            vol = random_label(rng, (6, 5, 4))
+            write_volume(vol, link)
+            assert link.is_symlink() and read_volume(target, "label") == vol
+
+    def test_permission_bits(self, rng, tmp_path):
+        vol = random_label(rng, (3, 3, 3))
+        kept = tmp_path / "kept.nii"
+        write_volume(vol, kept)
+        kept.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            write_volume(vol, kept)
+            write_volume(vol, tmp_path / "new.nii")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o604
+        assert stat.S_IMODE((tmp_path / "new.nii").stat().st_mode) == 0o666 & ~0o027
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_null_device_is_an_output(self, rng):
+        write_volume(random_prob(rng, (6, 5, 4)), os.devnull)
+
+    @pytest.mark.parametrize("old_kind, old_dims", [("label", (6, 5, 4)), ("label", (2, 2, 2)),
+                                                    ("region_prob", (6, 5, 4))])
+    def test_a_write_cut_short_leaves_a_refused_file(self, rng, tmp_path, monkeypatch,
+                                                     old_kind, old_dims):
+        # The file stops taking bytes after `budget` of them, at every byte of
+        # the write: it then holds its old bytes, its new bytes, or bytes the
+        # reader refuses; never a valid header over a mix of the two.
+        old, new = MUTATED_KINDS[old_kind][0](rng, old_dims), random_label(rng, (6, 5, 4))
+        path, fresh = tmp_path / "out.nii", tmp_path / "fresh.nii"
+        write_volume(old, fresh)
+        before = fresh.read_bytes()
+        write_volume(new, fresh)
+        after = fresh.read_bytes()
+        os_pwrite, left = os.pwrite, [0]
+
+        def stops_taking_bytes(fd, data, offset):
+            n = min(len(data), left[0])
+            left[0] -= n
+            return os_pwrite(fd, memoryview(data)[:n], offset) if n else 0
+
+        for budget in range(2 * VOX_OFFSET + len(after) + 1):
+            path.write_bytes(before)
+            left[0] = budget
+            with monkeypatch.context() as cut:
+                cut.setattr(os, "pwrite", stops_taking_bytes)
+                try:
+                    write_volume(new, path)
+                except OSError as exc:
+                    assert "made no progress" in str(exc)
+            got = path.read_bytes()
+            if got not in (before, after):
+                with pytest.raises(FormatError):
+                    read_volume(path, "label")
+            assert (got == before) == (budget == 0), budget
+        assert got == after
+
+    def test_a_failed_cut_leaves_a_refused_file(self, rng, tmp_path, monkeypatch):
+        path = tmp_path / "out.nii"
+        write_volume(random_prob(rng, (6, 5, 4)), path)
+
+        def fails(fd, length):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "ftruncate", fails)
+        with pytest.raises(OSError):
+            write_volume(random_label(rng, (6, 5, 4)), path)
+        with pytest.raises(FormatError, match="sizeof_hdr is 0"):
+            read_volume(path, "region_prob")
 
 
 class TestPayloadLayout:
