@@ -935,7 +935,8 @@ def writing_command(tmp_path, command):
 
     if command == "phantom":
         spec = tmp_path / "spec.json"
-        spec.write_text('{"dims": [16, 16, 16], "lesions": [{"center": [8, 8, 8], "radii": [4, 3, 3]}]}')
+        spec.write_text('{"dims": [16, 16, 16], '
+                        '"lesions": [{"center": [8, 8, 8], "radii": [4, 3, 3]}]}')
         return lambda d: ["phantom", "--spec", str(spec), "--out", str(d)], ["gt.nii", "pred.nii"]
     if command == "fuse-staple":
         inputs = [put(f"l{i}.nii", labels_from_array(np.roll(vox, i, 0))) for i in range(3)]

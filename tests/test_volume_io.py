@@ -614,9 +614,9 @@ class TestInPlaceWrite:
             assert path.read_bytes() == fresh.read_bytes()
 
     def test_symlink_is_written_through(self, rng, tmp_path):
-        for target in (tmp_path / "target.nii", tmp_path / "dangling.nii"):
-            if target.name == "target.nii":
-                write_volume(random_prob(rng, (6, 5, 4)), target)
+        existing = tmp_path / "existing.nii"
+        write_volume(random_prob(rng, (6, 5, 4)), existing)
+        for target in (existing, tmp_path / "dangling.nii"):
             link = tmp_path / f"link-{target.name}"
             link.symlink_to(target)
             vol = random_label(rng, (6, 5, 4))
