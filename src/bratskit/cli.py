@@ -167,16 +167,17 @@ def _same_file(a, b):
 def cmd_fuse(args):
     _refuse_given({"mean": {"max_iters": args.max_iters},
                    "staple": {"prob_out": args.prob_out}}[args.method], f"--method {args.method}")
-    if args.prob_out and _same_file(args.out, args.prob_out):
-        raise ValidationError(f"--prob-out {args.prob_out} names the --out file {args.out}")
+    if args.prob_out:
+        # The map is written slab by slab while later slabs of the inputs are read.
+        for name, path in [("the --out file", args.out), *(("an input", p) for p in args.inputs)]:
+            if _same_file(path, args.prob_out):
+                raise ValidationError(f"--prob-out {args.prob_out} names {name} {path}")
     if args.method == "mean":
-        # Every header is checked before any channel is read, and every channel
-        # is read before anything is written, so an output may name an input.
+        # Every header is checked before any channel is read. The labels are
+        # written once every channel is read, so --out may name an input.
         maps = [open_region_prob(p) for p in args.inputs]
-        fused, labels = average_fusion(maps)
+        labels = average_fusion(maps, args.prob_out)[1]
         write_volume(labels, args.out)
-        if args.prob_out:
-            write_volume(fused, args.prob_out)
     else:
         labels_in = [read_volume(p, "label") for p in args.inputs]
         iters = {} if args.max_iters is None else {"max_iters": args.max_iters}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -10,6 +11,7 @@ import numpy as np
 from .cores import Tasks
 from .errors import ValidationError
 from .morphology import lesion_clusters
+from .nifti import _output, open_region_prob
 from .regions import CODE_LABEL, REGIONS, Region, bit_code, extract_region
 from .volume import BinaryMask, LabelVolume, RegionProbVolume, common_geometry, crop, integral
 
@@ -43,7 +45,7 @@ class StapleFit(NamedTuple):
     converged: bool
 
 
-def average_fusion(maps: Iterable[RegionProbVolume]):
+def average_fusion(maps: Iterable[RegionProbVolume], prob_out=None):
     """Channelwise mean of the probability maps, binarized at >= 0.5 and
     reconstructed into a label volume.
 
@@ -53,44 +55,69 @@ def average_fusion(maps: Iterable[RegionProbVolume]):
     The grid is fused in slabs of `_SLAB_PLANES` z-planes, one `cores.Tasks`
     task each, submitted in z order. In each slab the maps' channels are
     summed in input order into a float64 accumulator, divided once and cast
-    once into the float32 result: np.mean's arithmetic over stacked float64
-    copies, except that a -0.0 mean keeps its sign. The bytes do not depend
-    on the thread count. A map's planes are read and checked only in their
-    slab, so the call holds the result and a few planes of buffers per slab
-    in flight. If slabs fail, the error of the first one in z order is raised.
+    once to float32: np.mean's arithmetic over stacked float64 copies, except
+    that a -0.0 mean keeps its sign. The bytes do not depend on the thread
+    count. A map's planes are read and checked only in their slab. If slabs
+    fail, the error of the first one in z order is raised.
+
+    Without `prob_out` the call returns the mean as a RegionProbVolume: it
+    holds that result and a few planes of buffers per slab in flight. With
+    `prob_out`, a path, each slab writes its planes of the mean at their
+    file-order offsets in that file as it finishes them, through the
+    in-place writer of `nifti.write_volume` (header last), so no full-size
+    mean is held; the call returns `nifti.open_region_prob(prob_out)`. A
+    refused fusion then leaves no file it created at `prob_out`, and leaves
+    an existing one a file the reader refuses. A `prob_out` that names one of
+    the maps' files would be overwritten while it is still read.
     """
     maps = list(maps)
     if not maps:
         raise ValidationError("average_fusion needs at least one probability map")
     geometry = common_geometry(maps)
-    # The result in file order: x fastest, channel slowest.
-    fused = np.moveaxis(np.empty(geometry.dims + (3,), np.float32, order="F"), 3, 0)
     voxels = np.empty(geometry.dims, np.uint8, order="F")
-    with Tasks() as tasks:
+    if prob_out is None:
+        # The result in file order: x fastest, channel slowest.
+        fused = np.moveaxis(np.empty(geometry.dims + (3,), np.float32, order="F"), 3, 0)
+        output = contextlib.nullcontext()
+    else:
+        fused, output = None, _output(prob_out, "region_prob", geometry)
+    with output as write, Tasks() as tasks:
         for z0 in range(0, geometry.dims[2], _SLAB_PLANES):
-            tasks.run(_fuse_slab, maps, fused, voxels, z0)
-    return RegionProbVolume(geometry, fused), LabelVolume(geometry, voxels)
+            tasks.run(_fuse_slab, maps, fused, write, voxels, z0)
+    labels = LabelVolume(geometry, voxels)
+    if prob_out is None:
+        return RegionProbVolume(geometry, fused), labels
+    return open_region_prob(prob_out), labels
 
 
-def _fuse_slab(maps, fused, voxels, z0):
+def _fuse_slab(maps, fused, write, voxels, z0):
     """Fuse the slab of `_SLAB_PLANES` z-planes (fewer at the end of the
-    grid) that begins at plane z0 into `fused` and `voxels`.
+    grid) that begins at plane z0 into `voxels`, and its mean into `fused`
+    or, when `fused` is None, through `write(data, payload offset)`.
 
-    It runs as a `cores.Tasks` task, so it calls numpy and `regions.bit_code`
-    only: no function that a tracer wraps with a shared span stack."""
+    It runs as a `cores.Tasks` task, so it calls numpy, `regions.bit_code`
+    and `write` only: no function that a tracer wraps with a shared span stack."""
     nx, ny, nz = voxels.shape
     z1 = min(z0 + _SLAB_PLANES, nz)
-    slab, acc = fused[:, :, :, z0:z1], np.empty((nx, ny, z1 - z0), np.float64, order="F")
+    acc = np.empty((nx, ny, z1 - z0), np.float64, order="F")
+    streamed = np.empty_like(acc, np.float32) if fused is None else None
+    marked = []
     for c in range(3):
         # The first map is copied, not added to zeros, which would turn -0.0 into 0.0.
         np.copyto(acc, maps[0].planes(c, z0, z1))
         for m in maps[1:]:
             acc += m.planes(c, z0, z1)
+        mean = streamed if fused is None else fused[c, :, :, z0:z1]
         # The float64 quotient, cast once to float32 as it is stored.
-        np.divide(acc, len(maps), out=slab[c], casting="unsafe")
-    # Flat views: np.take into a 3-D F-ordered `out` goes through a C-ordered copy.
-    code = bit_code([slab[c].ravel(order="F") >= 0.5 for c in range(3)])
-    np.take(CODE_LABEL, code, out=voxels[:, :, z0:z1].reshape(-1, order="F"), mode="clip")
+        np.divide(acc, len(maps), out=mean, casting="unsafe")
+        # Flat views: np.take into a 3-D F-ordered `out` goes through a C-ordered copy.
+        flat = mean.ravel(order="F")
+        if fused is None:
+            # A channel's planes are contiguous in the file: x fastest, channel slowest.
+            write(flat, (c * nz + z0) * nx * ny * flat.itemsize)
+        marked.append(flat >= 0.5)
+    np.take(CODE_LABEL, bit_code(marked), out=voxels[:, :, z0:z1].reshape(-1, order="F"),
+            mode="clip")
 
 
 def _checked_max_iters(n_raters, max_iters) -> int:

@@ -11,13 +11,16 @@ x-fastest (F) order; legacy label 4 is remapped in place. A region-probability
 file can also be opened and read one slab of z-planes of one channel at a
 time (`open_region_prob`): it has the `geometry` and the `planes(c, z0, z1)`
 of a volume in memory, and each read opens and closes the file.
-A payload already in file order is written without a copy. An existing output
-is overwritten in place with its header written last, so a write cut short
-leaves a file the reader refuses.
+A payload already in file order is written without a copy. Every output is
+written by one in-place writer, `_output`, with its header written last, so a
+write cut short leaves a file the reader refuses, or none when the write
+created it; mean fusion streams its slabs to a map through the same writer.
 """
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import math
 import os
 import struct
@@ -83,42 +86,77 @@ def write_volume(volume, path):
 
     Emits a 348-byte header, 4 zero pad bytes (no extensions) and the raw
     little-endian payload in x-fastest order. Output bytes are deterministic.
-    An existing file is overwritten in place, header last: the header is
-    zeroed, the payload written and the file cut to length, and only then is
-    the header written. A write cut short leaves a file `read_volume` refuses,
-    and a refused volume leaves an existing file as it was.
+    The file is written by `_output`, in place and header last. A refused
+    volume leaves an existing file as it was.
     """
-    kind = next((k for k in _KINDS.values() if type(volume) is k.volume), None)
+    kind = next((name for name, k in _KINDS.items() if type(volume) is k.volume), None)
     if kind is None:
         raise ValidationError(f"unsupported volume type {type(volume).__name__}")
-    dims = volume.geometry.dims
-    header = _build_header(dims, volume.geometry.spacing, kind) + bytes(VOX_OFFSET - HEADER_SIZE)
+    spec = _KINDS[kind]
     # File order (x fastest, 4th dim slowest) is F order with the channel axis
     # last. The F ravel of a payload already in file order is a view, written
     # through its buffer with no copy; any other layout is copied once.
-    payload = np.moveaxis(volume.payload.reshape((kind.dim4,) + dims), 0, 3)
-    data = memoryview(payload.astype(kind.dtype, copy=False).ravel(order="F")).cast("B")
+    payload = np.moveaxis(volume.payload.reshape((spec.dim4,) + volume.geometry.dims), 0, 3)
+    data = payload.astype(spec.dtype, copy=False).ravel(order="F")
+    with _output(path, kind, volume.geometry) as write:
+        write(data, 0)
+
+
+@contextlib.contextmanager
+def _output(path, kind, geometry):
+    """The one writer of an output file: the file at `path` rewritten in
+    place as a volume of `kind` ('label', 'scalar' or 'region_prob') on
+    `geometry`, with its header written last.
+
+    The file is opened without O_TRUNC (created if missing) and its 352
+    header bytes are zeroed; the context gives `write(data, offset)`, which
+    writes the bytes of a contiguous array at byte `offset` of the payload
+    and may be called from several threads at once. On leaving the context a
+    longer file is cut to length and the header is written; the file is
+    closed in any case. An error before the header is written leaves no file
+    this call created, and leaves an existing file one the reader refuses
+    (`sizeof_hdr is 0`). Every OSError of a write names the file.
+    """
+    spec = _KINDS[kind]
+    header = _build_header(geometry.dims, geometry.spacing, spec) + bytes(VOX_OFFSET - HEADER_SIZE)
+    end = VOX_OFFSET + geometry.n_voxels * spec.dim4 * spec.dtype.itemsize
     # No O_TRUNC: on ext4 a truncate of a file that holds data starts its
-    # writeback at close, and the next truncate waits for it.
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    # writeback at close, and the next truncate waits for it. O_EXCL tells a
+    # file this call creates from one that was there; it follows no symlink.
     try:
-        _pwrite_all(fd, bytes(VOX_OFFSET), 0)
-        _pwrite_all(fd, data, VOX_OFFSET)
-        if os.fstat(fd).st_size > VOX_OFFSET + len(data):
-            os.ftruncate(fd, VOX_OFFSET + len(data))
-        _pwrite_all(fd, header, 0)
+        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), True
+    except FileExistsError:
+        fd, created = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), False
+
+    def named(call, *args):
+        try:
+            return call(fd, *args)
+        except OSError as exc:
+            exc.filename = os.fspath(path)  # os.pwrite, os.fstat and os.ftruncate name none
+            raise
+
+    try:
+        named(_pwrite_all, bytes(VOX_OFFSET), 0)
+        yield lambda data, offset: named(_pwrite_all, data, VOX_OFFSET + offset)
+        if named(os.fstat).st_size > end:
+            named(os.ftruncate, end)
+        named(_pwrite_all, header, 0)
+    except BaseException:
+        if created:
+            os.unlink(path)
+        raise
     finally:
         os.close(fd)
 
 
 def _pwrite_all(fd, data, offset):
-    """Write all of `data` to `fd` at byte `offset`, raising OSError on a
-    write that makes no progress."""
-    view = memoryview(data)
+    """Write all bytes of `data` to `fd` at byte `offset`, raising OSError on
+    a write that makes no progress."""
+    view = memoryview(data).cast("B")
     while view:
         wrote = os.pwrite(fd, view, offset)
         if not wrote:
-            raise OSError(f"write at byte {offset} made no progress")
+            raise OSError(errno.EIO, f"write at byte {offset} made no progress")
         view, offset = view[wrote:], offset + wrote
 
 

@@ -21,7 +21,7 @@ import bratskit.cli
 import bratskit.phantom
 from bratskit.cli import build_parser, main
 from bratskit.fusion import staple_fusion
-from bratskit.nifti import read_volume, write_volume
+from bratskit.nifti import VOX_OFFSET, read_volume, write_volume
 from bratskit.phantom import (
     Lesion,
     Perturbation,
@@ -31,7 +31,7 @@ from bratskit.phantom import (
 )
 from bratskit.volume import Geometry, LabelVolume, RegionProbVolume, ScalarVolume
 
-from conftest import labels_from_array
+from conftest import labels_from_array, on_cores
 
 
 def write_corpus(gt_dir, pred_dir, n_cases=4, perturb=True):
@@ -535,15 +535,28 @@ class TestFuse:
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1
         assert not out.exists() and not prob_out.exists()
 
-    def test_mean_prob_out_may_name_an_input(self, tmp_path):
+    # The map is written slab by slab while later slabs of the inputs are read.
+    @pytest.mark.parametrize("alias", ["same", "dotted", "symlink", "hardlink"])
+    def test_mean_refuses_a_prob_out_that_names_an_input(self, tmp_path, capsys, monkeypatch,
+                                                          alias):
         paths = self.write_probs(tmp_path, 3)
-        fresh = tmp_path / "fresh.nii"
-        assert main(["fuse", "--method", "mean", "--inputs", *paths,
-                     "--out", str(tmp_path / "a.nii"), "--prob-out", str(fresh)]) == 0
-        assert main(["fuse", "--method", "mean", "--inputs", *paths,
-                     "--out", str(tmp_path / "b.nii"), "--prob-out", paths[-1]]) == 0
-        assert Path(paths[-1]).read_bytes() == fresh.read_bytes()
-        assert (tmp_path / "a.nii").read_bytes() == (tmp_path / "b.nii").read_bytes()
+        named = Path(paths[1])
+        prob_out = {"same": named, "dotted": tmp_path / "." / named.name,
+                    "symlink": tmp_path / "sym.nii", "hardlink": tmp_path / "hard.nii"}[alias]
+        if alias == "symlink":
+            prob_out.symlink_to(named)
+        elif alias == "hardlink":
+            os.link(named, prob_out)
+        before = named.read_bytes()
+        monkeypatch.setattr(bratskit.cli, "open_region_prob", None)  # a read would raise
+        out = tmp_path / "fused.nii"
+        code = main(["fuse", "--method", "mean", "--inputs", *paths,
+                     "--out", str(out), "--prob-out", str(prob_out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: --prob-out") and len(err.strip().splitlines()) == 1
+        assert f"names an input {named}" in err
+        assert named.read_bytes() == before and not out.exists()
 
     # How --prob-out names the --out file, and whether that file exists.
     @pytest.mark.parametrize("alias, exists", [("same", False), ("same", True),
@@ -980,9 +993,10 @@ def test_a_rerun_rewrites_its_outputs_byte_for_byte(tmp_path, command):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
-def test_a_fifo_output_is_refused(tmp_path, capsys):
+@pytest.mark.parametrize("command, name", [("postprocess", "out.nii"), ("fuse-mean", "prob.nii")])
+def test_a_fifo_output_is_refused(tmp_path, capsys, command, name):
     # Outputs are written at offsets, which a pipe does not have.
-    argv_for, (name,) = writing_command(tmp_path, "postprocess")
+    argv_for, names = writing_command(tmp_path, command)
     os.mkfifo(tmp_path / name)
     # With a reader open, the command's open of the pipe does not wait.
     reader = os.open(tmp_path / name, os.O_RDONLY | os.O_NONBLOCK)
@@ -992,7 +1006,42 @@ def test_a_fifo_output_is_refused(tmp_path, capsys):
     finally:
         os.close(reader)
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0] == f"error: [Errno {errno.ESPIPE}] {os.strerror(errno.ESPIPE)}"
+    assert err == [f"error: [Errno {errno.ESPIPE}] {os.strerror(errno.ESPIPE)}: "
+                   f"{str(tmp_path / name)!r}"]
+    assert [n for n in names if (tmp_path / n).exists()] == [name]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("full", ["prob.nii", "out.nii"])
+def test_a_full_disk_names_the_output(tmp_path, capsys, monkeypatch, full, threads):
+    # The payload writes of one output fail; with two cores the map's fail on
+    # a slab thread. The output this call created is removed.
+    on_cores(monkeypatch, threads)
+    argv_for, _ = writing_command(tmp_path, "fuse-mean")
+    os_open, os_pwrite, opened = os.open, os.pwrite, {}
+
+    def opening(path, *args):
+        fd = os_open(path, *args)
+        opened[fd] = os.path.basename(path)
+        return fd
+
+    def disk_full(fd, data, offset):
+        if opened.get(fd) == full and offset >= VOX_OFFSET:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return os_pwrite(fd, data, offset)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "open", opening)
+        patched.setattr(os, "pwrite", disk_full)
+        assert main(argv_for(tmp_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+                   f"{str(tmp_path / full)!r}"]
+    assert not (tmp_path / full).exists()
+    if full == "out.nii":  # the map was written before the labels
+        assert read_volume(tmp_path / "prob.nii", "region_prob").geometry.dims == (8, 8, 8)
+    else:
+        assert not (tmp_path / "out.nii").exists()
 
 
 def test_no_handler_refuses_by_itself():

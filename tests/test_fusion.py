@@ -183,6 +183,30 @@ class TestAverageFusionSlabs:
             assert np.signbit(fused.channels[:, -1, -1, -1]).all()
             assert extract_region(fused_labels, Region.ET).bits[0, 0, -1]
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("slab", [1, 4])
+    @pytest.mark.parametrize("dims", [(9, 7, 1), (9, 7, 2), (6, 5, 11), (3, 4, 16)])
+    def test_streamed_map_is_the_written_result(self, rng, tmp_path, monkeypatch, dims, slab,
+                                                threads):
+        monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", slab)
+        on_cores(monkeypatch, threads)
+        maps = slab_maps(rng, Geometry(dims, (1.0, 1.5, 2.0)))
+        fused, labels = average_fusion(maps)
+        write_volume(fused, tmp_path / "written.nii")
+        expected = (tmp_path / "written.nii").read_bytes()
+        files = [open_region_prob(p) for p in written_maps(maps, tmp_path)]
+        longer, target = tmp_path / "longer.nii", tmp_path / "target.nii"
+        longer.write_bytes(expected * 2)
+        target.write_bytes(b"old")
+        (tmp_path / "link.nii").symlink_to(target)
+        for name in ("fresh.nii", "longer.nii", "link.nii"):
+            for given in (maps, files):
+                streamed, streamed_labels = average_fusion(given, tmp_path / name)
+                assert (tmp_path / name).read_bytes() == expected, name
+                assert streamed == open_region_prob(tmp_path / name)
+                assert streamed_labels == labels
+        assert (tmp_path / "link.nii").is_symlink() and target.read_bytes() == expected
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     def test_in_memory_maps_in_any_layout(self, rng, monkeypatch, layout, threads):
@@ -215,6 +239,38 @@ class TestAverageFusionSlabs:
         assert main(["fuse", "--method", "mean", "--inputs", *map(str, paths),
                      "--out", str(out), "--prob-out", str(prob_out)]) == 2
         assert not out.exists() and not prob_out.exists()
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("damage", ["bad value", "cut short"])
+    def test_a_refused_fusion_leaves_an_existing_map_refused(self, rng, tmp_path, monkeypatch,
+                                                             threads, damage):
+        # The existing map is one of these maps, on the same grid: a header
+        # left over its planes would make a mix of two fusions read as valid.
+        monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", 1)
+        on_cores(monkeypatch, threads)
+        g = Geometry((5, 4, 6))
+        paths = written_maps(slab_maps(rng, g), tmp_path)
+        out, prob_out = tmp_path / "fused.nii", tmp_path / "fused_prob.nii"
+        out.write_bytes(b"kept")
+        prob_out.write_bytes(paths[0].read_bytes())
+        maps = [open_region_prob(p) for p in paths]
+        if damage == "bad value":
+            set_voxel(paths[-1], g.dims, 2, (4, 3, 5), 1.5)
+        else:
+            paths[-1].write_bytes(paths[-1].read_bytes()[:-4])
+        with pytest.raises((ValidationError, FormatError)):
+            average_fusion(maps, prob_out)
+        with pytest.raises(FormatError, match="sizeof_hdr is 0"):
+            read_volume(prob_out, "region_prob")
+        prob_out.write_bytes(paths[0].read_bytes())
+        assert main(["fuse", "--method", "mean", "--inputs", *map(str, paths),
+                     "--out", str(out), "--prob-out", str(prob_out)]) == 2
+        assert out.read_bytes() == b"kept"
+        if damage == "cut short":  # refused with its header, before anything is written
+            assert prob_out.read_bytes() == paths[0].read_bytes()
+            return
+        with pytest.raises(FormatError, match="sizeof_hdr is 0"):
+            read_volume(prob_out, "region_prob")
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_file_cut_short_after_open(self, rng, tmp_path, monkeypatch, threads):
@@ -334,6 +390,13 @@ class TestAverageFusionSlabs:
         assert opened and held == set()
         assert main(args) == 0
         assert held == set() and str(out) in opened
+        # The map is opened once, by its writer, and its slabs share that descriptor.
+        prob_out = tmp_path / "fused_prob.nii"
+        with_prob = [*args, "--prob-out", str(prob_out)]
+        for _ in range(2):  # created, then rewritten in place
+            before = len(opened)
+            assert main(with_prob) == 0
+            assert held == set() and opened[before:].count(str(prob_out)) == 1
         # A write that fails after the zeroed header
         os_pwrite = os.pwrite
 
@@ -356,12 +419,16 @@ class TestAverageFusionSlabs:
         before = len(opened)
         assert main(args) == 2
         assert held == set() and str(out) not in opened[before:]
+        before = len(opened)
+        assert main(with_prob) == 2
+        assert held == set() and str(out) not in opened[before:]
+        assert opened[before:].count(str(prob_out)) == 1
         maps = [open_region_prob(p) for p in (paths[0], paths[2])]
         paths[2].write_bytes(paths[2].read_bytes()[:-4])
         with pytest.raises(FormatError, match="payload truncated"):
             average_fusion(maps)
         assert held == set()
-        assert set(opened) == {*map(str, paths), str(out)}
+        assert set(opened) == {*map(str, paths), str(out), str(prob_out)}
         # read_volume reads through the same range read
         label = tmp_path / "label.nii"
         write_volume(LabelVolume(g, np.zeros(g.dims, np.uint8)), label)
@@ -402,6 +469,23 @@ class TestAverageFusionSlabs:
             tracemalloc.stop()
         result = fused.channels.nbytes + labels.voxels.nbytes
         assert peak < result + 2 * 512 * 1024
+
+    @pytest.mark.parametrize("on_file", [False, True])
+    def test_a_streamed_map_peaks_at_the_labels_and_the_slabs(self, rng, tmp_path, monkeypatch,
+                                                               on_file):
+        # As above, with the mean written slab by slab: no full-size mean is held.
+        on_cores(monkeypatch, 2)
+        g = Geometry((64, 64, 40))
+        maps = [RegionProbVolume(g, rng.random((3, *g.dims), np.float32)) for _ in range(3)]
+        if on_file:
+            maps = [open_region_prob(p) for p in written_maps(maps, tmp_path)]
+        tracemalloc.start()
+        try:
+            labels = average_fusion(maps, tmp_path / "fused_prob.nii")[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < labels.voxels.nbytes + 2 * 512 * 1024
 
 
 def block_mask(g, lo, hi):

@@ -685,10 +685,27 @@ class TestInPlaceWrite:
             raise OSError(errno.EIO, os.strerror(errno.EIO))
 
         monkeypatch.setattr(os, "ftruncate", fails)
-        with pytest.raises(OSError):
+        with pytest.raises(OSError) as failed:
             write_volume(random_label(rng, (6, 5, 4)), path)
+        assert failed.value.filename == str(path)
         with pytest.raises(FormatError, match="sizeof_hdr is 0"):
             read_volume(path, "region_prob")
+
+    def test_a_failed_write_names_its_file_and_leaves_no_file_it_created(self, rng, tmp_path,
+                                                                         monkeypatch):
+        os_pwrite = os.pwrite
+
+        def disk_full(fd, data, offset):
+            if offset:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return os_pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", disk_full)
+        path = tmp_path / "new.nii"
+        with pytest.raises(OSError) as failed:
+            write_volume(random_label(rng, (6, 5, 4)), path)
+        assert str(failed.value) == f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {str(path)!r}"
+        assert not path.exists()
 
 
 class TestPayloadLayout:
