@@ -60,15 +60,14 @@ def average_fusion(maps: Iterable[RegionProbVolume], prob_out=None):
     count. A map's planes are read and checked only in their slab. If slabs
     fail, the error of the first one in z order is raised.
 
-    Without `prob_out` the call returns the mean as a RegionProbVolume: it
-    holds that result and a few planes of buffers per slab in flight. With
-    `prob_out`, a path, each slab writes its planes of the mean at their
-    file-order offsets in that file as it finishes them, through the
-    in-place writer of `nifti.write_volume` (header last), so no full-size
-    mean is held; the call returns `nifti.open_region_prob(prob_out)`. A
-    refused fusion then leaves no file it created at `prob_out`, and leaves
-    an existing one a file the reader refuses. A `prob_out` that names one of
-    the maps' files would be overwritten while it is still read.
+    Without `prob_out` the mean is returned as a RegionProbVolume, and the
+    call holds it and a few planes of buffers per slab in flight. Given a
+    path, each slab writes its planes of the mean to that file as it
+    finishes them (`nifti._output`, header last), no full-size mean is held,
+    and the mean is returned as `nifti.open_region_prob(prob_out)`. A
+    refused fusion then leaves no file that it created and leaves an
+    existing one a file the reader refuses. `prob_out` must not name a map's
+    file, which would be overwritten while it is still read.
     """
     maps = list(maps)
     if not maps:
@@ -84,10 +83,8 @@ def average_fusion(maps: Iterable[RegionProbVolume], prob_out=None):
     with output as write, Tasks() as tasks:
         for z0 in range(0, geometry.dims[2], _SLAB_PLANES):
             tasks.run(_fuse_slab, maps, fused, write, voxels, z0)
-    labels = LabelVolume(geometry, voxels)
-    if prob_out is None:
-        return RegionProbVolume(geometry, fused), labels
-    return open_region_prob(prob_out), labels
+    mean = RegionProbVolume(geometry, fused) if prob_out is None else open_region_prob(prob_out)
+    return mean, LabelVolume(geometry, voxels)
 
 
 def _fuse_slab(maps, fused, write, voxels, z0):

@@ -104,18 +104,17 @@ def write_volume(volume, path):
 
 @contextlib.contextmanager
 def _output(path, kind, geometry):
-    """The one writer of an output file: the file at `path` rewritten in
-    place as a volume of `kind` ('label', 'scalar' or 'region_prob') on
-    `geometry`, with its header written last.
+    """The one writer of outputs: the file at `path` rewritten in place as a
+    volume of `kind` on `geometry`, header last.
 
-    The file is opened without O_TRUNC (created if missing) and its 352
-    header bytes are zeroed; the context gives `write(data, offset)`, which
-    writes the bytes of a contiguous array at byte `offset` of the payload
-    and may be called from several threads at once. On leaving the context a
-    longer file is cut to length and the header is written; the file is
-    closed in any case. An error before the header is written leaves no file
-    this call created, and leaves an existing file one the reader refuses
-    (`sizeof_hdr is 0`). Every OSError of a write names the file.
+    On entry the file is opened without O_TRUNC (created if missing) and its
+    352 header bytes are zeroed. The context gives `write(data, offset)`,
+    which writes a contiguous array at byte `offset` of the payload, from
+    any thread. On leaving it a longer file is cut to length and then the
+    header is written. A failure before that removes a file this call
+    created and leaves an existing one a file the reader refuses
+    (`sizeof_hdr is 0`). The file is closed in any case, and every OSError
+    of the writer names it.
     """
     spec = _KINDS[kind]
     header = _build_header(geometry.dims, geometry.spacing, spec) + bytes(VOX_OFFSET - HEADER_SIZE)
