@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -12,8 +13,9 @@ from .cores import Tasks
 from .errors import ValidationError
 from .morphology import lesion_clusters
 from .nifti import _output, open_region_prob
-from .regions import CODE_LABEL, REGIONS, Region, bit_code, extract_region
-from .volume import BinaryMask, LabelVolume, RegionProbVolume, common_geometry, crop, integral
+from .regions import REGIONS, Region, bit_code, extract_region, rebuild_labels
+from .volume import (BinaryMask, LabelVolume, RegionProbVolume, common_geometry, crop, integral,
+                     probability_bits)
 
 _EPS = 1e-7
 # staple_binary counts decision patterns in a histogram of 2**R bins.
@@ -51,14 +53,20 @@ def average_fusion(maps: Iterable[RegionProbVolume], prob_out=None):
 
     A map is a RegionProbVolume or anything with its `geometry` and its
     `planes(c, z0, z1)`, such as `nifti.RegionProbFile`, which reads those
-    planes from disk when asked for them.
+    planes from disk when asked for them. A map's `unchecked_planes`, when it
+    has them, are read instead, as the [0, 1] check is made here.
     The grid is fused in slabs of `_SLAB_PLANES` z-planes, one `cores.Tasks`
     task each, submitted in z order. In each slab the maps' channels are
     summed in input order into a float64 accumulator, divided once and cast
     once to float32: np.mean's arithmetic over stacked float64 copies, except
-    that a -0.0 mean keeps its sign. The bytes do not depend on the thread
-    count. A map's planes are read and checked only in their slab. If slabs
-    fail, the error of the first one in z order is raised.
+    that a -0.0 mean keeps its sign. That float64 work, the >= 0.5 test and
+    the label rebuild run only on the box of the (x, y) columns where some
+    map holds a value other than +0.0; every voxel outside it is a +0.0 mean
+    and label 0, as the sum of +0.0s is. So maps that are zero outside the
+    tumour cost little beyond their reads, and dense maps cost what they
+    did. The bytes do not depend on the thread count. A map's planes are read
+    and checked only in their slab, one map at a time. If slabs fail, the
+    error of the first one in z order is raised.
 
     Without `prob_out` the mean is returned as a RegionProbVolume, and the
     call holds it and a few planes of buffers per slab in flight. Given a
@@ -75,46 +83,141 @@ def average_fusion(maps: Iterable[RegionProbVolume], prob_out=None):
     geometry = common_geometry(maps)
     voxels = np.empty(geometry.dims, np.uint8, order="F")
     if prob_out is None:
-        # The result in file order: x fastest, channel slowest.
-        fused = np.moveaxis(np.empty(geometry.dims + (3,), np.float32, order="F"), 3, 0)
-        output = contextlib.nullcontext()
+        # The result in file order, x fastest and channel slowest, written as its payload.
+        fused = np.empty(geometry.dims + (3,), np.float32, order="F")
+        payload = fused.reshape(-1, order="F").view(np.uint8)
+
+        def write(data, offset):
+            payload[offset:offset + data.nbytes] = data.view(np.uint8)
+
+        output = contextlib.nullcontext(write)
     else:
-        fused, output = None, _output(prob_out, "region_prob", geometry)
+        output = _output(prob_out, "region_prob", geometry)
     with output as write, Tasks() as tasks:
         for z0 in range(0, geometry.dims[2], _SLAB_PLANES):
-            tasks.run(_fuse_slab, maps, fused, write, voxels, z0)
-    mean = RegionProbVolume(geometry, fused) if prob_out is None else open_region_prob(prob_out)
+            tasks.run(_fuse_slab, maps, write, voxels, z0)
+    if prob_out is None:
+        mean = RegionProbVolume(geometry, np.moveaxis(fused, 3, 0))
+    else:
+        mean = open_region_prob(prob_out)
     return mean, LabelVolume(geometry, voxels)
 
 
-def _fuse_slab(maps, fused, write, voxels, z0):
-    """Fuse the slab of `_SLAB_PLANES` z-planes (fewer at the end of the
-    grid) that begins at plane z0 into `voxels`, and its mean into `fused`
-    or, when `fused` is None, through `write(data, payload offset)`.
+# A box is a pair of slices, x then y, of the (x, y) columns of a slab. The
+# box of no column is the only one whose x slice stops at 0.
+_NO_COLUMNS = (slice(0, 0), slice(0, 0))
 
-    It runs as a `cores.Tasks` task, so it calls numpy, `regions.bit_code`
-    and `write` only: no function that a tracer wraps with a shared span stack."""
+
+def _fuse_slab(maps, write, voxels, z0):
+    """Fuse the slab of `_SLAB_PLANES` z-planes (fewer at the end of the
+    grid) that begins at plane z0: its labels into `voxels`, and each
+    channel's mean through `write(data, payload offset)`.
+
+    A channel's float64 sum, its quotient and its >= 0.5 test run on the box
+    of the columns that some map marks in it (`_summed`), and the labels are
+    rebuilt on the union of the three channels' boxes. Every other cell of
+    the mean and the labels is set to +0.0 or 0 before it is written out.
+
+    It runs as a `cores.Tasks` task, so it calls numpy, private helpers,
+    `volume.probability_bits`, `regions.rebuild_labels`, the maps' planes and
+    `write` only: no function that a tracer wraps with a shared span stack."""
     nx, ny, nz = voxels.shape
     z1 = min(z0 + _SLAB_PLANES, nz)
     acc = np.empty((nx, ny, z1 - z0), np.float64, order="F")
-    streamed = np.empty_like(acc, np.float32) if fused is None else None
-    marked = []
+    mean = np.empty_like(acc, np.float32)
+    written = (slice(0, nx), slice(0, ny))  # mean is +0.0 outside this box
+    boxes, hits = [], []
     for c in range(3):
-        # The first map is copied, not added to zeros, which would turn -0.0 into 0.0.
-        np.copyto(acc, maps[0].planes(c, z0, z1))
-        for m in maps[1:]:
-            acc += m.planes(c, z0, z1)
-        mean = streamed if fused is None else fused[c, :, :, z0:z1]
+        box = _summed(maps, c, z0, z1, acc)
+        _zero_outside(mean[written], _within(box, written))
         # The float64 quotient, cast once to float32 as it is stored.
-        np.divide(acc, len(maps), out=mean, casting="unsafe")
-        # Flat views: np.take into a 3-D F-ordered `out` goes through a C-ordered copy.
-        flat = mean.ravel(order="F")
-        if fused is None:
-            # A channel's planes are contiguous in the file: x fastest, channel slowest.
-            write(flat, (c * nz + z0) * nx * ny * flat.itemsize)
-        marked.append(flat >= 0.5)
-    np.take(CODE_LABEL, bit_code(marked), out=voxels[:, :, z0:z1].reshape(-1, order="F"),
-            mode="clip")
+        np.divide(acc[box], len(maps), out=mean[box], casting="unsafe")
+        written = box
+        boxes.append(box)
+        hits.append(mean[box] >= 0.5)
+        # A channel's planes are contiguous in the file: x fastest, channel slowest.
+        write(mean.ravel(order="F"), (c * nz + z0) * nx * ny * mean.itemsize)
+    labels = voxels[:, :, z0:z1]
+    union = functools.reduce(_union, boxes)
+    _zero_outside(labels, union)
+    within = labels[union]
+    rebuild_labels(*(_widened(hit, box, union, within.shape) for hit, box in zip(hits, boxes)),
+                   out=within)
+
+
+def _summed(maps, c, z0, z1, acc):
+    """Sum channel c of the maps' planes z0 to z1 into `acc`, in input
+    order, on the box of the columns where some map's bit pattern is not
+    that of +0.0 (so -0.0 marks a column), and return that box. `acc`
+    outside the box is left as it was.
+
+    One map's planes are read at a time, and one pass (`probability_bits`)
+    both checks them and finds the columns they mark; once the box is the
+    whole slab, it only checks them. The first map is copied on its box, not
+    added to zeros, which would turn -0.0 into 0.0. A column that the box
+    takes in later starts from +0.0: every map before held +0.0 in it."""
+    whole = (slice(0, acc.shape[0]), slice(0, acc.shape[1]))
+    box = _NO_COLUMNS
+    for i, m in enumerate(maps):
+        planes = getattr(m, "unchecked_planes", m.planes)(c, z0, z1)
+        if box == whole:
+            probability_bits(planes)  # the check alone: every column is in the box
+            grown = whole
+        else:
+            grown = _union(box, _marked(probability_bits(planes, 2)))
+        if i == 0:
+            np.copyto(acc[grown], planes[grown])
+        else:
+            _zero_outside(acc[grown], _within(box, grown))
+            acc[grown] += planes[grown]
+        box = grown
+    return box
+
+
+def _marked(bits):
+    """The box of the columns whose `bits` (x, y) are nonzero."""
+    xs = np.flatnonzero(bits.max(axis=1))
+    if not xs.size:
+        return _NO_COLUMNS
+    x = slice(int(xs[0]), int(xs[-1]) + 1)
+    ys = np.flatnonzero(bits[x].max(axis=0))
+    return x, slice(int(ys[0]), int(ys[-1]) + 1)
+
+
+def _union(a, b):
+    """The smallest box that holds boxes a and b."""
+    if not a[0].stop or not b[0].stop:
+        return b if not a[0].stop else a
+    return tuple(slice(min(p.start, q.start), max(p.stop, q.stop)) for p, q in zip(a, b))
+
+
+def _within(box, outer):
+    """The columns of `box` inside the box `outer`, as a box of a slab cut to `outer`."""
+    xs, ys = (slice(max(b.start, o.start) - o.start, min(b.stop, o.stop) - o.start)
+              for b, o in zip(box, outer))
+    return (xs, ys) if xs.start < xs.stop and ys.start < ys.stop else _NO_COLUMNS
+
+
+def _zero_outside(array, box):
+    """Set the cells of the slab `array` (x, y, z) outside the columns of `box` to 0."""
+    if not box[0].stop:
+        array.fill(0)
+        return
+    xs, ys = box
+    array[:, :ys.start] = 0
+    array[:, ys.stop:] = 0
+    array[:xs.start, ys] = 0
+    array[xs.stop:, ys] = 0
+
+
+def _widened(hit, box, outer, shape):
+    """The decisions `hit` on `box` as decisions of `shape` on `outer`, a box
+    that holds it: False outside `box`."""
+    if box == outer:
+        return hit
+    wide = np.zeros(shape, bool, order="F")
+    wide[_within(box, outer)] = hit
+    return wide
 
 
 def _checked_max_iters(n_raters, max_iters) -> int:
@@ -206,8 +309,8 @@ def staple_fusion(labels: Sequence[LabelVolume], max_iters: int = 100,
     Each region is coded on the boxes of the labels' lesion clusters
     (`morphology.lesion_clusters`; L shapes merge, so a box holds its own
     cluster alone), fitted once on the pattern counts summed over them, and
-    thresholded in each box; `regions.CODE_LABEL` rebuilds the labels from
-    the bit code of the three regions' decisions. Every voxel
+    thresholded in each box; `regions.rebuild_labels` rebuilds the labels
+    from the three regions' decisions. Every voxel
     outside the clusters has pattern 0 in each region, so it takes the label
     of the three regions' pattern-0 decisions. `on_region`, when given, is
     called with each region and its fit, which is that of the whole grid.
@@ -223,7 +326,7 @@ def staple_fusion(labels: Sequence[LabelVolume], max_iters: int = 100,
         if on_region is not None:
             on_region(region, fit)
         marked.append(fit.posterior >= 0.5)
-    voxels = np.full_like(labels[0].voxels, CODE_LABEL[bit_code([m[0] for m in marked])])
+    voxels = np.full_like(labels[0].voxels, rebuild_labels(*(m[:1] for m in marked))[0])
     for box, *region_codes in zip(clusters, *codes):
-        voxels[box] = CODE_LABEL[bit_code([m[code] for m, code in zip(marked, region_codes)])]
+        rebuild_labels(*(m[code] for m, code in zip(marked, region_codes)), out=voxels[box])
     return LabelVolume(geometry, voxels)

@@ -271,13 +271,18 @@ class RegionProbFile(NamedTuple):
         checked against the [0, 1] rule. Each read opens the file and closes
         it again, whether the read succeeds or fails. A range outside one
         channel's planes, which would read another channel's bytes, is refused."""
+        return require_probabilities(self.unchecked_planes(c, z0, z1))
+
+    def unchecked_planes(self, c, z0, z1):
+        """`planes` without the [0, 1] check, for a caller that makes it in
+        its own pass over the planes, as mean fusion does."""
         nx, ny, nz = self.geometry.dims
         if not (c in range(3) and z0 in range(nz + 1) and z1 in range(z0, nz + 1)):
             raise ValidationError(f"cannot read planes {z0} to {z1} of channel {c}: "
                                   f"a file has channels 0 to 2 of {nz} planes each")
         dtype = _KINDS["region_prob"].dtype
         offset = self.offset + (c * nz + z0) * nx * ny * dtype.itemsize
-        return require_probabilities(_read_range(self.path, offset, (nx, ny, z1 - z0), dtype))
+        return _read_range(self.path, offset, (nx, ny, z1 - z0), dtype)
 
 
 def open_region_prob(path):

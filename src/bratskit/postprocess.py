@@ -2,9 +2,9 @@
 
 Suppression relabels downward through the region hierarchy rather than
 deleting evidence outright: regions are thresholded WT, TC, ET, each inside
-what the enclosing region kept, and `regions.CODE_LABEL` rebuilds the labels
-from the bit code of the three nested masks, so a removed voxel takes the label
-of the region around it. The BraTS 2021 rule that turns all ET into NCR when
+what the enclosing region kept, and `regions.rebuild_labels` rebuilds the
+labels from the three nested masks, so a removed voxel takes the label of the
+region around it. The BraTS 2021 rule that turns all ET into NCR when
 the case has fewer than t ET voxels is
 `ThresholdSpec(et=t, scope=ThresholdScope.WholeRegion)`.
 """
@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .morphology import Connectivity, connected_components, lesion_clusters
-from .regions import CODE_LABEL, REGIONS, Region, bit_code, extract_region
+from .regions import REGIONS, Region, extract_region, rebuild_labels
 from .volume import BinaryMask, LabelVolume, crop, integral, member
 
 
@@ -68,7 +68,7 @@ def apply_thresholds(pred: LabelVolume, spec: ThresholdSpec,
         kept = bits
     voxels = pred.voxels.copy(order="K")
     for box, *regions in zip(clusters, *masks):
-        voxels[box] = CODE_LABEL[bit_code(regions)]
+        rebuild_labels(*regions, out=voxels[box])
     return LabelVolume(pred.geometry, voxels)
 
 

@@ -36,12 +36,6 @@ LABEL_NCR = 1
 LABEL_ED = 2
 LABEL_ET = 3
 
-# The label of each 3-bit code of region decisions (bit 0 WT, bit 1 TC, bit 2 ET):
-# WT -> ED, then TC -> NCR, then ET -> ET, later regions winning. Shared, so read-only.
-CODE_LABEL = np.array([0, LABEL_ED, LABEL_NCR, LABEL_NCR] + [LABEL_ET] * 4, np.uint8)
-CODE_LABEL.flags.writeable = False
-
-
 def extract_region(labels: LabelVolume, region: Region) -> BinaryMask:
     """Binary mask of the voxels whose label belongs to the region's label set."""
     # One comparison per label keeps the payload's memory order; np.isin ravels
@@ -60,11 +54,23 @@ def bit_code(bits) -> np.ndarray:
     return code
 
 
+def rebuild_labels(wt, tc, et, out=None) -> np.ndarray:
+    """The labels of three boolean arrays of region decisions, in three
+    byte-wise passes: ET gives ET, else TC gives NCR, else WT gives ED, else 0.
+
+    The labels are written into `out` when it is given; otherwise they keep
+    wt's memory order."""
+    out = np.multiply(wt, LABEL_ED, out=out, dtype=np.uint8)
+    np.copyto(out, LABEL_NCR, where=tc)
+    np.copyto(out, LABEL_ET, where=et)
+    return out
+
+
 def reconstruct_labels(wt: BinaryMask, tc: BinaryMask, et: BinaryMask) -> LabelVolume:
-    """Inverse of extract_region for nested masks: CODE_LABEL of their bit code.
+    """Inverse of extract_region for nested masks: `rebuild_labels` of their bits.
 
     Non-nested inputs still produce a valid, nested label volume, and the
     labels keep the masks' memory order.
     """
     geometry = common_geometry((wt, tc, et))
-    return LabelVolume(geometry, CODE_LABEL[bit_code((wt.bits, tc.bits, et.bits))])
+    return LabelVolume(geometry, rebuild_labels(wt.bits, tc.bits, et.bits))

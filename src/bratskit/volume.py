@@ -194,12 +194,36 @@ class RegionProbVolume(_Volume):
         return self.channels[c, :, :, z0:z1]
 
 
+# Read as unsigned integers, the bit patterns of +0.0 to 1.0 are 0 to these
+# bounds; -0.0, every other negative, a value above 1, an infinity and a NaN
+# all read larger.
+_UNIT_BITS = {np.dtype(np.float32): (np.uint32, 0x3F800000),
+              np.dtype(np.float64): (np.uint64, 0x3FF0000000000000)}
+
+
 def require_probabilities(array):
     """Refuse region probabilities outside [0, 1], NaN included; return the array."""
-    # Written so that NaN, which fails every comparison, is rejected too.
-    if array.size and not (array.min() >= 0.0 and array.max() <= 1.0):
-        raise ValidationError("region probabilities must lie in [0, 1]")
+    if array.size:
+        probability_bits(array)
     return array
+
+
+def probability_bits(array, axis=None):
+    """The largest bit pattern along `axis` of a float32 or float64 array
+    (any other is read as float64), as an unsigned integer, once the array
+    passes the [0, 1] check: 0 where every value is +0.0, nonzero where one
+    is anything else, -0.0 too.
+
+    One pass gives both: every value lies in [+0.0, 1.0] when no pattern
+    reads above that of 1.0. Only when one does, the min/max rule decides,
+    so -0.0 passes and NaN, which fails every comparison, is refused."""
+    if array.dtype not in _UNIT_BITS:
+        array = np.asarray(array, np.float64)
+    unsigned, one = _UNIT_BITS[array.dtype]
+    bits = array.view(unsigned).max(axis=axis)
+    if not (bits.max() <= one or (array.min() >= 0.0 and array.max() <= 1.0)):
+        raise ValidationError("region probabilities must lie in [0, 1]")
+    return bits
 
 
 @dataclass(frozen=True, eq=False)

@@ -57,7 +57,8 @@ class TestEvaluate:
                      "--pred-dir", str(tmp_path / "same_pred"),
                      "--out", str(out), "--mode", "legacy"])
         assert code == 0
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         case_rows = [r for r in rows if r["case_id"] != "__mean__"]
         assert all(float(r["dsc"]) == 1.0 for r in case_rows)
         assert all(float(r["hd95"]) == 0.0 for r in case_rows)
@@ -108,7 +109,8 @@ class TestEvaluate:
         code = main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
                      "--pred-dir", str(tmp_path / "pred"), "--out", str(out)])
         assert code == 1
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert not any(r["case_id"] == "case000" for r in rows)
 
     def test_unreadable_case_skipped(self, tmp_path, monkeypatch):
@@ -126,7 +128,8 @@ class TestEvaluate:
                      "--pred-dir", str(tmp_path / "pred"), "--out", str(out),
                      "--workers", "1"])
         assert code == 1
-        cases = {r["case_id"] for r in csv.DictReader(out.open())}
+        with out.open() as fh:
+            cases = {r["case_id"] for r in csv.DictReader(fh)}
         assert cases == {"case000", "case002", "__mean__"}
         report = out.with_suffix(".skipped.txt").read_text()
         assert report.startswith("case001\t") and "Permission denied" in report
@@ -140,7 +143,8 @@ class TestEvaluate:
         code = main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
                      "--pred-dir", str(tmp_path / "pred"), "--out", str(out)])
         assert code == 1
-        cases = {r["case_id"] for r in csv.DictReader(out.open())}
+        with out.open() as fh:
+            cases = {r["case_id"] for r in csv.DictReader(fh)}
         assert cases == {"case000", "case002", "__mean__"}
         report = out.with_suffix(".skipped.txt").read_text().splitlines()
         assert len(report) == 1 and report[0].startswith("case001\t")

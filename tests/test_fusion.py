@@ -20,11 +20,11 @@ from bratskit.fusion import (
 )
 from bratskit.morphology import lesion_clusters
 from bratskit.nifti import VOX_OFFSET, open_region_prob, read_volume, write_volume
-from bratskit.regions import CODE_LABEL, REGIONS, Region, extract_region, reconstruct_labels
+from bratskit.regions import REGIONS, Region, extract_region, reconstruct_labels
 from bratskit.volume import BinaryMask, Geometry, LabelVolume, RegionProbVolume, tumour_box
 
 from conftest import LAYOUTS, labels_from_array, on_cores, relaid
-from oracles import brute_labels, staple_em_oracle
+from oracles import staple_em_oracle
 
 
 def prob_volume(rng, g):
@@ -163,6 +163,93 @@ def set_voxel(path, dims, c, voxel, value):
     path.write_bytes(bytes(raw))
 
 
+def boxed_map(rng, dims, i):
+    """Map i of a sparse set: random values on a box of columns that differs
+    by channel and grows with i, +0.0 elsewhere."""
+    channels = np.zeros((3, *dims), np.float32)
+    for c in range(3):
+        box = (c, slice(2 + c, 4 + i), slice(1, 3 + i + c))
+        channels[box] = rng.random(channels[box].shape)
+    return channels
+
+
+def _zero_slabs(rng, dims):
+    maps = [boxed_map(rng, dims, i) for i in range(3)]
+    for m in maps:
+        m[..., :4] = m[..., 8:] = 0.0  # values in planes 4 to 7 alone
+    return maps
+
+
+def _negative_zeros(rng, dims):
+    # Each map's own -0.0 in columns every other map leaves +0.0: a mean of +0.0.
+    maps = [boxed_map(rng, dims, i) for i in range(3)]
+    for i, m in enumerate(maps):
+        m[:, 0, -1 - i, i] = m[:, -1 - i, 0, -1] = -0.0
+    return maps
+
+
+def _after_a_zero_first_map(rng, dims):
+    # -0.0 where the first map holds +0.0: +0.0 + -0.0 is a mean of +0.0.
+    maps = [np.zeros((3, *dims), np.float32)] + [boxed_map(rng, dims, i) for i in (1, 2)]
+    for m in maps[1:]:
+        m[:, 0, 0] = m[:, 0, -2, -1] = -0.0
+    return maps
+
+
+def _dense(rng, dims):
+    # Every voxel's bit pattern is nonzero; each map holds -0.0 alone on the x = nx - 1 columns.
+    maps = [rng.random((3, *dims)).astype(np.float32) for _ in range(3)]
+    for m in maps:
+        m[:, -1] = -0.0
+    return maps
+
+
+# The three maps of each case. Every case also holds a column of -0.0 that
+# every map shares and nothing else marks (mean -0.0), which a box that
+# drops a -0.0 column would write as +0.0.
+BOXED_CASES = {
+    "zero columns": lambda rng, dims: [boxed_map(rng, dims, i) for i in range(3)],
+    "zero slabs": _zero_slabs,
+    "all-zero map": lambda rng, dims: [boxed_map(rng, dims, 0), np.zeros((3, *dims), np.float32),
+                                       boxed_map(rng, dims, 2)],
+    "-0.0 in zero regions": _negative_zeros,
+    "-0.0 after an all-zero first map": _after_a_zero_first_map,
+    "dense": _dense,
+}
+
+
+class TestBoxedFusion:
+    """Mean fusion does its float64 work on the box of the columns that some
+    map marks, and writes +0.0 and label 0 everywhere else. Its bytes are
+    still those of the stacked float64 mean."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("slab", [1, 4])
+    @pytest.mark.parametrize("case", sorted(BOXED_CASES))
+    def test_bytes_equal_the_stacked_mean(self, rng, tmp_path, monkeypatch, case, slab, threads):
+        # nz = 11 is no multiple of 4.
+        monkeypatch.setattr(bratskit.fusion, "_SLAB_PLANES", slab)
+        on_cores(monkeypatch, threads)
+        g = Geometry((9, 8, 11), (1.0, 1.5, 2.0))
+        channels = BOXED_CASES[case](rng, g.dims)
+        if case != "dense":
+            for c in channels:
+                c[:, -1, -1, -1] = -0.0
+        maps = [RegionProbVolume(g, c) for c in channels]
+        expected, labels = stacked_mean(maps)
+        assert np.signbit(expected[:, -1, -1, -1]).all() and labels.voxels.any()
+        write_volume(RegionProbVolume(g, expected), tmp_path / "expected.nii")
+        files = [open_region_prob(p) for p in written_maps(maps, tmp_path)]
+        for given in (maps, files):
+            fused, fused_labels = average_fusion(given)
+            assert fused.channels.tobytes() == expected.tobytes()
+            assert fused_labels == labels
+            streamed_labels = average_fusion(given, tmp_path / "streamed.nii")[1]
+            assert ((tmp_path / "streamed.nii").read_bytes()
+                    == (tmp_path / "expected.nii").read_bytes())
+            assert streamed_labels == labels
+
+
 class TestAverageFusionSlabs:
     """Mean fusion runs in slabs of z-planes, each a `cores.Tasks` task. Its
     bytes are those of the stacked float64 mean for any slab and thread count."""
@@ -218,11 +305,6 @@ class TestAverageFusionSlabs:
         assert fused.channels.tobytes() == expected.tobytes()
         assert fused_labels == labels
         assert np.signbit(fused.channels).sum() == 3
-
-    def test_code_table_is_reconstruct_labels(self):
-        for code in range(8):
-            bits = [np.full((1, 1, 1), bool(code >> b & 1)) for b in range(3)]
-            assert CODE_LABEL[code] == brute_labels(*bits).item()
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bratskit.regions import CODE_LABEL, REGIONS, Region, extract_region, reconstruct_labels
+from bratskit.regions import REGIONS, Region, extract_region, rebuild_labels, reconstruct_labels
 from bratskit.volume import BinaryMask, Geometry, LabelVolume
 
 from conftest import LAYOUTS, labels_from_array
@@ -75,9 +75,17 @@ def test_reconstruct_matches_the_scatter_oracle(rng, layout):
         assert out.voxels.flags.f_contiguous
 
 
-def test_code_table_is_read_only():
-    with pytest.raises(ValueError):
-        CODE_LABEL[0] = 1
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_every_decision_code_rebuilds_the_brute_labels(order):
+    # Voxel (i, j, k) of a 2x2x2 grid holds code i + 2j + 4k: bit 0 WT, bit 1 TC, bit 2 ET.
+    code = np.arange(8).reshape(2, 2, 2, order="F")
+    bits = [np.array(code >> b & 1, bool, order=order) for b in range(3)]
+    labels = rebuild_labels(*bits)
+    assert labels.dtype == np.uint8 and labels.flags[f"{order}_CONTIGUOUS"]
+    assert np.array_equal(labels, brute_labels(*bits))
+    assert sorted(labels.ravel(order="F")) == [0, 1, 1, 2, 3, 3, 3, 3]
+    out = np.full((2, 2, 2), 9, np.uint8, order=order)
+    assert rebuild_labels(*bits, out=out) is out and np.array_equal(out, labels)
 
 
 @settings(max_examples=50, deadline=None)

@@ -31,6 +31,8 @@ from bratskit.volume import (
     LabelVolume,
     RegionProbVolume,
     ScalarVolume,
+    probability_bits,
+    require_probabilities,
 )
 
 from conftest import LAYOUTS, relaid
@@ -181,6 +183,42 @@ class TestRegionProbValidation:
         ch[1, 0, 1, 0] = bad
         with pytest.raises(ValidationError):
             RegionProbVolume(Geometry((2, 2, 2)), ch)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("view", ["contiguous", "strided"])
+    def test_one_pass_check_keeps_the_min_max_rule(self, rng, dtype, view):
+        # The rule before the bit-pattern pass: it passes -0.0 and refuses NaN.
+        def min_max_rule(a):
+            return bool(a.min() >= 0.0 and a.max() <= 1.0)
+
+        info = np.finfo(dtype)
+        values = [0.0, -0.0, info.smallest_subnormal, 1.0, np.nextafter(dtype(1), dtype(2)),
+                  np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+                  -info.smallest_subnormal, -info.tiny]
+        for value in values:
+            array = rng.random((6, 5, 8)).astype(dtype)
+            if view == "strided":
+                array = array[::2, 1:, ::3]
+                assert not (array.flags.c_contiguous or array.flags.f_contiguous)
+            array[1, 2, 1] = value
+            accepted = min_max_rule(array)
+            assert accepted == (value == 0.0 or 0.0 < value <= 1.0), value
+            for check in (require_probabilities, lambda a: probability_bits(a, 2)):
+                if accepted:
+                    check(array)
+                else:
+                    with pytest.raises(ValidationError, match=r"^region probabilities must lie "
+                                                              r"in \[0, 1\]$"):
+                        check(array)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_probability_bits_mark_the_lines_not_all_positive_zero(self, dtype):
+        array = np.zeros((4, 3, 5), dtype, order="F")
+        array[1, 2, 4], array[3, 0, 0] = -0.0, 0.25
+        bits = probability_bits(array, 2)
+        assert bits.shape == (4, 3) and bits.dtype.itemsize == array.itemsize
+        assert sorted(zip(*np.nonzero(bits))) == [(1, 2), (3, 0)]
+        assert probability_bits(np.zeros(4, dtype)) == 0
 
     def test_read_rejects_nan_payload(self, rng, tmp_path):
         path = tmp_path / "p.nii"
