@@ -76,6 +76,31 @@ def _refuse_given(options, context):
             raise ValidationError(f"--{dest.replace('_', '-')} does not apply to {context}")
 
 
+def _same_file(a, b):
+    """Whether paths `a` and `b` name one file: the same inode when both
+    exist, else the same resolved path."""
+    try:
+        return os.path.samefile(a, b)
+    except FileNotFoundError:
+        return Path(a).resolve() == Path(b).resolve()
+
+
+def _refuse_overwrite(option, out, inputs=(), dirs=()):
+    """Refuse output `out` of `option` before any work when its directory is
+    missing, when it lies in a directory of `dirs`, or when it names a file of
+    `inputs` ((what, path) pairs each): the write would fail after the work,
+    or overwrite an input or add one to a directory of inputs."""
+    folder = Path(out).resolve().parent
+    if not folder.is_dir():
+        raise ValidationError(f"{option} {out}: no directory {folder}")
+    for name, path in dirs:
+        if os.path.samefile(folder, path):
+            raise ValidationError(f"{option} {out} lies in {name} {path}")
+    for name, path in inputs:
+        if _same_file(path, out):
+            raise ValidationError(f"{option} {out} names {name} {path}")
+
+
 def cmd_evaluate(args):
     match = {"dilation_iterations": args.dilation_iterations, "connectivity": args.connectivity}
     if args.mode == "legacy":
@@ -84,6 +109,8 @@ def cmd_evaluate(args):
     pred_dir = Path(args.pred_dir)
     if not gt_dir.is_dir() or not pred_dir.is_dir():
         raise ValidationError("gt and pred directories must exist")
+    # Its report lies beside it. A file in either directory is a case.
+    _refuse_overwrite("--out", args.out, dirs=[("--gt-dir", gt_dir), ("--pred-dir", pred_dir)])
     gt_files = _case_stems(gt_dir)
     pred_files = _case_stems(pred_dir)
     # A stem that names two files in one directory does not say which one is the case.
@@ -143,6 +170,10 @@ def cmd_rank(args):
         paths[solution] = path
     if not paths:
         raise ValidationError("no solution CSVs given")
+    inputs = [("an input", path) for path in paths.values()]
+    if args.manifest:
+        inputs.append(("the manifest", args.manifest))
+    _refuse_overwrite("--out", args.out, inputs)
     table = build_table(paths)
     result = rank_solutions(table, normalization=args.normalization)
     write_ranking_csv(args.out, table, result)
@@ -155,23 +186,13 @@ def _warn_unconverged(region, result):
               "iterations without converging", file=sys.stderr)
 
 
-def _same_file(a, b):
-    """Whether paths `a` and `b` name one file: the same inode when both
-    exist, else the same resolved path."""
-    try:
-        return os.path.samefile(a, b)
-    except FileNotFoundError:
-        return Path(a).resolve() == Path(b).resolve()
-
-
 def cmd_fuse(args):
     _refuse_given({"mean": {"max_iters": args.max_iters},
                    "staple": {"prob_out": args.prob_out}}[args.method], f"--method {args.method}")
     if args.prob_out:
         # The map is written slab by slab while later slabs of the inputs are read.
-        for name, path in [("the --out file", args.out), *(("an input", p) for p in args.inputs)]:
-            if _same_file(path, args.prob_out):
-                raise ValidationError(f"--prob-out {args.prob_out} names {name} {path}")
+        _refuse_overwrite("--prob-out", args.prob_out, [("the --out file", args.out)]
+                          + [("an input", path) for path in args.inputs])
     if args.method == "mean":
         # Every header is checked before any channel is read. The labels are
         # written once every channel is read, so --out may name an input.
@@ -316,21 +337,34 @@ def build_parser():
 
 @functools.cache
 def _steady_heap():
-    """Fix glibc's mmap and trim thresholds at 32 MiB, once per process. Left
-    to move, they let a process's first frees decide whether later commands
-    reuse freed grid-sized buffers or fault them in again, 30% slower."""
+    """Keep every freed heap page for the process's later calls, once per
+    process (glibc only). The trim threshold is the largest mallopt takes, so
+    a free never gives the heap's top back to the kernel: a later command
+    reuses the pages an earlier one faulted in, where a 32 MiB threshold had
+    each `corrupt`, `place` or `fuse --method staple` fault thousands back in.
+    The mmap threshold is fixed at 32 MiB, the largest glibc accepts (left to
+    move, it let a process's first frees decide which buffers the heap
+    serves), so a block of 32 MiB or more is still mapped on its own and
+    unmapped when freed. A long-lived process thus keeps its own heap peak
+    resident."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt:  # glibc
         mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-1, 2**31 - 1)  # M_TRIM_THRESHOLD
+
+
+@functools.cache
+def _parser():
+    return build_parser()
 
 
 def main(argv=None):
     _steady_heap()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # By name: a handler rebound on the module is the one that runs,
+        # although the cached parser holds the one it was built with.
+        return globals()[args.func.__name__](args)
     except (BratskitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

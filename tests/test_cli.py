@@ -9,6 +9,7 @@ import os
 import platform
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tracemalloc
@@ -29,6 +30,7 @@ from bratskit.phantom import (
     generate_phantom,
     random_phantom_spec,
 )
+from bratskit.regions import REGIONS, extract_region
 from bratskit.volume import Geometry, LabelVolume, RegionProbVolume, ScalarVolume
 
 from conftest import labels_from_array, on_cores
@@ -244,34 +246,26 @@ class TestEvaluate:
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
-    def test_later_calls_reuse_the_heap(self, tmp_path):
-        # With glibc's moving thresholds a process may give every freed
-        # grid-sized buffer back to the kernel and fault its pages in again on
-        # the next call (about 1,500 faults a call on this case); with them
-        # fixed, every call after the first finds its buffers in the heap.
-        spec = PhantomSpec((240, 240, 155), (Lesion((80, 90, 70), (20, 16, 14)),
-                                             Lesion((160, 150, 90), (10, 12, 9))),
-                           Perturbation(kind="shift", shift=(2, 0, 0)))
-        for sub, volume in zip(("gt", "pred"), generate_phantom(spec)):
-            (tmp_path / sub).mkdir()
-            write_volume(volume, tmp_path / sub / "c.nii")
-        argv = ["evaluate", "--gt-dir", str(tmp_path / "gt"), "--pred-dir", str(tmp_path / "pred"),
-                "--out", str(tmp_path / "m.csv")]
-        code = f"""
-import contextlib, io, resource, bratskit.cli
-faults = []
-for mode in ["lesionwise", "legacy"] * 3:
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert bratskit.cli.main({argv!r} + ["--mode", mode]) == 0
-    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-print(max(faults[2:]))
-"""
-        src = str(Path(bratskit.cli.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src})
-        assert int(out.stdout) < 200
+    # The --out named here would overwrite a case, or become one in the next run.
+    @pytest.mark.parametrize("where", ["a-prediction", "pred-dir", "gt-dir", "symlink-to-pred",
+                                       "missing-dir"])
+    def test_refuses_an_out_before_any_work(self, tmp_path, capsys, monkeypatch, where):
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=2)
+        out = {"a-prediction": tmp_path / "pred" / "case001.nii",
+               "pred-dir": tmp_path / "pred" / "m.csv", "gt-dir": tmp_path / "gt" / "m.csv",
+               "symlink-to-pred": tmp_path / "link.csv",
+               "missing-dir": tmp_path / "nodir" / "m.csv"}[where]
+        if where == "symlink-to-pred":
+            out.symlink_to(tmp_path / "pred" / "case001.nii")
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        monkeypatch.setattr(bratskit.cli, "read_volume", None)  # a scored case would raise
+        code = main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
+                     "--pred-dir", str(tmp_path / "pred"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: --out {out}") and len(err.strip().splitlines()) == 1
+        assert ("no directory" if where == "missing-dir" else "lies in --") in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     def test_missing_dir_config_error(self, tmp_path, capsys):
         code = main(["evaluate", "--gt-dir", str(tmp_path / "nope"),
@@ -392,6 +386,30 @@ class TestRank:
         assert err.startswith("error:") and "'sol'" in err
         assert len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("alias", ["input", "dotted-input", "hardlink-to-input", "manifest",
+                                       "missing-dir"])
+    def test_refuses_an_out_before_any_work(self, tmp_path, capsys, monkeypatch, alias):
+        write_corpus(tmp_path / "gt", tmp_path / "pred", n_cases=2)
+        for name in ("a2.csv", "b.csv"):
+            assert main(["evaluate", "--gt-dir", str(tmp_path / "gt"),
+                         "--pred-dir", str(tmp_path / "pred"),
+                         "--out", str(tmp_path / name), "--mode", "legacy"]) == 0
+        (tmp_path / "manifest.csv").write_text(f"c,{tmp_path / 'b.csv'}\n")
+        out = {"input": tmp_path / "a2.csv", "dotted-input": tmp_path / "." / "a2.csv",
+               "hardlink-to-input": tmp_path / "hard.csv", "manifest": tmp_path / "manifest.csv",
+               "missing-dir": tmp_path / "nodir" / "r.csv"}[alias]
+        if alias == "hardlink-to-input":
+            os.link(tmp_path / "a2.csv", out)
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        monkeypatch.setattr(bratskit.cli, "build_table", None)  # a read would raise
+        code = main(["rank", "--inputs", str(tmp_path / "a2.csv"),
+                     "--manifest", str(tmp_path / "manifest.csv"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: --out {out}") and len(err.strip().splitlines()) == 1
+        assert ("no directory" if alias == "missing-dir" else " names ") in err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("manifest", ["solA\n", "\n"], ids=["one-column", "blank"])
     def test_short_manifest_row_config_error(self, tmp_path, capsys, manifest):
@@ -1046,6 +1064,109 @@ def test_a_full_disk_names_the_output(tmp_path, capsys, monkeypatch, full, threa
         assert read_volume(tmp_path / "prob.nii", "region_prob").geometry.dims == (8, 8, 8)
     else:
         assert not (tmp_path / "out.nii").exists()
+
+
+@pytest.fixture(scope="module")
+def heap_items(tmp_path_factory):
+    """Each item sequence of the heap test, as argv lists over full-size inputs."""
+    d = tmp_path_factory.mktemp("heap")
+    full = (240, 240, 155)
+    lesions = (Lesion((80, 90, 70), (20, 16, 14)), Lesion((160, 150, 90), (10, 12, 9)))
+    pairs = [generate_phantom(PhantomSpec(full, lesions, pert)) for pert in (
+        Perturbation(kind="shift", shift=(2, 0, 0)), Perturbation(kind="shift", shift=(0, -1, 0)),
+        Perturbation(kind="erode", iterations=1))]
+    labels, maps = [], []
+    for r, (_, rater) in enumerate(pairs):
+        labels.append(str(d / f"rater{r}.nii"))
+        write_volume(rater, labels[-1])
+        maps.append(str(d / f"rater{r}.prob.nii"))
+        channels = np.stack([extract_region(rater, region).bits for region in REGIONS])
+        write_volume(RegionProbVolume(Geometry(full), channels * np.float32(0.9)), maps[-1])
+    for sub, volume in zip(("gt", "pred"), pairs[0]):
+        (d / sub).mkdir()
+        write_volume(volume, d / sub / "c.nii")
+    crop, _ = generate_phantom(PhantomSpec((96,) * 3, (Lesion((48, 46, 50), (14, 12, 10)),)))
+    write_volume(crop, d / "crop.nii")
+    image = np.random.default_rng(5).normal(size=(96,) * 3).astype(np.float32) + crop.voxels
+    write_volume(ScalarVolume(Geometry((96,) * 3), image), d / "image.nii")
+    grids = np.ogrid[:240, :240, :155]
+    brain = sum(((g - c) / r) ** 2 for g, c, r in zip(grids, (120, 120, 77), (112, 112, 76))) <= 1
+    write_volume(LabelVolume(Geometry(full), brain.astype(np.uint8)), d / "brain.nii")
+    out = str(d / "out")
+    yield {
+        "ensemble": [
+            ["fuse", "--method", "staple", "--inputs", *labels, "--out", out + ".staple.nii"],
+            ["fuse", "--method", "mean", "--inputs", *maps, "--out", out + ".mean.nii",
+             "--prob-out", out + ".prob.nii"],
+            ["postprocess", "--input", out + ".staple.nii", "--out", out + ".post.nii",
+             "--wt", "250", "--tc", "150", "--et", "100"]],
+        "synth": [
+            ["corrupt", "--image", str(d / "image.nii"), "--label", str(d / "crop.nii"),
+             "--seed", "7", "--out", out + ".noisy.nii"],
+            ["place", "--target", labels[0], "--brain-mask", str(d / "brain.nii"),
+             "--candidate", str(d / "crop.nii"), "--seed", "11", "--out", out + ".placed.nii"]],
+        "evaluate": [
+            ["evaluate", "--gt-dir", str(d / "gt"), "--pred-dir", str(d / "pred"),
+             "--out", out + ".csv", "--mode", mode] for mode in ("lesionwise", "legacy")],
+    }
+    shutil.rmtree(d)  # about 0.4 GB of maps
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+@pytest.mark.parametrize("item", ["ensemble", "synth", "evaluate"])
+def test_later_calls_reuse_the_heap(heap_items, item):
+    # The first round of an item faults its buffers in. A process that gives
+    # freed heap back to the kernel faults them in again on every later call
+    # (hundreds to thousands of faults a call on these inputs); one that keeps
+    # its heap finds them there. The interpreter runs on one core, so that
+    # every cores.Tasks task runs inline: worker threads are new in each call,
+    # and on two cores their arenas may still grow for a call or two.
+    code = f"""
+import contextlib, io, os, resource, bratskit.cli
+os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+faults = []
+for _ in range(4):
+    for argv in {heap_items[item]!r}:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert bratskit.cli.main(argv) == 0, argv
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+    src = str(Path(bratskit.cli.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    faults = json.loads(out.stdout)
+    calls = len(faults) // 4
+    assert max(faults[calls:]) < 200, f"faults per call, round by round: {faults}"
+
+
+def test_a_usage_error_leaves_later_calls_correct(tmp_path, capsys):
+    # main builds its parser once per process; every call parses afresh.
+    _, pred = generate_phantom(random_phantom_spec(np.random.default_rng(3), 24))
+    write_volume(pred, tmp_path / "pred.nii")
+    argv = ["postprocess", "--input", str(tmp_path / "pred.nii"), "--wt", "5"]
+    assert main([*argv, "--out", str(tmp_path / "a.nii"), "--connectivity", "6"]) == 0
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--out", str(tmp_path / "b.nii"), "--scope", "nowhere"])
+    assert exit_.value.code == 2 and not (tmp_path / "b.nii").exists()
+    assert "invalid choice: 'nowhere'" in capsys.readouterr().err
+    # No option of an earlier call carries over: whole_region refuses a --connectivity.
+    assert main([*argv, "--out", str(tmp_path / "b.nii"), "--scope", "whole_region"]) == 0
+    assert main([*argv, "--out", str(tmp_path / "c.nii"), "--connectivity", "6"]) == 0
+    assert (tmp_path / "a.nii").read_bytes() == (tmp_path / "c.nii").read_bytes()
+    assert capsys.readouterr().err == ""
+    assert build_parser() is not build_parser()
+
+
+def test_main_runs_a_handler_rebound_on_the_module(tmp_path, monkeypatch):
+    spec = tmp_path / "spec.json"
+    spec.write_text("{}")
+    assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path)]) == 2  # parser built
+    calls = []
+    monkeypatch.setattr(bratskit.cli, "cmd_phantom", lambda args: calls.append(args.spec) or 0)
+    assert main(["phantom", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+    assert calls == [str(spec)]
 
 
 def test_no_handler_refuses_by_itself():
