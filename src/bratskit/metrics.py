@@ -6,11 +6,15 @@ lesion-wise mode.
 
 HD95 is two stages: `_hd95` counts voxels on both surfaces as 0.0 and skips the
 searches they settle; `_directed_p95` picks and runs a search, on the calling thread.
+It scores every pair of small point sets; above that it settles the points near
+the other surface by distance shells on a voxel grid, nearest shell first, and
+asks a k-d tree only for the points that the p95 ranks still need.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +112,31 @@ def _p95(x, zeros=0):
     return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
 
 
+# The distance shells of `_directed_p95` look this many voxels along each axis.
+# On the benchmark's full-size cases (2 vCPU) reach 2, 3 and 4 each took about
+# 4.8 ms of searches per case scored both ways, and reach 1 took 5.5 ms.
+_SHELL_REACH = 3
+
+
+@functools.lru_cache(maxsize=16)
+def _shells(spacing, reach):
+    """(sum, offsets) of each distance shell around a voxel, sums ascending:
+    every voxel offset of [-reach, reach]^3 whose squared length (mm^2),
+    summed per axis as `_directed_p95` sums it, is below
+    ((reach + 1) * min spacing)^2, grouped by equal sums. An offset outside
+    the cube has some axis term at least that large, so no offset that the
+    table leaves out is shorter than one that it lists."""
+    side = np.arange(-reach, reach + 1)
+    offsets = np.stack(np.meshgrid(side, side, side, indexing="ij"), axis=-1).reshape(-1, 3)
+    sums = sum((offsets[:, i] * s) ** 2 for i, s in enumerate(spacing))
+    keep = sums < (((reach + 1) * np.asarray(spacing)) ** 2).min()
+    order = np.argsort(sums[keep], kind="stable")
+    sums, offsets = sums[keep][order], offsets[keep][order]
+    offsets.flags.writeable = False  # every caller shares the cached table
+    cuts = np.flatnonzero(np.diff(sums)) + 1
+    return tuple(zip(sums[np.r_[0, cuts]], np.split(offsets, cuts)))
+
+
 def _directed_p95(src, dst, spacing, zeros=0):
     """95th percentile (linear interpolation, `_p95`) of the distances (mm)
     from each src point, and from `zeros` more points that dst holds, to the
@@ -115,30 +144,60 @@ def _directed_p95(src, dst, spacing, zeros=0):
     is exactly 0.0 from it, so it is counted, not searched for.
 
     Squared distances are summed in axis order from the voxel offsets scaled
-    per axis, as the exact EDT sums them. On an exact grid, each spacing an
-    integer of at most 512 mm, every coordinate stays below
-    volume.MAX_DIM * 512 < 2**24 mm, so every sum is an exact integer: tied
-    offsets have equal sums and the tree's distance is the correctly rounded
-    root of the sum the EDT takes. On other grids offsets of equal length can
-    round one bit apart and the EDT keeps the lesser, so the tree path
-    searches every dst point tied with the nearest and keeps the least sum.
-    Up to `_ALL_PAIRS_MAX_EXACT` (exact grid) or `_ALL_PAIRS_MAX` pairs, every
-    (src, dst) pair is scored instead; `_hd95` skips the needless searches."""
+    per axis, as the exact EDT sums them. Up to `_ALL_PAIRS_MAX_EXACT` (exact
+    grid, below) or `_ALL_PAIRS_MAX` pairs, every (src, dst) pair is scored.
+
+    Above that, the src points are settled shell by shell (`_shells`) on a
+    boolean grid of the dst points in the src box padded by `_SHELL_REACH`:
+    a point whose offsets of one shell hit a dst point, none of an earlier
+    shell having hit, is the root of that shell's sum from its nearest dst
+    point, as every shorter offset is in an earlier shell. The sums rise,
+    so the zeros and the settled points are the least distances, and once
+    they reach the upper p95 rank the rest read +inf. Otherwise the points
+    left go to a k-d tree of every dst point. No shell runs when no dst point
+    lies in the padded box.
+
+    On an exact grid, each spacing an integer of at most 512 mm, every
+    coordinate stays below volume.MAX_DIM * 512 < 2**24 mm, so every sum is an
+    exact integer: tied offsets have equal sums and the tree's distance is
+    the correctly rounded root of the sum the EDT takes. On other grids
+    offsets of equal length can round one bit apart and the EDT keeps the
+    lesser, so the tree path searches every dst point tied with the nearest
+    and keeps the least sum. `_hd95` skips the needless searches."""
     exact = all(float(s).is_integer() and s <= 512 for s in spacing)
     if len(src) * len(dst) <= (_ALL_PAIRS_MAX_EXACT if exact else _ALL_PAIRS_MAX):
         # one (src x dst) plane per axis keeps the temporaries small
         sq = sum(((src[:, None, i] - dst[None, :, i]) * s) ** 2 for i, s in enumerate(spacing))
-        sq = sq.min(axis=1)
+        return _p95(np.sqrt(sq.min(axis=1)), zeros)
+    dist, left = np.full(len(src), np.inf), np.arange(len(src))
+    lo = src.min(axis=0) - _SHELL_REACH
+    dims = src.max(axis=0) + _SHELL_REACH + 1 - lo
+    inside = dst - lo
+    inside = inside[((inside >= 0) & (inside < dims)).all(axis=1)]
+    if len(inside):
+        steps = np.array([dims[1] * dims[2], dims[2], 1])
+        grid = np.zeros(dims.prod(), bool)
+        grid[inside @ steps] = True
+        at = (src - lo) @ steps
+        need = _ranks(len(src) + zeros)[1] + 1 - zeros
+        for sq, offsets in _shells(tuple(spacing), _SHELL_REACH):
+            hit = grid[at[:, None] + offsets @ steps].any(axis=1)
+            dist[left[hit]] = np.sqrt(sq)
+            left, at = left[~hit], at[~hit]
+            if len(src) - len(left) >= need:
+                return _p95(dist, zeros)
+    tree = cKDTree(dst * spacing)
+    far = src[left]
+    near, _ = tree.query(far * spacing)
+    if exact:
+        dist[left] = near
     else:
-        tree = cKDTree(dst * spacing)
-        near, _ = tree.query(src * spacing)
-        if exact:
-            return _p95(near, zeros)
-        ties = tree.query_ball_point(src * spacing, near * (1 + 1e-9), return_sorted=False)
+        ties = tree.query_ball_point(far * spacing, near * (1 + 1e-9), return_sorted=False)
         counts = [len(t) for t in ties]
-        offsets = src.repeat(counts, axis=0) - dst[np.concatenate(ties)]
+        offsets = far.repeat(counts, axis=0) - dst[np.concatenate(ties)]
         sq = np.minimum.reduceat(((offsets * spacing) ** 2).sum(axis=1), np.cumsum(counts) - counts)
-    return _p95(np.sqrt(sq), zeros)
+        dist[left] = np.sqrt(sq)
+    return _p95(dist, zeros)
 
 
 def hd95(a: BinaryMask, b: BinaryMask) -> float:

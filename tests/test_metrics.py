@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from bratskit import metrics
@@ -129,10 +131,42 @@ def region_pairs(gt, pred, spacing):
                BinaryMask(g, extract_region(pred, region).bits))
 
 
-def force_tree(monkeypatch):
-    """Score through the k-d tree on every grid, whatever the point counts."""
+def force_search(monkeypatch):
+    """Search on every grid, whatever the point counts: the distance shells
+    first, the k-d tree for what they leave."""
     for name in ("_ALL_PAIRS_MAX", "_ALL_PAIRS_MAX_EXACT"):
         monkeypatch.setattr(metrics, name, 0)
+
+
+def force_tree(monkeypatch):
+    """Score through the k-d tree alone on every grid, whatever the point counts."""
+    force_search(monkeypatch)
+    monkeypatch.setattr(metrics, "_shells", lambda spacing, reach: [])
+
+
+# Small point sets are scored pair by pair, as usual; "shells" and "tree"
+# search them instead (`force_search`, `force_tree`).
+SCORING = {"all-pairs": lambda monkeypatch: None, "shells": force_search, "tree": force_tree}
+
+
+@pytest.fixture(params=sorted(SCORING))
+def scoring(request, monkeypatch):
+    SCORING[request.param](monkeypatch)
+
+
+@pytest.fixture
+def trees(monkeypatch):
+    """(dst point count, src points in mm) per query of every k-d tree that
+    metrics builds."""
+    queries = []
+
+    class CountingTree(metrics.cKDTree):
+        def query(self, x, *args, **kwargs):
+            queries.append((self.n, np.asarray(x)))
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(metrics, "cKDTree", CountingTree)
+    return queries
 
 
 SPACINGS = [(1.0, 1.0, 1.0), (2.0, 1.0, 3.0), (0.7, 1.3, 2.1), (1.2, 0.8, 3.0), (1.0, 0.5, 1.0)]
@@ -174,12 +208,6 @@ class TestP95:
 class TestHD95EqualsEDT:
     """HD95 from nearest surface points equals, under ==, HD95 from the exact
     EDT of the joint box, so the 6-decimal CSV strings cannot move."""
-
-    @pytest.fixture(params=["all-pairs", "tree"])
-    def scoring(self, request, monkeypatch):
-        """Score small point sets pair by pair, as usual, or through the tree."""
-        if request.param == "tree":
-            force_tree(monkeypatch)
 
     @pytest.mark.parametrize("spacing", SPACINGS)
     def test_random_phantoms(self, spacing, scoring):
@@ -227,9 +255,10 @@ class TestTiePath:
     """The tree searches for tied nearest points only where spacings are not
     all integers of at most 512 mm; elsewhere its distance is already exact."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        """Counts, per method, the calls on every tree that metrics builds."""
+    @pytest.fixture(params=["shells", "tree"])
+    def calls(self, request, monkeypatch):
+        """Counts, per method, the calls on every tree that metrics builds,
+        with the shells before the tree or the tree alone."""
         counts = {"query": 0, "query_ball_point": 0}
 
         class CountingTree(metrics.cKDTree):
@@ -242,7 +271,7 @@ class TestTiePath:
                 return super().query_ball_point(*args, **kwargs)
 
         monkeypatch.setattr(metrics, "cKDTree", CountingTree)
-        force_tree(monkeypatch)
+        SCORING[request.param](monkeypatch)
         return counts
 
     def score_phantoms(self, spacing):
@@ -301,13 +330,8 @@ class TestSharedSurface:
     """A voxel on both surfaces is counted as a 0.0 distance and only the
     others are searched from. HD95, legacy and lesion-wise scores still equal
     the EDT and the lesion oracle bit for bit, on an integer and on a
-    non-integer anisotropic spacing (the tie search), through all-pairs scans
-    and through the tree."""
-
-    @pytest.fixture(params=["all-pairs", "tree"])
-    def scoring(self, request, monkeypatch):
-        if request.param == "tree":
-            force_tree(monkeypatch)
+    non-integer anisotropic spacing (the tie search), through all-pairs scans,
+    through the distance shells and through the tree."""
 
     def test_the_cases_share_what_they_name(self):
         counts = {name: surface_counts(a, b) for name, (a, b) in SHARED_CASES.items()}
@@ -348,20 +372,20 @@ class TestSharedSurface:
         for region in REGIONS:
             assert reports[region].matched == want
 
-    def test_the_tree_scores_the_case_just_above_all_pairs(self, monkeypatch):
-        built = []
-
-        class CountingTree(metrics.cKDTree):
-            def __init__(self, *args, **kwargs):
-                built.append(len(args[0]))
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(metrics, "cKDTree", CountingTree)
+    def test_the_shells_score_the_case_just_above_all_pairs(self, trees, monkeypatch):
         a, b = SHARED_CASES["just-above-all-pairs"]
         g = Geometry(a.shape)
-        assert hd95(BinaryMask(g, a), BinaryMask(g, b)) == edt_hd95(a, b)
-        # one tree per direction, on all of the other surface (threads may build in either order)
-        assert sorted(built) == sorted(n for n, _ in surface_counts(a, b))
+        want = edt_hd95(a, b)
+        # every point a search needs is one voxel from the other surface
+        assert hd95(BinaryMask(g, a), BinaryMask(g, b)) == want
+        assert trees == []
+        force_tree(monkeypatch)
+        assert hd95(BinaryMask(g, a), BinaryMask(g, b)) == want
+        # with the shells off, one tree per direction on all of the other
+        # surface, queried from every source point the shared voxels leave
+        (na, shared_a), (nb, shared_b) = surface_counts(a, b)
+        assert sorted((n, len(x)) for n, x in trees) == sorted([(nb, na - shared_a),
+                                                                (na, nb - shared_b)])
 
     @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 2.1)])
     def test_no_search_when_both_ranks_read_shared_voxels(self, monkeypatch, spacing):
@@ -376,6 +400,124 @@ class TestSharedSurface:
         gt = labels_from_array(np.where(a, 3, 0), spacing)
         assert case_metrics_legacy(gt, gt).per_region[Region.WT] == MetricPair(1.0, 0.0)
         assert case_metrics_lesionwise(gt, gt)[0].per_region[Region.WT] == MetricPair(1.0, 0.0)
+
+
+def ball(dims, center, radius):
+    grid = np.indices(dims)
+    return sum((g - c) ** 2 for g, c in zip(grid, center)) <= radius ** 2
+
+
+def brute_p95(src, dst, spacing, zeros=0):
+    """np.percentile of `zeros` 0.0 values and each src point's least
+    distance to dst, from every (src, dst) pair summed per axis."""
+    sq = sum(((src[:, None, i] - dst[None, :, i]) * s) ** 2 for i, s in enumerate(spacing))
+    return np.percentile(np.concatenate([np.zeros(zeros), np.sqrt(sq.min(axis=1))]), 95,
+                         method="linear")
+
+
+SHELL_SPACINGS = [(1.0, 1.0, 1.0), (2.0, 1.0, 3.0), (0.9375, 0.9375, 1.5), (0.7, 1.3, 0.55),
+                  (0.7, 1.3, 2.1), (1.2, 0.8, 3.0)]
+VOXELS = st.lists(st.tuples(*[st.integers(0, 9)] * 3), min_size=1, max_size=60)
+
+
+class TestShells:
+    """Above the all-pairs cut-over, the distance shells settle the points
+    near the other surface and the k-d tree scores only the points that the
+    p95 ranks still need; the result equals every pair scored, under ==."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(src=VOXELS, dst=VOXELS, shift=st.tuples(*[st.integers(-6, 6)] * 3),
+           spacing=st.sampled_from(SHELL_SPACINGS), reach=st.integers(0, 4), data=st.data())
+    def test_equals_every_pair_scored(self, src, dst, shift, spacing, reach, data):
+        src, dst = np.array(src), np.array(dst) + shift
+        zeros = data.draw(st.integers(0, 3 * len(src)), label="zeros")
+        want = brute_p95(src, dst, spacing, zeros)
+        with pytest.MonkeyPatch.context() as patch:
+            force_search(patch)
+            patch.setattr(metrics, "_SHELL_REACH", reach)
+            assert _directed_p95(src, dst, spacing, zeros) == want
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        force_search(monkeypatch)
+
+    @pytest.mark.parametrize("spacing", SHELL_SPACINGS)
+    def test_nearest_at_the_last_shell(self, spacing, searched, trees):
+        sq, offsets = metrics._shells(spacing, metrics._SHELL_REACH)[-1]
+        src = np.array([[5, 5, 5]])
+        dst = np.array([src[0] + offsets[0], [40, 40, 40]])
+        assert _directed_p95(src, dst, spacing) == np.sqrt(sq) == brute_p95(src, dst, spacing)
+        assert trees == []
+
+    @pytest.mark.parametrize("spacing", SHELL_SPACINGS)
+    def test_nearest_one_step_past_the_last_shell(self, spacing, searched, trees):
+        step = np.zeros(3, int)
+        step[np.argmin(spacing)] = metrics._SHELL_REACH + 1
+        assert not any((offsets == step).all(axis=1).any()
+                       for _, offsets in metrics._shells(spacing, metrics._SHELL_REACH))
+        src = np.array([[5, 5, 5]])
+        dst = np.array([src[0] + step, [40, 40, 40]])
+        assert _directed_p95(src, dst, spacing) == brute_p95(src, dst, spacing)
+        assert [(n, x.tolist()) for n, x in trees] == [(2, (src * spacing).tolist())]
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.7, 1.3, 0.55)])
+    def test_ranks_split_between_settled_and_unsettled(self, spacing, searched, trees):
+        # 28 points one voxel from dst settle in the first shells, 2 do not:
+        # the lower rank reads a settled point and the upper one does not
+        near = np.stack([np.arange(28), np.zeros(28, int), np.zeros(28, int)], axis=1)
+        far = np.array([[0, 20, 0], [3, 20, 5]])
+        src, dst = np.concatenate([near, far]), near + (1, 0, 0)
+        low, high, _ = metrics._ranks(len(src))
+        assert low < len(near) <= high
+        assert _directed_p95(src, dst, spacing) == brute_p95(src, dst, spacing)
+        assert [(n, x.tolist()) for n, x in trees] == [(len(dst), (far * spacing).tolist())]
+
+    def test_equal_offsets_keep_least_sum(self, searched, trees, monkeypatch):
+        # The one-ulp pair of TestHD95EqualsEDT, settled by the shells: at
+        # reach 4 both offsets are in the table, in two shells.
+        monkeypatch.setattr(metrics, "_SHELL_REACH", 4)
+        spacing = (0.7, 1.3, 2.1)
+        src, dst = np.array([[1, 3, 0]]), np.array([[1, 1, 1], [4, 1, 0]])
+        sums = [np.sqrt((((q - src[0]) * spacing) ** 2).sum()) for q in dst]
+        assert sums[0] != sums[1]
+        shells = [i for i, (_, offsets) in enumerate(metrics._shells(spacing, 4))
+                  if any((offsets == q - src[0]).all(axis=1).any() for q in dst)]
+        assert len(shells) == 2
+        assert _directed_p95(src, dst, spacing) == min(sums)
+        assert trees == []
+
+    @pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.9375, 0.9375, 1.5)])
+    def test_a_one_voxel_shift_of_a_ball_builds_no_tree(self, spacing, trees):
+        a = ball((24, 24, 24), (12, 12, 12), 9)
+        b = np.roll(a, 1, axis=0)
+        g = Geometry(a.shape, spacing)
+        for n, shared in surface_counts(a, b):
+            assert (n - shared) * n > metrics._ALL_PAIRS_MAX
+        assert hd95(BinaryMask(g, a), BinaryMask(g, b)) == edt_hd95(a, b, spacing)
+        assert trees == []
+
+    def test_a_dropped_lesion_queries_the_tree_with_its_far_points(self, trees):
+        kept, dropped = ball((34, 24, 24), (8, 12, 12), 5), ball((34, 24, 24), (26, 12, 12), 4)
+        gt, pred = kept | dropped, np.roll(kept, 1, axis=0)
+        g = Geometry(gt.shape)
+        assert hd95(BinaryMask(g, gt), BinaryMask(g, pred)) == edt_hd95(gt, pred)
+        # gt to pred alone: the ranks need the dropped lesion, whose points
+        # are 7 voxels or more from pred; the shells settle every other one
+        (n, queried), = trees
+        assert n == brute_surface(pred).sum()
+        assert sorted(map(tuple, queried.tolist())) == sorted(
+            map(tuple, np.argwhere(brute_surface(dropped)).astype(float).tolist()))
+
+    def test_no_shell_runs_when_no_destination_point_lies_in_the_padded_box(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a shell ran")
+
+        monkeypatch.setattr(metrics, "_shells", refused)
+        # the boxes are 10 voxels apart, more than the reach of 3
+        a, b = ball((30, 12, 12), (5, 6, 6), 4), ball((30, 12, 12), (23, 6, 6), 4)
+        g = Geometry(a.shape)
+        assert a.sum() * b.sum() > metrics._ALL_PAIRS_MAX_EXACT
+        assert hd95(BinaryMask(g, a), BinaryMask(g, b)) == edt_hd95(a, b)
 
 
 class TestLegacyCaseMetrics:
